@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EncodeError
 from .geometry import centroid
-from .structures import Atom, Crystal, Molecule, Pocket, PocketAtom, Site
+from .structures import Crystal
 from .tokenize import Vocabulary, content_tokens
 
 
@@ -42,32 +42,15 @@ def rotate_about_center(structure, R: np.ndarray):
     """p <- R (p - centroid) + centroid; crystals are rejected."""
     if isinstance(structure, Crystal):
         raise ValueError("crystals cannot be rotated; use shift_origin instead")
-    points = np.array([(a.x, a.y, a.z) for a in structure.atoms])
+    points = np.array(structure.coords())
     c = centroid(points)
-    moved = (points - c) @ R.T + c
-    if isinstance(structure, Molecule):
-        return Molecule(
-            atoms=[
-                Atom(a.symbol, p[0], p[1], p[2])
-                for a, p in zip(structure.atoms, moved)
-            ]
-        )
-    return Pocket(
-        atoms=[
-            PocketAtom(a.residue, a.element, a.residue_index, p[0], p[1], p[2])
-            for a, p in zip(structure.atoms, moved)
-        ]
-    )
+    return structure.with_coords((points - c) @ R.T + c)
 
 
 def shift_origin(crystal: Crystal, shift) -> Crystal:
     """Cyclic shift of fractional coordinates, f <- f + u mod 1."""
     u = np.asarray(shift, dtype=float)
-    sites = [
-        Site(s.symbol, (s.fx + u[0]) % 1.0, (s.fy + u[1]) % 1.0, (s.fz + u[2]) % 1.0)
-        for s in crystal.sites
-    ]
-    return Crystal(lattice=crystal.lattice, sites=sites)
+    return crystal.with_coords((np.array(crystal.coords()) + u) % 1.0)
 
 
 def augment_structure(

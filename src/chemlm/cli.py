@@ -16,14 +16,14 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
-from .errors import ChemlmError, ParseError
+from .errors import ChemlmError
 from .formats import (
     EXTENSIONS,
     FORMAT_FOR_KIND,
-    KIND_FOR_FORMAT,
     FileDocument,
     parse_document,
     prune_pocket,
@@ -41,7 +41,7 @@ from .metrics import MetricsReport, evaluate_sequences, evaluate_structures, pro
 from .model import ModelConfig, load_checkpoint
 from .rounding import round_coords
 from .sampling import SampleConfig, sample_from_checkpoint, truncation_rate
-from .structures import Pocket, structure_kind
+from .structures import Crystal, Pocket, structure_kind
 from .synth import synth_corpus
 from .tokenize import ATOM_COORD, CHAR, Scheme, TokenSequence, Vocabulary, build_vocab, encode
 from .training import TrainConfig, train
@@ -118,11 +118,11 @@ def _read_structure_files(directory):
     fmt = {v: k for k, v in EXTENSIONS.items()}[ext]
     out = []
     for name in names:
-        with open(os.path.join(directory, name), encoding="utf-8") as fh:
-            text = fh.read()
         try:
+            with open(os.path.join(directory, name), encoding="utf-8") as fh:
+                text = fh.read()
             out.append((name, parse_document(FileDocument(fmt, text, name)), ""))
-        except (ChemlmError, ValueError) as exc:
+        except (ChemlmError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
             out.append((name, None, str(exc)))
     return out
 
@@ -215,8 +215,8 @@ def cmd_prepare(args, out_dir, phases):
     prepared = []
     for name, s in parsed:
         if isinstance(s, Pocket) and args.prune:
-            center = centroid([(a.x, a.y, a.z) for a in s.atoms])
-            result = prune_pocket(s, tuple(center), (args.prune_lo, args.prune_hi))
+            center = tuple(centroid(s.coords()))
+            result = prune_pocket(s, center, (args.prune_lo, args.prune_hi))
             prune_stats.append(
                 {
                     "file": name,
@@ -248,14 +248,8 @@ def cmd_prepare(args, out_dir, phases):
             fh.write("\n")
     phases["encode"] = time.time() - t0
 
-    atom_counts = {}
-    element_counts = {}
-    for _, s in prepared:
-        particles = s.sites if hasattr(s, "sites") else s.atoms
-        atom_counts[len(particles)] = atom_counts.get(len(particles), 0) + 1
-        for p in particles:
-            sym = p.symbol if hasattr(p, "symbol") else p.element
-            element_counts[sym] = element_counts.get(sym, 0) + 1
+    atom_counts = Counter(len(s) for s in structures)
+    element_counts = Counter(sym for s in structures for sym in s.symbols())
     stats = {
         "n_structures": len(prepared),
         "n_failures": len(failures),
@@ -320,10 +314,11 @@ def build_train_parser():
 def cmd_train(args, out_dir, phases):
     t0 = time.time()
     corpus, vocab = _load_bundle(args.corpus)
-    lengths = [len(encode(s, vocab).ids) for s in corpus]
+    with open(os.path.join(args.corpus, "corpus.txt"), encoding="utf-8") as fh:
+        longest = max(len(line.split()) for line in fh)  # prepare wrote encode(s).ids
     phases["load"] = time.time() - t0
 
-    max_seq_len = args.max_seq_len or max(lengths)
+    max_seq_len = args.max_seq_len or longest
     model_cfg = ModelConfig(
         n_layers=args.layers,
         d_model=args.d_model,
@@ -561,9 +556,6 @@ def render_table(labels, reports) -> str:
     for name in emd_names:
         keys.append((f"EMD {name}", lambda r, n=name: r.emd.get(n)))
         keys.append((f"EMD {name} (train oracle)", lambda r, n=name: r.emd_oracle.get(n)))
-    for label, attr in (("QED EMD", "qed_emd"), ("SA EMD", "sa_emd"),
-                        ("COV-R", "cov_r"), ("COV-P", "cov_p")):
-        keys.append((label, lambda r, a=attr: getattr(r, a)))
     for label, fn in keys:
         rows.append((label, [_fmt_cell(fn(r)) for r in reports]))
 
@@ -594,9 +586,9 @@ def _histogram_csv(path, values, bins=20):
 
 
 def _positions_of(structure):
-    if hasattr(structure, "sites"):
+    if isinstance(structure, Crystal):
         return None  # fractional coordinates, no direct Cartesian histogram
-    return [(a.x, a.y, a.z) for a in structure.atoms]
+    return structure.coords()
 
 
 def build_report_parser():

@@ -5,6 +5,10 @@ class ChemlmError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ConfigError(ChemlmError, ValueError):
+    """A model, training or sampling setting is out of range."""
+
+
 class UnknownElementError(ChemlmError, ValueError):
     """An element symbol is not in the bundled periodic table."""
 

@@ -23,28 +23,12 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def tree_hash(root, names=None) -> str:
-    """Content hash of a directory: sha256 over sorted (relpath, file
-    hash) pairs. `names` restricts to specific relative paths.
-
-    Manifests and timing sidecars are skipped so the hash depends only
-    on run content, never on when or where the run happened.
-    """
-    entries = []
-    if names is None:
-        for dirpath, dirnames, filenames in os.walk(root):
-            dirnames.sort()
-            for fn in sorted(filenames):
-                if fn in (MANIFEST_NAME, TIMING_NAME):
-                    continue
-                full = os.path.join(dirpath, fn)
-                rel = os.path.relpath(full, root)
-                entries.append((rel.replace(os.sep, "/"), file_sha256(full)))
-    else:
-        for rel in sorted(names):
-            entries.append((rel, file_sha256(os.path.join(root, rel))))
+def tree_hash(root) -> str:
+    """Content hash of a directory: sha256 over the (relpath, file hash)
+    pairs of `hash_outputs`, so it depends only on run content, never on
+    when or where the run happened."""
     h = hashlib.sha256()
-    for rel, digest in entries:
+    for rel, digest in hash_outputs(root).items():
         h.update(f"{rel}\0{digest}\n".encode("utf-8"))
     return h.hexdigest()
 
@@ -71,16 +55,15 @@ def write_timing(out_dir, phases: dict) -> str:
     return path
 
 
-def hash_outputs(out_dir, exclude=(MANIFEST_NAME, TIMING_NAME)) -> dict:
-    """Relative path -> sha256 for every file under out_dir except the
-    manifest itself and the timing sidecar."""
+def hash_outputs(out_dir) -> dict:
+    """Relative path -> sha256 for every file under out_dir, in walk
+    order, skipping manifests and timing sidecars at any depth."""
     out = {}
     for dirpath, dirnames, filenames in os.walk(out_dir):
         dirnames.sort()
         for fn in sorted(filenames):
-            full = os.path.join(dirpath, fn)
-            rel = os.path.relpath(full, out_dir).replace(os.sep, "/")
-            if rel in exclude:
+            if fn in (MANIFEST_NAME, TIMING_NAME):
                 continue
-            out[rel] = file_sha256(full)
+            full = os.path.join(dirpath, fn)
+            out[os.path.relpath(full, out_dir).replace(os.sep, "/")] = file_sha256(full)
     return out

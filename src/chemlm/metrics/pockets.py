@@ -3,45 +3,15 @@
 from __future__ import annotations
 
 from collections import Counter
-from importlib import resources
 
 from ..geometry import pairwise_distances
-from ..structures import Pocket
+from ..structures import Pocket, default_residue_table
 from .keys import residue_ordering, unique_novel
 from .verdict import Verdict
 
 #: Inter-residue atom pairs closer than this fail the overlap check. The
 #: peptide-bond C-N distance of about 1.33 A passes by design.
 DEFAULT_OVERLAP_THRESHOLD = 1.1
-
-
-def load_residue_table() -> dict:
-    """Residue code -> heavy-atom element counts, e.g. GLY -> {C:2, N:1, O:1}."""
-    table = {}
-    path = resources.files("chemlm.data").joinpath("residue_atoms.csv")
-    with path.open("r", encoding="utf-8") as fh:
-        next(fh)  # header
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            code, spec = line.split(",", 1)
-            counts = {}
-            for pair in spec.split():
-                element, n = pair.split(":")
-                counts[element] = int(n)
-            table[code] = counts
-    return table
-
-
-_DEFAULT_TABLE = None
-
-
-def default_residue_table() -> dict:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = load_residue_table()
-    return _DEFAULT_TABLE
 
 
 def pocket_residue_check(pocket: Pocket, table: dict = None) -> tuple[bool, list[str]]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import DecodeError
 from ..geometry import molecular_weight
-from ..structures import Crystal, Molecule, Pocket, structure_kind
+from ..structures import structure_kind
 from ..tokenize import Vocabulary, decode
 from .bonds import molecule_validity
 from .crystals import (
@@ -36,7 +36,7 @@ from .pockets import (
     pocket_residue_check,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DECODE_FAILED = "decode_failed"
 INVALID = "invalid"
@@ -65,10 +65,6 @@ class MetricsReport:
     extra_validity_pct: dict = field(default_factory=dict)
     emd: dict = field(default_factory=dict)
     emd_oracle: dict = field(default_factory=dict)
-    qed_emd: Optional[float] = None  # reserved for external descriptor stacks
-    sa_emd: Optional[float] = None  # reserved
-    cov_r: Optional[float] = None  # reserved
-    cov_p: Optional[float] = None  # reserved
     schema_version: int = SCHEMA_VERSION
 
     def to_json(self) -> str:

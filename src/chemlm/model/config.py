@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from ..errors import ConfigError
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -25,17 +27,17 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.n_layers < 1:
-            raise ValueError("n_layers must be >= 1")
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(
+            raise ConfigError("n_layers must be >= 1")
+        if self.n_heads < 1 or self.d_model % self.n_heads != 0:
+            raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
         if self.max_seq_len < 2:
-            raise ValueError("max_seq_len must be >= 2")
+            raise ConfigError("max_seq_len must be >= 2")
         if self.vocab_size < 4:
-            raise ValueError("vocab_size must cover the specials and content")
+            raise ConfigError("vocab_size must cover the specials and content")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
+            raise ConfigError("dropout_rate must be in [0, 1)")
 
     @property
     def d_head(self) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 
-from .structures import Atom, Crystal, Lattice, Molecule, Pocket, PocketAtom, Site
+from .structures import Crystal, Lattice
 
 _EXPONENTS = {p: Decimal(1).scaleb(-p) for p in range(0, 13)}
 
@@ -45,42 +45,15 @@ def round_coords(structure, precision: int):
     coordinates are rounded; a fractional coordinate that rounds to 1.0
     wraps back to 0.0 so the [0, 1) invariant survives.
     """
-    if isinstance(structure, Molecule):
-        return Molecule(
-            tuple(
-                Atom(
-                    a.symbol,
-                    round_half_away(a.x, precision),
-                    round_half_away(a.y, precision),
-                    round_half_away(a.z, precision),
-                )
-                for a in structure.atoms
-            )
+    rounded = [
+        (
+            round_half_away(x, precision),
+            round_half_away(y, precision),
+            round_half_away(z, precision),
         )
+        for x, y, z in structure.coords()
+    ]
     if isinstance(structure, Crystal):
-        lat = Lattice(*(round_half_away(v, precision) for v in structure.lattice.params()))
-        sites = tuple(
-            Site(
-                s.symbol,
-                round_half_away(s.fx, precision),
-                round_half_away(s.fy, precision),
-                round_half_away(s.fz, precision),
-            )
-            for s in structure.sites
-        )
-        return Crystal(lat, sites)
-    if isinstance(structure, Pocket):
-        return Pocket(
-            tuple(
-                PocketAtom(
-                    a.residue,
-                    a.element,
-                    a.residue_index,
-                    round_half_away(a.x, precision),
-                    round_half_away(a.y, precision),
-                    round_half_away(a.z, precision),
-                )
-                for a in structure.atoms
-            )
-        )
-    raise TypeError(f"not a structure: {type(structure).__name__}")
+        lattice = Lattice(*(round_half_away(v, precision) for v in structure.lattice.params()))
+        structure = Crystal(lattice, structure.sites)
+    return structure.with_coords(rounded)

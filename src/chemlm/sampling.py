@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .model import Checkpoint, ModelConfig, forward
 from .tokenize import TokenSequence, Vocabulary
 
@@ -28,11 +29,11 @@ class SampleConfig:
 
     def __post_init__(self):
         if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+            raise ConfigError("n_samples must be >= 1")
         if self.max_len < 2:
-            raise ValueError("max_len must be >= 2")
+            raise ConfigError("max_len must be >= 2")
         if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+            raise ConfigError("temperature must be >= 0")
 
 
 def _draw(logits: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
@@ -59,7 +60,7 @@ def sample(
             f"model vocab_size {model_cfg.vocab_size} != vocabulary size {len(vocab.tokens)}"
         )
     if cfg.max_len > model_cfg.max_seq_len:
-        raise ValueError(
+        raise ConfigError(
             f"max_len {cfg.max_len} exceeds model max_seq_len {model_cfg.max_seq_len}"
         )
     out = [None] * cfg.n_samples

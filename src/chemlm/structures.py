@@ -3,12 +3,18 @@
 All three are point clouds of atoms. Molecules and pockets carry Cartesian
 coordinates in Angstrom; crystals carry fractional coordinates inside a
 periodic lattice. Instances are immutable and validated on construction.
+
+Every type exposes the same per-atom layout: `labels()` (the atom token:
+element symbol, or residue-atom indicator for pockets), `coords()` (the
+stored triples) and `with_coords(triples)` (a copy with new coordinates).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from importlib import resources
 from typing import Union
 
 from .elements import get_element
@@ -21,6 +27,30 @@ CANONICAL_RESIDUES: frozenset[str] = frozenset(
         "LEU", "LYS", "MET", "PHE", "PRO", "SER", "THR", "TRP", "TYR", "VAL",
     ]
 )
+
+
+def load_residue_table() -> dict:
+    """Residue code -> heavy-atom element counts, e.g. GLY -> {C:2, N:1, O:1}."""
+    table = {}
+    path = resources.files("chemlm.data").joinpath("residue_atoms.csv")
+    with path.open("r", encoding="utf-8") as fh:
+        next(fh)  # header
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            code, spec = line.split(",", 1)
+            counts = {}
+            for pair in spec.split():
+                element, n = pair.split(":")
+                counts[element] = int(n)
+            table[code] = counts
+    return table
+
+
+@functools.cache
+def default_residue_table() -> dict:
+    return load_residue_table()
 
 
 def _check_finite(name: str, *values: float) -> None:
@@ -59,8 +89,17 @@ class Molecule:
     def symbols(self) -> list[str]:
         return [a.symbol for a in self.atoms]
 
+    labels = symbols
+
     def positions(self) -> list[tuple[float, float, float]]:
         return [(a.x, a.y, a.z) for a in self.atoms]
+
+    coords = positions
+
+    def with_coords(self, triples) -> "Molecule":
+        return Molecule(
+            tuple(Atom(a.symbol, x, y, z) for a, (x, y, z) in zip(self.atoms, triples))
+        )
 
 
 @dataclass(frozen=True)
@@ -145,8 +184,19 @@ class Crystal:
     def symbols(self) -> list[str]:
         return [s.symbol for s in self.sites]
 
+    labels = symbols
+
     def frac_coords(self) -> list[tuple[float, float, float]]:
         return [(s.fx, s.fy, s.fz) for s in self.sites]
+
+    coords = frac_coords
+
+    def with_coords(self, triples) -> "Crystal":
+        """Same lattice, new fractional coordinates (wrapped into [0, 1))."""
+        return Crystal(
+            self.lattice,
+            tuple(Site(s.symbol, x, y, z) for s, (x, y, z) in zip(self.sites, triples)),
+        )
 
 
 @dataclass(frozen=True)
@@ -232,8 +282,25 @@ class Pocket:
     def n_residues(self) -> int:
         return len({a.residue_index for a in self.atoms})
 
+    def symbols(self) -> list[str]:
+        return [a.element for a in self.atoms]
+
+    def labels(self) -> list[str]:
+        return [a.indicator for a in self.atoms]
+
     def positions(self) -> list[tuple[float, float, float]]:
         return [(a.x, a.y, a.z) for a in self.atoms]
+
+    coords = positions
+
+    def with_coords(self, triples) -> "Pocket":
+        """Same residues and numbering, new Cartesian coordinates."""
+        return Pocket(
+            tuple(
+                PocketAtom(a.residue, a.element, a.residue_index, x, y, z)
+                for a, (x, y, z) in zip(self.atoms, triples)
+            )
+        )
 
 
 Structure = Union[Molecule, Crystal, Pocket]

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from ..elements import MULTI_LETTER_SYMBOLS, is_element
-from ..errors import DecodeError, EncodeError, ParseError
+from ..errors import DecodeError, ParseError
 from ..formats import FORMAT_FOR_KIND, FileDocument, parse_document, write_structure
 from ..rounding import fmt_fixed, round_coords
 from ..structures import (
@@ -34,6 +34,7 @@ from ..structures import (
     PocketAtom,
     Site,
     Structure,
+    default_residue_table,
     structure_kind,
 )
 from .scheme import ATOM_COORD, CHAR, LATTICE_WHOLE_TOKEN, Scheme
@@ -102,25 +103,8 @@ def atom_coord_tokens(structure: Structure, scheme: Scheme) -> list[str]:
             else:
                 tokens.extend(text)
                 tokens.append(" ")  # closes the spelled-out parameter
-        for site in s.sites:
-            tokens.append(site.symbol)
-            tokens.append(fmt_fixed(site.fx, p))
-            tokens.append(fmt_fixed(site.fy, p))
-            tokens.append(fmt_fixed(site.fz, p))
-    elif isinstance(s, Molecule):
-        for a in s.atoms:
-            tokens.append(a.symbol)
-            tokens.append(fmt_fixed(a.x, p))
-            tokens.append(fmt_fixed(a.y, p))
-            tokens.append(fmt_fixed(a.z, p))
-    elif isinstance(s, Pocket):
-        for a in s.atoms:
-            tokens.append(a.indicator)
-            tokens.append(fmt_fixed(a.x, p))
-            tokens.append(fmt_fixed(a.y, p))
-            tokens.append(fmt_fixed(a.z, p))
-    else:
-        raise TypeError(f"not a structure: {type(s).__name__}")
+    for label, (x, y, z) in zip(s.labels(), s.coords()):
+        tokens.extend((label, fmt_fixed(x, p), fmt_fixed(y, p), fmt_fixed(z, p)))
     return tokens
 
 
@@ -132,17 +116,8 @@ def content_tokens(structure: Structure, scheme: Scheme) -> list[str]:
 
 def _dense_coordinate_tokens(corpus, precision: int) -> set[str]:
     """Every fixed-precision string between the observed min and max."""
-    lo = hi = None
-    for s in corpus:
-        if isinstance(s, Crystal):
-            coords = [v for site in s.sites for v in (site.fx, site.fy, site.fz)]
-        elif isinstance(s, Molecule):
-            coords = [v for a in s.atoms for v in (a.x, a.y, a.z)]
-        else:
-            coords = [v for a in s.atoms for v in (a.x, a.y, a.z)]
-        m, M = min(coords), max(coords)
-        lo = m if lo is None else min(lo, m)
-        hi = M if hi is None else max(hi, M)
+    values = [v for s in corpus for xyz in s.coords() for v in xyz]
+    lo, hi = min(values), max(values)
     step = 10 ** -precision
     count = round((hi - lo) / step) + 1
     if count > 50_000:
@@ -372,20 +347,6 @@ def _parse_indicator(token: str, position: int) -> tuple[str, str]:
     return residue, element
 
 
-_RESIDUE_TABLE = None
-
-
-def _residue_composition():
-    # Imported lazily: metrics also loads this table and the package data
-    # file is the single source of truth.
-    global _RESIDUE_TABLE
-    if _RESIDUE_TABLE is None:
-        from ..metrics.pockets import load_residue_table
-
-        _RESIDUE_TABLE = load_residue_table()
-    return _RESIDUE_TABLE
-
-
 def _assemble_pocket(atoms) -> Pocket:
     """Rebuild residue boundaries from an indicator/coordinate stream.
 
@@ -393,7 +354,7 @@ def _assemble_pocket(atoms) -> Pocket:
     atom would exceed the code's composition from the residue table; for
     table-complete pockets this reconstruction is exact.
     """
-    table = _residue_composition()
+    table = default_residue_table()
     built = []
     index = 0
     code = None

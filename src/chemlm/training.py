@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .augment import augment_structure
-from .errors import TrainingDiverged
+from .errors import ConfigError, TrainingDiverged
 from .model import ModelConfig, init_params, loss_and_grads, save_checkpoint
 from .tokenize import Scheme, Vocabulary, encode
 
@@ -36,15 +36,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if not (self.lr_start >= self.lr_end > 0):
-            raise ValueError("need lr_start >= lr_end > 0")
+            raise ConfigError("need lr_start >= lr_end > 0")
         if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
+            raise ConfigError("total_steps must be >= 1")
         if self.augment_attempts < 1:
-            raise ValueError("augment_attempts must be >= 1")
+            raise ConfigError("augment_attempts must be >= 1")
         if self.grad_clip < 0:
-            raise ValueError("grad_clip must be >= 0")
+            raise ConfigError("grad_clip must be >= 0")
 
     @property
     def precision(self) -> Optional[int]:
@@ -156,7 +156,7 @@ def train(
     lengths = [len(s) for s in base_sequences]
     longest = max(lengths)
     if longest - 1 > model_cfg.max_seq_len:
-        raise ValueError(
+        raise ConfigError(
             f"longest encoded sequence ({longest} tokens) exceeds model context "
             f"({model_cfg.max_seq_len} + 1)"
         )

@@ -160,8 +160,9 @@ class TestPipeline:
             table = fh.read()
         assert "valid %" in table
         assert "EMD mw" in table
-        # reserved metrics are unpopulated for this corpus
-        assert "—" in table
+        # schema 2 has no always-empty reserved rows
+        assert "QED EMD" not in table
+        assert "COV-R" not in table
         assert os.path.isfile(os.path.join(out, "hist_mw.csv"))
         assert os.path.isfile(os.path.join(out, "neighbors.csv"))
         assert manifest_of(out)["n_reports"] == 2
@@ -257,6 +258,28 @@ class TestExitCodes:
         assert "internal error" in capsys.readouterr().err
         assert "RuntimeError: boom" in manifest_of(out)["error"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--layers", "0"], "n_layers"),
+        (["--heads", "0"], "n_heads 0"),
+        (["--max-seq-len", "3"], "exceeds model context"),
+    ])
+    def test_bad_model_config_is_user_error(self, pipeline, tmp_path, capsys, flags, message):
+        out = os.path.join(tmp_path, "out")
+        assert run_cli([
+            "train", "--corpus", pipeline["prepare"], "--steps", "1", "--out", out, *flags,
+        ]) == EXIT_USER
+        assert "internal error" not in capsys.readouterr().err
+        assert message in manifest_of(out)["error"]
+
+    def test_max_len_beyond_context_is_user_error(self, pipeline, tmp_path, capsys):
+        out = os.path.join(tmp_path, "out")
+        assert run_cli([
+            "sample", "--checkpoint", pipeline["checkpoint"], "--vocab", pipeline["vocab"],
+            "--n", "1", "--max-len", "999", "--out", out,
+        ]) == EXIT_USER
+        assert "internal error" not in capsys.readouterr().err
+        assert "max_len 999" in manifest_of(out)["error"]
+
     def test_bad_report_json(self, tmp_path, capsys):
         bad = os.path.join(tmp_path, "report.json")
         with open(bad, "w", encoding="utf-8") as fh:
@@ -312,6 +335,22 @@ class TestInputValidation:
         assert rows[0] == ["file", "error"]
         assert rows[1][0] == "zz_bad.xyz"
         assert "line 1" in rows[1][1]
+
+    def test_non_utf8_file_is_recorded_not_fatal(self, pipeline, tmp_path):
+        src = os.path.join(tmp_path, "structures")
+        shutil.copytree(os.path.join(pipeline["synth"], "structures"), src)
+        with open(os.path.join(src, "zz_latin1.xyz"), "wb") as fh:
+            fh.write("1\ncaf\u00e9\nC 0.0 0.0 0.0\n".encode("latin-1"))
+        out = os.path.join(tmp_path, "out")
+        assert run_cli([
+            "prepare", "--input", src, "--scheme", "atom_coord",
+            "--precision", "2", "--out", out,
+        ]) == EXIT_OK
+        assert manifest_of(out)["n_failures"] == 1
+        with open(os.path.join(out, "failures.csv"), encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][0] == "zz_latin1.xyz"
+        assert "utf-8" in rows[1][1]
 
     def test_bad_samples_header(self, tmp_path):
         path = os.path.join(tmp_path, "samples.csv")

@@ -82,22 +82,6 @@ class TestTreeHash:
         put(tmp_path, os.path.join("runs", "a", TIMING_NAME), "train\t1.0\n")
         assert tree_hash(tmp_path) == before
 
-    def test_names_argument_restricts(self, tmp_path):
-        put(tmp_path, "a.txt", "alpha")
-        put(tmp_path, "b.txt", "beta")
-        full = tree_hash(tmp_path)
-        only_a = tree_hash(tmp_path, names=["a.txt"])
-        assert only_a != full
-        # Restricting to everything reproduces the walk result.
-        assert tree_hash(tmp_path, names=["a.txt", "b.txt"]) == full
-
-    def test_names_order_irrelevant(self, tmp_path):
-        put(tmp_path, "a.txt", "alpha")
-        put(tmp_path, "b.txt", "beta")
-        fwd = tree_hash(tmp_path, names=["a.txt", "b.txt"])
-        rev = tree_hash(tmp_path, names=["b.txt", "a.txt"])
-        assert fwd == rev
-
     def test_empty_directory(self, tmp_path):
         empty = os.path.join(tmp_path, "void")
         os.makedirs(empty)
@@ -166,3 +150,13 @@ class TestHashOutputs:
         put(tmp_path, "deep/nest/f.txt", "x")
         out = hash_outputs(tmp_path)
         assert "deep/nest/f.txt" in out
+
+    def test_tree_hash_covers_exactly_the_outputs(self, tmp_path):
+        put(tmp_path, "a.txt", "alpha")
+        put(tmp_path, "runs/b.txt", "beta")
+        put(tmp_path, os.path.join("runs", MANIFEST_NAME), "{}")
+        h = hashlib.sha256()
+        for rel, digest in hash_outputs(tmp_path).items():
+            h.update(f"{rel}\0{digest}\n".encode("utf-8"))
+        assert set(hash_outputs(tmp_path)) == {"a.txt", "runs/b.txt"}
+        assert tree_hash(tmp_path) == h.hexdigest()

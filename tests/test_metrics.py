@@ -405,12 +405,3 @@ class TestReportSchema:
         )
         with pytest.raises(ValueError, match="schema version"):
             MetricsReport.from_json(text)
-
-    def test_reserved_fields_default_none(self):
-        train_lat = Lattice(5.6, 5.6, 5.6, 90, 90, 90)
-        train = [Crystal(train_lat, [Site("Na", 0, 0, 0), Site("Cl", 0.5, 0.5, 0.5)])] * 2
-        report = evaluate_structures([train[0]], train).report
-        assert report.qed_emd is None
-        assert report.sa_emd is None
-        assert report.cov_r is None
-        assert report.cov_p is None

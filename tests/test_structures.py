@@ -169,3 +169,50 @@ class TestStructureKind:
     def test_non_structure(self):
         with pytest.raises(TypeError):
             structure_kind("water")
+
+
+KINDS = ("molecule", "crystal", "pocket")
+
+
+class TestCoordinateLayout:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_with_own_coords_is_identity(self, rng, kind):
+        from conftest import random_structure
+
+        s = random_structure(rng, kind)
+        assert s.with_coords(s.coords()) == s
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_labels_are_the_atom_tokens(self, rng, kind):
+        from conftest import random_structure
+
+        from chemlm.tokenize import Scheme, atom_coord_tokens
+
+        s = random_structure(rng, kind)
+        tokens = atom_coord_tokens(s, Scheme("atom_coord", 2))
+        lattice_tokens = 6 if kind == "crystal" else 0
+        assert s.labels() == tokens[lattice_tokens::4]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_with_coords_keeps_everything_else(self, rng, kind):
+        from conftest import random_structure
+
+        s = random_structure(rng, kind)
+        moved = [(0.25, 0.5, 0.75)] * len(s)
+        out = s.with_coords(moved)
+        assert out.coords() == moved
+        assert out.labels() == s.labels()
+        if kind == "crystal":
+            assert out.lattice == s.lattice
+        if kind == "pocket":
+            assert [a.residue_index for a in out.atoms] == [a.residue_index for a in s.atoms]
+
+    def test_pocket_symbols_are_elements(self):
+        p = Pocket([PocketAtom("CYS", "S", 1, 0, 0, 0), PocketAtom("CYS", "C", 1, 1, 0, 0)])
+        assert p.symbols() == ["S", "C"]
+        assert p.labels() == ["CYS-S", "CYS-C"]
+
+    def test_crystal_coords_are_fractional(self):
+        c = Crystal(Lattice(4, 4, 4, 90, 90, 90), [Site("Na", 0.5, 0.25, 0.0)])
+        assert c.coords() == c.frac_coords() == [(0.5, 0.25, 0.0)]
+        assert c.with_coords([(1.25, -0.5, 1.0)]).coords() == [(0.25, 0.5, 0.0)]
