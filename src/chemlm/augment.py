@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .errors import EncodeError
 from .geometry import centroid
 from .structures import Crystal
 from .tokenize import Vocabulary, content_tokens
@@ -59,11 +58,13 @@ def augment_structure(
     rng: np.random.Generator,
     attempts: int = 8,
     crystal_shift: bool = False,
+    max_tokens: int = None,
 ):
     """One fresh augmentation whose tokens all stay inside the vocabulary.
 
     Redraws up to `attempts` times when the transformed coordinates
-    produce out-of-vocabulary tokens, then falls back to the original.
+    produce out-of-vocabulary tokens or more than `max_tokens` content
+    tokens, then falls back to the original.
     """
     if isinstance(structure, Crystal):
         if not crystal_shift:
@@ -73,10 +74,9 @@ def augment_structure(
         make = lambda: rotate_about_center(structure, random_rotation(rng))
     for _ in range(attempts):
         candidate = make()
-        try:
-            for token in content_tokens(candidate, vocab.scheme):
-                vocab.id_of(token)
-        except EncodeError:
+        tokens = content_tokens(candidate, vocab.scheme)
+        if max_tokens is not None and len(tokens) > max_tokens:
             continue
-        return candidate
+        if all(token in vocab for token in tokens):
+            return candidate
     return structure

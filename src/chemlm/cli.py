@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -90,6 +92,29 @@ def load_config_file(path) -> list:
     return args
 
 
+@contextmanager
+def _phase(phases, name):
+    """Record the wall-clock seconds of the enclosed block as phases[name]."""
+    t0 = time.time()
+    yield
+    phases[name] = time.time() - t0
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_structures(directory, named, precision):
+    """Write (file name, structure) pairs into `directory` at `precision`."""
+    os.makedirs(directory, exist_ok=True)
+    for name, s in named:
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            fh.write(write_structure(s, precision).text)
+
+
 def _scheme_from(args) -> Scheme:
     kind = ATOM_COORD if args.scheme == "atom_coord" else CHAR
     return Scheme(kind=kind, precision=args.precision)
@@ -159,22 +184,16 @@ def build_synth_parser():
 def cmd_synth(args, out_dir, phases):
     if args.n < 1:
         raise CliError("--n must be >= 1")
-    t0 = time.time()
     kwargs = {}
     if args.kind == "pocket" and args.residues > 0:
         kwargs["n_residues"] = args.residues
-    corpus = synth_corpus(args.kind, args.n, args.seed, **kwargs)
-    phases["generate"] = time.time() - t0
+    with _phase(phases, "generate"):
+        corpus = synth_corpus(args.kind, args.n, args.seed, **kwargs)
 
-    t0 = time.time()
-    structures_dir = os.path.join(out_dir, "structures")
-    os.makedirs(structures_dir, exist_ok=True)
-    ext = EXTENSIONS[FORMAT_FOR_KIND[structure_kind(corpus[0])]]
-    for i, s in enumerate(corpus):
-        doc = write_structure(s, args.precision)
-        with open(os.path.join(structures_dir, f"{i:06d}{ext}"), "w", encoding="utf-8") as fh:
-            fh.write(doc.text)
-    phases["write"] = time.time() - t0
+    with _phase(phases, "write"):
+        ext = EXTENSIONS[FORMAT_FOR_KIND[structure_kind(corpus[0])]]
+        named = ((f"{i:06d}{ext}", s) for i, s in enumerate(corpus))
+        _write_structures(os.path.join(out_dir, "structures"), named, args.precision)
     return {
         "kind": args.kind,
         "n": args.n,
@@ -202,51 +221,41 @@ def build_prepare_parser():
 
 
 def cmd_prepare(args, out_dir, phases):
-    t0 = time.time()
-    triples = _read_structure_files(args.input)
-    failures = [(n, e) for n, s, e in triples if s is None]
-    parsed = [(n, s) for n, s, _ in triples if s is not None]
-    if not parsed:
-        raise CliError(f"no parseable structure files in {args.input}")
-    phases["parse"] = time.time() - t0
+    with _phase(phases, "parse"):
+        triples = _read_structure_files(args.input)
+        failures = [(n, e) for n, s, e in triples if s is None]
+        parsed = [(n, s) for n, s, _ in triples if s is not None]
+        if not parsed:
+            raise CliError(f"no parseable structure files in {args.input}")
 
-    t0 = time.time()
-    prune_stats = []
-    prepared = []
-    for name, s in parsed:
-        if isinstance(s, Pocket) and args.prune:
-            center = tuple(centroid(s.coords()))
-            result = prune_pocket(s, center, (args.prune_lo, args.prune_hi))
-            prune_stats.append(
-                {
-                    "file": name,
-                    "atoms": len(result.pocket.atoms),
-                    "removed_residues": result.removed_residues,
-                    "below_min": result.below_min,
-                }
-            )
-            s = result.pocket
-        prepared.append((name, round_coords(s, args.precision)))
-    phases["prune"] = time.time() - t0
+    with _phase(phases, "prune"):
+        prune_stats = []
+        prepared = []
+        for name, s in parsed:
+            if isinstance(s, Pocket) and args.prune:
+                center = tuple(centroid(s.coords()))
+                result = prune_pocket(s, center, (args.prune_lo, args.prune_hi))
+                prune_stats.append(
+                    {
+                        "file": name,
+                        "atoms": len(result.pocket.atoms),
+                        "removed_residues": result.removed_residues,
+                        "below_min": result.below_min,
+                    }
+                )
+                s = result.pocket
+            prepared.append((name, round_coords(s, args.precision)))
 
-    t0 = time.time()
-    scheme = _scheme_from(args)
-    structures = [s for _, s in prepared]
-    vocab = build_vocab(structures, scheme, dense_coordinate_range=args.dense_coords)
-    vocab.save(os.path.join(out_dir, "vocab.txt"))
-
-    structures_dir = os.path.join(out_dir, "structures")
-    os.makedirs(structures_dir, exist_ok=True)
-    for name, s in prepared:
-        doc = write_structure(s, args.precision)
-        with open(os.path.join(structures_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(doc.text)
-
-    with open(os.path.join(out_dir, "corpus.txt"), "w", encoding="utf-8") as fh:
-        for _, s in prepared:
-            fh.write(" ".join(str(i) for i in encode(s, vocab).ids))
-            fh.write("\n")
-    phases["encode"] = time.time() - t0
+    with _phase(phases, "encode"):
+        scheme = _scheme_from(args)
+        structures = [s for _, s in prepared]
+        vocab = build_vocab(structures, scheme, dense_coordinate_range=args.dense_coords)
+        vocab.save(os.path.join(out_dir, "vocab.txt"))
+        _write_structures(os.path.join(out_dir, "structures"), prepared, args.precision)
+        with open(os.path.join(out_dir, "corpus.txt"), "w", encoding="utf-8") as fh:
+            for _, s in prepared:
+                fh.write(" ".join(str(i) for i in encode(s, vocab).ids))
+                fh.write("\n")
 
     atom_counts = Counter(len(s) for s in structures)
     element_counts = Counter(sym for s in structures for sym in s.symbols())
@@ -270,10 +279,7 @@ def cmd_prepare(args, out_dir, phases):
     with open(os.path.join(out_dir, "stats.json"), "w", encoding="utf-8") as fh:
         json.dump(stats, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(os.path.join(out_dir, "failures.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["file", "error"])
-        writer.writerows(failures)
+    _write_csv(os.path.join(out_dir, "failures.csv"), ["file", "error"], failures)
     return {
         "scheme": scheme.kind,
         "precision": scheme.precision,
@@ -312,11 +318,10 @@ def build_train_parser():
 
 
 def cmd_train(args, out_dir, phases):
-    t0 = time.time()
-    corpus, vocab = _load_bundle(args.corpus)
-    with open(os.path.join(args.corpus, "corpus.txt"), encoding="utf-8") as fh:
-        longest = max(len(line.split()) for line in fh)  # prepare wrote encode(s).ids
-    phases["load"] = time.time() - t0
+    with _phase(phases, "load"):
+        corpus, vocab = _load_bundle(args.corpus)
+        with open(os.path.join(args.corpus, "corpus.txt"), encoding="utf-8") as fh:
+            longest = max(len(line.split()) for line in fh)  # prepare wrote encode(s).ids
 
     max_seq_len = args.max_seq_len or longest
     model_cfg = ModelConfig(
@@ -343,31 +348,20 @@ def cmd_train(args, out_dir, phases):
         scheme=vocab.scheme,
     )
 
-    t0 = time.time()
-    result = train(corpus, vocab, model_cfg, train_cfg, out_dir=out_dir)
-    phases["train"] = time.time() - t0
+    with _phase(phases, "train"):
+        result = train(corpus, vocab, model_cfg, train_cfg, out_dir=out_dir)
 
-    with open(os.path.join(out_dir, "losses.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss", "lr"])
-        for i, (loss, lr) in enumerate(zip(result.losses, result.lrs), start=1):
-            writer.writerow([i, repr(loss), repr(lr)])
+    steps = enumerate(zip(result.losses, result.lrs), start=1)
+    _write_csv(
+        os.path.join(out_dir, "losses.csv"),
+        ["step", "loss", "lr"],
+        ([i, repr(loss), repr(lr)] for i, (loss, lr) in steps),
+    )
+    train_config = {f.name: getattr(train_cfg, f.name) for f in dataclasses.fields(train_cfg)}
+    train_config.update(scheme=vocab.scheme.kind, precision=vocab.scheme.precision)
     return {
         "model_config": model_cfg.to_dict(),
-        "train_config": {
-            "batch_size": train_cfg.batch_size,
-            "lr_start": train_cfg.lr_start,
-            "lr_end": train_cfg.lr_end,
-            "total_steps": train_cfg.total_steps,
-            "seed": train_cfg.seed,
-            "augment": train_cfg.augment,
-            "augment_attempts": train_cfg.augment_attempts,
-            "crystal_shift": train_cfg.crystal_shift,
-            "grad_clip": train_cfg.grad_clip,
-            "checkpoint_interval": train_cfg.checkpoint_interval,
-            "scheme": vocab.scheme.kind,
-            "precision": vocab.scheme.precision,
-        },
+        "train_config": train_config,
         "vocab_hash": vocab.content_hash(),
         "corpus_hash": tree_hash(args.corpus),
         "final_loss": result.losses[-1],
@@ -391,10 +385,9 @@ def build_sample_parser():
 
 
 def cmd_sample(args, out_dir, phases):
-    t0 = time.time()
-    ck = load_checkpoint(args.checkpoint)
-    vocab = Vocabulary.load(args.vocab)
-    phases["load"] = time.time() - t0
+    with _phase(phases, "load"):
+        ck = load_checkpoint(args.checkpoint)
+        vocab = Vocabulary.load(args.vocab)
 
     cfg = SampleConfig(
         n_samples=args.n,
@@ -402,19 +395,20 @@ def cmd_sample(args, out_dir, phases):
         temperature=args.temperature,
         seed=args.seed,
     )
-    t0 = time.time()
-    sequences = sample_from_checkpoint(ck, vocab, cfg)
-    sample_seconds = time.time() - t0
-    phases["sample"] = sample_seconds
+    with _phase(phases, "sample"):
+        sequences = sample_from_checkpoint(ck, vocab, cfg)
 
-    with open(os.path.join(out_dir, "samples.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "truncated", "ids"])
-        for i, seq in enumerate(sequences):
-            writer.writerow([i, int(seq.truncated), " ".join(str(t) for t in seq.ids)])
-
+    _write_csv(
+        os.path.join(out_dir, "samples.csv"),
+        ["index", "truncated", "ids"],
+        (
+            [i, int(seq.truncated), " ".join(str(t) for t in seq.ids)]
+            for i, seq in enumerate(sequences)
+        ),
+    )
     total_tokens = sum(len(s.ids) for s in sequences)
-    phases["tokens_per_second"] = total_tokens / sample_seconds if sample_seconds > 0 else 0.0
+    seconds = phases["sample"]
+    phases["tokens_per_second"] = total_tokens / seconds if seconds > 0 else 0.0
     return {
         "n_samples": cfg.n_samples,
         "temperature": cfg.temperature,
@@ -457,64 +451,53 @@ def build_evaluate_parser():
 
 
 def cmd_evaluate(args, out_dir, phases):
-    t0 = time.time()
-    train_structures, vocab = _load_bundle(args.train)
-    phases["load"] = time.time() - t0
+    with _phase(phases, "load"):
+        train_structures, vocab = _load_bundle(args.train)
 
-    t0 = time.time()
-    if os.path.isdir(args.samples):
-        triples = _read_structure_files(args.samples)
-        structures = [s for _, s, _ in triples]
-        failures = {i: f"unparseable file: {e}" for i, (_, s, e) in enumerate(triples) if s is None}
-        result = evaluate_structures(
-            structures,
-            train_structures,
-            decode_failures=failures,
-            overlap_threshold=args.overlap_threshold,
-            eval_seed=args.eval_seed,
+    with _phase(phases, "evaluate"):
+        if os.path.isdir(args.samples):
+            triples = _read_structure_files(args.samples)
+            structures = [s for _, s, _ in triples]
+            failures = {i: f"unparseable file: {e}" for i, (_, s, e) in enumerate(triples) if s is None}
+            result = evaluate_structures(
+                structures,
+                train_structures,
+                decode_failures=failures,
+                overlap_threshold=args.overlap_threshold,
+                eval_seed=args.eval_seed,
+            )
+        else:
+            sequences = read_samples_csv(args.samples)
+            result = evaluate_sequences(
+                sequences,
+                vocab,
+                train_structures,
+                overlap_threshold=args.overlap_threshold,
+                eval_seed=args.eval_seed,
+            )
+
+    with _phase(phases, "write"):
+        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+            fh.write(result.report.to_json())
+        _write_csv(
+            os.path.join(out_dir, "failures.csv"),
+            ["index", "bucket", "reason"],
+            ([row.index, row.bucket, row.reason] for row in result.rows),
         )
-    else:
-        sequences = read_samples_csv(args.samples)
-        result = evaluate_sequences(
-            sequences,
-            vocab,
-            train_structures,
-            overlap_threshold=args.overlap_threshold,
-            eval_seed=args.eval_seed,
+        for name in sorted(result.train_values):
+            rows = [["train", repr(v)] for v in result.train_values[name]]
+            rows += [["sample", repr(v)] for v in result.sample_values[name]]
+            _write_csv(os.path.join(out_dir, f"values_{name}.csv"), ["source", "value"], rows)
+
+        # decoded structures, for the report command's distribution CSVs
+        kind = result.report.structure_kind
+        ext = EXTENSIONS[FORMAT_FOR_KIND[kind]]
+        named = (
+            (f"{i:06d}{ext}", s)
+            for i, s in enumerate(result.structures)
+            if s is not None and structure_kind(s) == kind
         )
-    phases["evaluate"] = time.time() - t0
-
-    t0 = time.time()
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(result.report.to_json())
-    with open(os.path.join(out_dir, "failures.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "bucket", "reason"])
-        for row in result.rows:
-            writer.writerow([row.index, row.bucket, row.reason])
-    for name in sorted(result.train_values):
-        path = os.path.join(out_dir, f"values_{name}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["source", "value"])
-            for v in result.train_values[name]:
-                writer.writerow(["train", repr(v)])
-            for v in result.sample_values[name]:
-                writer.writerow(["sample", repr(v)])
-
-    # decoded structures, for the report command's distribution CSVs
-    structures_dir = os.path.join(out_dir, "structures")
-    os.makedirs(structures_dir, exist_ok=True)
-    kind = result.report.structure_kind
-    ext = EXTENSIONS[FORMAT_FOR_KIND[kind]]
-    precision = vocab.scheme.precision
-    for i, s in enumerate(result.structures):
-        if s is None or structure_kind(s) != kind:
-            continue
-        doc = write_structure(s, precision)
-        with open(os.path.join(structures_dir, f"{i:06d}{ext}"), "w", encoding="utf-8") as fh:
-            fh.write(doc.text)
-    phases["write"] = time.time() - t0
+        _write_structures(os.path.join(out_dir, "structures"), named, vocab.scheme.precision)
 
     r = result.report
     return {
@@ -578,11 +561,11 @@ def _histogram_csv(path, values, bins=20):
     if lo == hi:
         hi = lo + 1.0
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for i, c in enumerate(counts):
-            writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)])
+    _write_csv(
+        path,
+        ["bin_lo", "bin_hi", "count"],
+        ([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)] for i, c in enumerate(counts)),
+    )
 
 
 def _positions_of(structure):
@@ -602,71 +585,64 @@ def build_report_parser():
 
 
 def cmd_report(args, out_dir, phases):
-    t0 = time.time()
-    labels = []
-    reports = []
-    for path in args.reports:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                reports.append(MetricsReport.from_json(fh.read()))
-        except OSError as exc:
-            raise CliError(f"cannot read report {path}: {exc}") from exc
-        except ValueError as exc:
-            raise CliError(f"{path}: {exc}") from exc
-        labels.append(os.path.basename(os.path.dirname(os.path.abspath(path))) or path)
-    table = render_table(labels, reports)
-    with open(os.path.join(out_dir, "table.txt"), "w", encoding="utf-8") as fh:
-        fh.write(table)
-    sys.stdout.write(table)
-    phases["table"] = time.time() - t0
+    with _phase(phases, "table"):
+        labels = []
+        reports = []
+        for path in args.reports:
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    reports.append(MetricsReport.from_json(fh.read()))
+            except OSError as exc:
+                raise CliError(f"cannot read report {path}: {exc}") from exc
+            except ValueError as exc:
+                raise CliError(f"{path}: {exc}") from exc
+            labels.append(os.path.basename(os.path.dirname(os.path.abspath(path))) or path)
+        table = render_table(labels, reports)
+        with open(os.path.join(out_dir, "table.txt"), "w", encoding="utf-8") as fh:
+            fh.write(table)
+        sys.stdout.write(table)
 
     extras = {"n_reports": len(reports)}
     if args.structures:
-        t0 = time.time()
-        triples = _read_structure_files(args.structures)
-        structures = [s for _, s, _ in triples if s is not None]
-        if structures:
-            kind = structure_kind(structures[0])
-            for name, fn in property_functions(kind).items():
-                _histogram_csv(
-                    os.path.join(out_dir, f"hist_{name}.csv"),
-                    [fn(s) for s in structures],
-                )
-            with open(os.path.join(out_dir, "neighbors.csv"), "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["file", "nearest", "farthest"])
+        with _phase(phases, "distributions"):
+            triples = _read_structure_files(args.structures)
+            structures = [s for _, s, _ in triples if s is not None]
+            if structures:
+                kind = structure_kind(structures[0])
+                for name, fn in property_functions(kind).items():
+                    _histogram_csv(
+                        os.path.join(out_dir, f"hist_{name}.csv"),
+                        [fn(s) for s in structures],
+                    )
+                rows = []
                 for name, s, _ in triples:
-                    if s is None:
-                        continue
-                    pos = _positions_of(s)
-                    if pos is None or len(pos) < 2:
-                        continue
-                    d = pairwise_distances(pos)
-                    off = d[np.triu_indices(len(pos), k=1)]
-                    writer.writerow([name, repr(float(off.min())), repr(float(off.max()))])
-        extras["n_structures"] = len(structures)
-        phases["distributions"] = time.time() - t0
+                    pos = None if s is None else _positions_of(s)
+                    if pos is not None and len(pos) >= 2:
+                        off = pairwise_distances(pos)[np.triu_indices(len(pos), k=1)]
+                        rows.append([name, repr(float(off.min())), repr(float(off.max()))])
+                _write_csv(
+                    os.path.join(out_dir, "neighbors.csv"), ["file", "nearest", "farthest"], rows
+                )
+            extras["n_structures"] = len(structures)
 
     if args.reference:
         if not args.structures:
             raise CliError("--reference needs --structures")
-        t0 = time.time()
-        ref = {n: s for n, s, _ in _read_structure_files(args.reference) if s is not None}
-        with open(os.path.join(out_dir, "rmsd.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["file", "rmsd", "note"])
+        with _phase(phases, "rmsd"):
+            ref = {n: s for n, s, _ in _read_structure_files(args.reference) if s is not None}
+            rows = []
             for name, s, _ in _read_structure_files(args.structures):
                 if s is None or name not in ref:
                     continue
                 pos_a = _positions_of(s)
                 pos_b = _positions_of(ref[name])
                 if pos_a is None or pos_b is None:
-                    writer.writerow([name, "", "fractional coordinates"])
+                    rows.append([name, "", "fractional coordinates"])
                 elif len(pos_a) != len(pos_b):
-                    writer.writerow([name, "", "atom count mismatch"])
+                    rows.append([name, "", "atom count mismatch"])
                 else:
-                    writer.writerow([name, repr(kabsch_rmsd(pos_a, pos_b)), ""])
-        phases["rmsd"] = time.time() - t0
+                    rows.append([name, repr(kabsch_rmsd(pos_a, pos_b)), ""])
+            _write_csv(os.path.join(out_dir, "rmsd.csv"), ["file", "rmsd", "note"], rows)
     return extras
 
 
@@ -738,20 +714,19 @@ def main(argv=None) -> int:
     error = ""
     extras = {}
     code = EXIT_OK
-    started = time.time()
-    try:
-        extras = run(args, out_dir, phases)
-    except (CliError, ChemlmError, OSError) as exc:
-        status = "error"
-        error = str(exc)
-        code = EXIT_USER
-        sys.stderr.write(f"chemlm {command}: {error}\n")
-    except Exception as exc:  # internal bug: still record it, exit 2
-        status = "error"
-        error = f"{type(exc).__name__}: {exc}"
-        code = EXIT_INTERNAL
-        sys.stderr.write(f"chemlm {command}: internal error: {error}\n")
-    phases["total"] = time.time() - started
+    with _phase(phases, "total"):
+        try:
+            extras = run(args, out_dir, phases)
+        except (CliError, ChemlmError, OSError) as exc:
+            status = "error"
+            error = str(exc)
+            code = EXIT_USER
+            sys.stderr.write(f"chemlm {command}: {error}\n")
+        except Exception as exc:  # internal bug: still record it, exit 2
+            status = "error"
+            error = f"{type(exc).__name__}: {exc}"
+            code = EXIT_INTERNAL
+            sys.stderr.write(f"chemlm {command}: internal error: {error}\n")
 
     config_record = {
         k: v for k, v in sorted(vars(args).items()) if k not in _PATH_ARGS

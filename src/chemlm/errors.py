@@ -9,6 +9,10 @@ class ConfigError(ChemlmError, ValueError):
     """A model, training or sampling setting is out of range."""
 
 
+class ArtifactError(ChemlmError, ValueError):
+    """A vocabulary or checkpoint file is malformed or belongs to another run."""
+
+
 class UnknownElementError(ChemlmError, ValueError):
     """An element symbol is not in the bundled periodic table."""
 

@@ -13,7 +13,6 @@ from .xyz import parse_xyz, write_xyz
 EXTENSIONS = {XYZ: ".xyz", CIF: ".cif", PDB: ".pdb"}
 
 FORMAT_FOR_KIND = {"molecule": XYZ, "crystal": CIF, "pocket": PDB}
-KIND_FOR_FORMAT = {XYZ: "molecule", CIF: "crystal", PDB: "pocket"}
 
 _PARSERS = {XYZ: parse_xyz, CIF: parse_cif, PDB: parse_pdb}
 
@@ -40,7 +39,6 @@ __all__ = [
     "FORMATS",
     "FORMAT_FOR_KIND",
     "FileDocument",
-    "KIND_FOR_FORMAT",
     "PDB",
     "PruneResult",
     "XYZ",

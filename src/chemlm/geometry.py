@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .elements import get_element
-from .structures import Crystal, Lattice, Molecule, Pocket
+from .structures import Crystal, Lattice, Molecule
 
 
 def cell_volume(lattice: Lattice) -> float:
@@ -130,8 +130,3 @@ def pairwise_distances(positions) -> np.ndarray:
     x = np.asarray(positions, dtype=float)
     diff = x[:, None, :] - x[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
-
-
-def pocket_heavy_atom_count(pocket: Pocket) -> int:
-    """Number of non-hydrogen atoms in a pocket."""
-    return sum(1 for a in pocket.atoms if a.element != "H")

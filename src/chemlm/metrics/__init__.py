@@ -1,93 +1,9 @@
-"""Evaluation metrics: validity, uniqueness, novelty, distribution distances."""
+"""Evaluation metrics: validity, uniqueness, novelty, distribution distances.
 
-from ..structures import load_residue_table
-from .bonds import BOND_SLACK, CLASH_FLOOR, VALENCES, molecule_validity, perceive_bonds
-from .crystals import (
-    MIN_ATOM_DISTANCE,
-    OxidationTable,
-    charge_neutrality,
-    crystal_composition,
-    crystal_structural_validity,
-    crystal_validity,
-    default_oxidation_table,
-    density,
-    load_oxidation_table,
-    n_unique_elements,
-    shortest_self_image_distance,
-)
-from .emd import emd_1d
-from .keys import (
-    canonical_key,
-    composition_formula,
-    crystal_key,
-    molecule_key,
-    pocket_key,
-    residue_ordering,
-    unique_novel,
-)
-from .pockets import (
-    DEFAULT_OVERLAP_THRESHOLD,
-    default_residue_table,
-    pocket_overlap_check,
-    pocket_residue_check,
-    pocket_validity,
-    residue_ordering_stats,
-)
-from .report import (
-    DECODE_FAILED,
-    INVALID,
-    SCHEMA_VERSION,
-    VALID,
-    EvalResult,
-    MetricsReport,
-    StructureRow,
-    evaluate_sequences,
-    evaluate_structures,
-    property_functions,
-)
-from .verdict import Verdict
+The checks live in `bonds`, `crystals` and `pockets`, the keys in `keys`,
+the distances in `emd`; `report.validity` combines the checks per kind.
+"""
 
-__all__ = [
-    "BOND_SLACK",
-    "CLASH_FLOOR",
-    "DECODE_FAILED",
-    "DEFAULT_OVERLAP_THRESHOLD",
-    "EvalResult",
-    "INVALID",
-    "MIN_ATOM_DISTANCE",
-    "MetricsReport",
-    "OxidationTable",
-    "SCHEMA_VERSION",
-    "StructureRow",
-    "VALENCES",
-    "VALID",
-    "Verdict",
-    "canonical_key",
-    "charge_neutrality",
-    "composition_formula",
-    "crystal_composition",
-    "crystal_key",
-    "crystal_structural_validity",
-    "crystal_validity",
-    "default_oxidation_table",
-    "default_residue_table",
-    "density",
-    "emd_1d",
-    "evaluate_sequences",
-    "evaluate_structures",
-    "load_oxidation_table",
-    "load_residue_table",
-    "molecule_key",
-    "molecule_validity",
-    "n_unique_elements",
-    "perceive_bonds",
-    "pocket_key",
-    "pocket_overlap_check",
-    "pocket_residue_check",
-    "pocket_validity",
-    "property_functions",
-    "residue_ordering",
-    "residue_ordering_stats",
-    "shortest_self_image_distance",
-    "unique_novel",
-]
+from .report import MetricsReport, evaluate_sequences, evaluate_structures, property_functions
+
+__all__ = ["MetricsReport", "evaluate_sequences", "evaluate_structures", "property_functions"]

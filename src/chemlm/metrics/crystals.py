@@ -130,11 +130,3 @@ def density(crystal: Crystal) -> float:
 
 def n_unique_elements(crystal: Crystal) -> int:
     return len(set(crystal.symbols()))
-
-
-def crystal_validity(crystal: Crystal, table: OxidationTable = None) -> Verdict:
-    """Structural and compositional checks together; first failure wins."""
-    structural = crystal_structural_validity(crystal)
-    if not structural:
-        return structural
-    return charge_neutrality(crystal_composition(crystal), table)

@@ -1,4 +1,4 @@
-"""Pocket validity checks and residue-ordering statistics."""
+"""Pocket validity checks: residue composition and inter-residue overlap."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from collections import Counter
 
 from ..geometry import pairwise_distances
 from ..structures import Pocket, default_residue_table
-from .keys import residue_ordering, unique_novel
 from .verdict import Verdict
 
 #: Inter-residue atom pairs closer than this fail the overlap check. The
@@ -60,24 +59,3 @@ def pocket_overlap_check(
                     f"at {d[i, j]:.3f} A, below {threshold} A"
                 )
     return Verdict.ok()
-
-
-def pocket_validity(
-    pocket: Pocket,
-    table: dict = None,
-    overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD,
-) -> Verdict:
-    ok, reasons = pocket_residue_check(pocket, table)
-    if not ok:
-        return Verdict.fail("residue composition: " + "; ".join(reasons))
-    return pocket_overlap_check(pocket, overlap_threshold)
-
-
-def residue_ordering_stats(sample, train) -> tuple[float, float]:
-    """Unique/novel percentages over residue-ordering strings."""
-    sample = list(sample)
-    if not sample:
-        raise ValueError("empty sample")
-    sample_keys = [residue_ordering(p) for p in sample]
-    train_keys = [residue_ordering(p) for p in train]
-    return unique_novel(sample_keys, train_keys)

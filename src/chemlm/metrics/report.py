@@ -29,12 +29,7 @@ from .crystals import (
 )
 from .emd import emd_1d
 from .keys import canonical_key, unique_novel
-from .pockets import (
-    DEFAULT_OVERLAP_THRESHOLD,
-    default_residue_table,
-    pocket_overlap_check,
-    pocket_residue_check,
-)
+from .pockets import DEFAULT_OVERLAP_THRESHOLD, pocket_overlap_check, pocket_residue_check
 
 SCHEMA_VERSION = 2
 
@@ -98,8 +93,19 @@ def property_functions(kind: str) -> dict:
     return {"n_residues": lambda p: float(p.n_residues())}
 
 
-def _judge(structure, kind, oxidation, residue_table, overlap_threshold):
-    """(verdict bool, reason, per-check flags) for one decoded structure."""
+def validity(
+    structure,
+    oxidation: OxidationTable = None,
+    residue_table: dict = None,
+    overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD,
+):
+    """(valid, reason, per-check flags) for one structure of any kind.
+
+    Molecules are judged by bond perception alone and carry no flags.
+    Crystals must pass the structural and the composition check, pockets
+    the residue and the overlap check; the reason is the first failure's.
+    """
+    kind = structure_kind(structure)
     if kind == "molecule":
         v = molecule_validity(structure)
         return v.valid, v.reason or "", {}
@@ -170,8 +176,6 @@ def evaluate_structures(
     if not train_structures:
         raise ValueError("empty training set")
     decode_failures = decode_failures or {}
-    if residue_table is None:
-        residue_table = default_residue_table()
 
     kind = structure_kind(train_structures[0])
     props = property_functions(kind)
@@ -189,7 +193,7 @@ def evaluate_structures(
             rows.append(StructureRow(index, INVALID, "wrong structure kind"))
             continue
         n_decoded += 1
-        ok, reason, flags = _judge(structure, kind, oxidation, residue_table, overlap_threshold)
+        ok, reason, flags = validity(structure, oxidation, residue_table, overlap_threshold)
         for name, passed in flags.items():
             flag_totals[name] = flag_totals.get(name, 0) + (1 if passed else 0)
         if ok:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ArtifactError
 from .config import ModelConfig
 
 MAGIC = b"CHEMLM01"
@@ -58,26 +59,30 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig, vocab_hash: str, rng_s
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a malformed or truncated file is an ArtifactError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        (hlen,) = np.frombuffer(fh.read(4), dtype="<u4")
-        header = json.loads(fh.read(int(hlen)).decode("utf-8"))
-        if header["format_version"] != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {header['format_version']}")
-        params = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            n_items = int(np.prod(shape)) if shape else 1
-            raw = fh.read(n_items * 8)
-            if len(raw) != n_items * 8:
-                raise ValueError(f"checkpoint truncated in tensor {entry['name']}")
-            params[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return Checkpoint(
-        params=params,
-        config=ModelConfig.from_dict(header["model_config"]),
-        vocab_hash=header["vocab_hash"],
-        rng_state=header["rng_state"],
-        step=header["step"],
-    )
+            raise ArtifactError(f"not a checkpoint file: bad magic {magic!r}")
+        try:
+            (hlen,) = np.frombuffer(fh.read(4), dtype="<u4")
+            header = json.loads(fh.read(int(hlen)).decode("utf-8"))
+            if header["format_version"] != FORMAT_VERSION:
+                raise ValueError(f"unsupported format version {header['format_version']}")
+            params = {}
+            for entry in header["tensors"]:
+                shape = tuple(entry["shape"])
+                n_items = int(np.prod(shape)) if shape else 1
+                raw = fh.read(n_items * 8)
+                if len(raw) != n_items * 8:
+                    raise ValueError(f"truncated in tensor {entry['name']}")
+                params[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            return Checkpoint(
+                params=params,
+                config=ModelConfig.from_dict(header["model_config"]),
+                vocab_hash=header["vocab_hash"],
+                rng_state=header["rng_state"],
+                step=header["step"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArtifactError(f"malformed checkpoint {path}: {exc}") from None

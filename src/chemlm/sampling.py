@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ArtifactError, ConfigError
 from .model import Checkpoint, ModelConfig, forward
 from .tokenize import TokenSequence, Vocabulary
 
@@ -91,7 +91,7 @@ def sample_from_checkpoint(ck: Checkpoint, vocab: Vocabulary, cfg: SampleConfig)
     """Hash-checked sampling: the vocabulary must be the one the model
     was trained against."""
     if ck.vocab_hash != vocab.content_hash():
-        raise ValueError(
+        raise ArtifactError(
             "vocabulary hash mismatch: checkpoint was trained with a different vocabulary"
         )
     return sample(ck.params, ck.config, vocab, cfg)

@@ -13,8 +13,6 @@ from .codec import (
 from .scheme import (
     ATOM_COORD,
     CHAR,
-    LATTICE_CHAR,
-    LATTICE_WHOLE_TOKEN,
     PRECISIONS,
     Scheme,
 )
@@ -25,8 +23,6 @@ __all__ = [
     "BOS_TOKEN",
     "CHAR",
     "EOS_TOKEN",
-    "LATTICE_CHAR",
-    "LATTICE_WHOLE_TOKEN",
     "PAD_TOKEN",
     "PRECISIONS",
     "SPECIALS",

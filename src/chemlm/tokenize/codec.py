@@ -7,8 +7,7 @@ Two schemes:
   whole (splitting "Cl" into "C","l" would make decoding ambiguous).
 * "atom_coord" uses 4 tokens per atom: the element (or residue-atom
   indicator like "CYS-S") followed by the three coordinate strings.
-  Crystals prepend their six lattice parameters, either as whole tokens
-  or spelled as characters with a space token closing each parameter.
+  Crystals prepend their six lattice parameters as whole tokens.
 
 Decoding is the exact inverse on encoder output and applies strict
 grammar checks to arbitrary model output, reporting the first violation
@@ -37,10 +36,8 @@ from ..structures import (
     default_residue_table,
     structure_kind,
 )
-from .scheme import ATOM_COORD, CHAR, LATTICE_WHOLE_TOKEN, Scheme
+from .scheme import ATOM_COORD, CHAR, Scheme
 from .vocab import Vocabulary, make_vocabulary
-
-_NUMBER_CHARS = set("0123456789.-")
 
 
 @dataclass(frozen=True)
@@ -96,13 +93,7 @@ def atom_coord_tokens(structure: Structure, scheme: Scheme) -> list[str]:
     s = round_coords(structure, p)
     tokens: list[str] = []
     if isinstance(s, Crystal):
-        for value in s.lattice.params():
-            text = fmt_fixed(value, p)
-            if scheme.lattice_param_mode == LATTICE_WHOLE_TOKEN:
-                tokens.append(text)
-            else:
-                tokens.extend(text)
-                tokens.append(" ")  # closes the spelled-out parameter
+        tokens.extend(fmt_fixed(value, p) for value in s.lattice.params())
     for label, (x, y, z) in zip(s.labels(), s.coords()):
         tokens.extend((label, fmt_fixed(x, p), fmt_fixed(y, p), fmt_fixed(z, p)))
     return tokens
@@ -234,10 +225,7 @@ def _decode_atom_coord(tokens: list[str], vocab: Vocabulary) -> Structure:
     pos = 1
     lattice = None
     if kind == "crystal":
-        if scheme.lattice_param_mode == LATTICE_WHOLE_TOKEN:
-            lattice, pos = _read_whole_lattice(tokens)
-        else:
-            lattice, pos = _read_char_lattice(tokens)
+        lattice, pos = _read_lattice(tokens)
 
     body = tokens[pos - 1 :]
     if not body:
@@ -286,7 +274,8 @@ def _read_group_coords(body, g, pos, coord_re):
     return tuple(coords)
 
 
-def _read_whole_lattice(tokens):
+def _read_lattice(tokens):
+    """The six leading lattice parameter tokens; returns (lattice, next position)."""
     if len(tokens) < 6:
         raise DecodeError(
             "truncated_lattice", len(tokens) + 1, "fewer than 6 lattice parameter tokens"
@@ -299,43 +288,10 @@ def _read_whole_lattice(tokens):
                 "lattice_expected", i + 1, f"{tok!r} is not a lattice parameter token"
             )
         values.append(float(tok))
-    return _build_lattice(values, 6), 7
-
-
-def _read_char_lattice(tokens):
-    values = []
-    i = 0
-    for _ in range(6):
-        chars = []
-        while i < len(tokens) and tokens[i] != " ":
-            tok = tokens[i]
-            if len(tok) != 1 or tok not in _NUMBER_CHARS:
-                raise DecodeError(
-                    "lattice_expected",
-                    i + 1,
-                    f"{tok!r} inside a spelled-out lattice parameter",
-                )
-            chars.append(tok)
-            i += 1
-        if i >= len(tokens):
-            raise DecodeError(
-                "truncated_lattice", len(tokens) + 1, "lattice parameters end without a separator"
-            )
-        text = "".join(chars)
-        if re.fullmatch(r"-?\d+\.\d+", text) is None:
-            raise DecodeError(
-                "lattice_expected", i - len(chars) + 1, f"{text!r} is not a lattice parameter"
-            )
-        values.append(float(text))
-        i += 1  # the space
-    return _build_lattice(values, i), i + 1
-
-
-def _build_lattice(values, error_pos):
     try:
-        return Lattice(*values)
+        return Lattice(*values), 7
     except Exception as exc:
-        raise DecodeError("invalid_lattice", error_pos, str(exc)) from exc
+        raise DecodeError("invalid_lattice", 6, str(exc)) from exc
 
 
 def _parse_indicator(token: str, position: int) -> tuple[str, str]:

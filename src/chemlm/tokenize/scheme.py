@@ -8,11 +8,6 @@ CHAR = "char"
 ATOM_COORD = "atom_coord"
 KINDS = (CHAR, ATOM_COORD)
 
-#: Lattice-parameter treatment for crystal corpora.
-LATTICE_CHAR = "char"
-LATTICE_WHOLE_TOKEN = "whole_token"
-LATTICE_MODES = (LATTICE_CHAR, LATTICE_WHOLE_TOKEN)
-
 PRECISIONS = (1, 2, 3)
 
 
@@ -23,19 +18,15 @@ class Scheme:
     kind "char" spells out the serialized file one character at a time
     (multi-letter element symbols stay whole); kind "atom_coord" uses one
     token per element or residue-atom indicator and one per rounded
-    coordinate string. `lattice_param_mode` only matters for crystals: it
-    selects whether the six lattice parameters are spelled as characters
-    or kept as whole tokens.
+    coordinate string, with a crystal's six lattice parameters first as
+    whole tokens.
     """
 
     kind: str
     precision: int
-    lattice_param_mode: str = LATTICE_WHOLE_TOKEN
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.precision not in PRECISIONS:
             raise ValueError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
-        if self.lattice_param_mode not in LATTICE_MODES:
-            raise ValueError(f"unknown lattice parameter mode {self.lattice_param_mode!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from ..errors import EncodeError
+from ..errors import ArtifactError, EncodeError
 from .scheme import Scheme
 
 BOS_TOKEN = "<BOS>"
@@ -21,6 +21,11 @@ PAD_TOKEN = "<PAD>"
 SPECIALS = (BOS_TOKEN, EOS_TOKEN, PAD_TOKEN)
 
 STRUCTURE_KINDS = ("molecule", "crystal", "pocket")
+
+#: Crystal lattice parameters are always whole tokens. The header line
+#: naming this mode is part of the v1 file format, and so of every
+#: vocabulary hash; a file naming another mode is refused.
+_LATTICE_MODE = "whole_token"
 
 #: Space is written escaped in vocabulary files so every token stays a
 #: visible one-per-line entry.
@@ -89,7 +94,7 @@ class Vocabulary:
             "chemlm-vocabulary v1",
             f"scheme {self.scheme.kind}",
             f"precision {self.scheme.precision}",
-            f"lattice_param_mode {self.scheme.lattice_param_mode}",
+            f"lattice_param_mode {_LATTICE_MODE}",
             f"structure_kind {self.structure_kind}",
             f"tokens {len(self.tokens)}",
         ]
@@ -101,26 +106,26 @@ class Vocabulary:
     def loads(cls, text: str) -> "Vocabulary":
         lines = text.splitlines()
         if not lines or lines[0] != "chemlm-vocabulary v1":
-            raise ValueError("not a chemlm vocabulary file")
+            raise ArtifactError("not a chemlm vocabulary file")
         header = {}
         for line in lines[1:6]:
             key, _, value = line.partition(" ")
             header[key] = value
+        mode = header.get("lattice_param_mode")
+        if mode != _LATTICE_MODE:
+            raise ArtifactError(f"unsupported lattice_param_mode {mode!r}")
         try:
-            scheme = Scheme(
-                kind=header["scheme"],
-                precision=int(header["precision"]),
-                lattice_param_mode=header["lattice_param_mode"],
-            )
-            kind = header["structure_kind"]
+            scheme = Scheme(kind=header["scheme"], precision=int(header["precision"]))
             count = int(header["tokens"])
+            body = lines[6 : 6 + count]
+            if len(body) != count:
+                raise ValueError(f"expected {count} token lines, found {len(body)}")
+            tokens = tuple(tok.replace(_SPACE_ESCAPE, " ") for tok in body)
+            return cls(tokens, scheme, header["structure_kind"])
         except KeyError as exc:
-            raise ValueError(f"vocabulary header missing {exc}") from None
-        body = lines[6 : 6 + count]
-        if len(body) != count:
-            raise ValueError(f"expected {count} token lines, found {len(body)}")
-        tokens = tuple(tok.replace(_SPACE_ESCAPE, " ") for tok in body)
-        return cls(tokens, scheme, kind)
+            raise ArtifactError(f"vocabulary header missing {exc}") from None
+        except ValueError as exc:
+            raise ArtifactError(f"malformed vocabulary file: {exc}") from None
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -128,8 +133,12 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError:
+            raise ArtifactError(f"{path} is not a chemlm vocabulary file") from None
+        return cls.loads(text)
 
 
 def make_vocabulary(content_tokens, scheme: Scheme, structure_kind: str) -> Vocabulary:

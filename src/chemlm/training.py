@@ -195,6 +195,7 @@ def train(
                         augment_rng,
                         attempts=train_cfg.augment_attempts,
                         crystal_shift=train_cfg.crystal_shift,
+                        max_tokens=model_cfg.max_seq_len - 1,
                     )
                     seqs.append(encode(aug, vocab).ids)
             else:

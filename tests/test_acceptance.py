@@ -29,13 +29,10 @@ from chemlm.geometry import (
     min_image_distance,
     pairwise_distances,
 )
-from chemlm.metrics import (
-    crystal_structural_validity,
-    emd_1d,
-    evaluate_sequences,
-    pocket_overlap_check,
-    pocket_residue_check,
-)
+from chemlm.metrics import evaluate_sequences
+from chemlm.metrics.crystals import crystal_structural_validity
+from chemlm.metrics.emd import emd_1d
+from chemlm.metrics.pockets import pocket_overlap_check, pocket_residue_check
 from chemlm.model import ModelConfig, init_params, load_checkpoint, loss_and_grads
 from chemlm.rounding import round_coords
 from chemlm.sampling import SampleConfig, sample_from_checkpoint

@@ -280,6 +280,44 @@ class TestExitCodes:
         assert "internal error" not in capsys.readouterr().err
         assert "max_len 999" in manifest_of(out)["error"]
 
+    def sample_error(self, checkpoint, vocab, tmp_path, capsys):
+        """The manifest error of a `sample` run that must exit 1."""
+        out = os.path.join(tmp_path, "out")
+        assert run_cli([
+            "sample", "--checkpoint", checkpoint, "--vocab", vocab, "--n", "1", "--out", out,
+        ]) == EXIT_USER
+        assert "internal error" not in capsys.readouterr().err
+        return manifest_of(out)["error"]
+
+    def test_vocab_of_another_bundle_is_user_error(self, pipeline, tmp_path, capsys):
+        other = os.path.join(tmp_path, "other")
+        assert run_cli([
+            "prepare", "--input", os.path.join(pipeline["synth"], "structures"),
+            "--scheme", "char", "--precision", "2", "--out", other,
+        ]) == EXIT_OK
+        error = self.sample_error(
+            pipeline["checkpoint"], os.path.join(other, "vocab.txt"), tmp_path, capsys
+        )
+        assert "vocabulary hash mismatch" in error
+
+    def test_non_checkpoint_file_is_user_error(self, pipeline, tmp_path, capsys):
+        error = self.sample_error(pipeline["vocab"], pipeline["vocab"], tmp_path, capsys)
+        assert "bad magic" in error
+
+    def test_truncated_checkpoint_is_user_error(self, pipeline, tmp_path, capsys):
+        truncated = os.path.join(tmp_path, "truncated.bin")
+        with open(pipeline["checkpoint"], "rb") as src, open(truncated, "wb") as dst:
+            dst.write(src.read(40))  # magic, header length, part of the header
+        error = self.sample_error(truncated, pipeline["vocab"], tmp_path, capsys)
+        assert "malformed checkpoint" in error
+
+    @pytest.mark.parametrize("wrong", ["losses.csv", "checkpoint"])
+    def test_non_vocabulary_file_is_user_error(self, pipeline, tmp_path, capsys, wrong):
+        # a text file, and a binary one that is not even UTF-8
+        path = pipeline[wrong] if wrong == "checkpoint" else os.path.join(pipeline["train"], wrong)
+        error = self.sample_error(pipeline["checkpoint"], path, tmp_path, capsys)
+        assert "not a chemlm vocabulary file" in error
+
     def test_bad_report_json(self, tmp_path, capsys):
         bad = os.path.join(tmp_path, "report.json")
         with open(bad, "w", encoding="utf-8") as fh:
@@ -300,6 +338,27 @@ class TestExitCodes:
             "--out", os.path.join(tmp_path, "out"),
         ])
         assert code == EXIT_USER
+
+
+class TestAugmentation:
+    def test_char_augmentation_stays_inside_the_context(self, tmp_path, capsys):
+        # rotated molecules spelled out character by character can be longer
+        # than any corpus sequence, which sizes the model context
+        dirs = {name: os.path.join(tmp_path, name) for name in ("synth", "prepare", "train")}
+        assert run_cli([
+            "synth", "--kind", "molecule", "--n", "8", "--seed", "2",
+            "--precision", "2", "--out", dirs["synth"],
+        ]) == EXIT_OK
+        assert run_cli([
+            "prepare", "--input", os.path.join(dirs["synth"], "structures"),
+            "--scheme", "char", "--precision", "2", "--out", dirs["prepare"],
+        ]) == EXIT_OK
+        assert run_cli([
+            "train", "--corpus", dirs["prepare"], "--steps", "4", "--batch-size", "8",
+            "--layers", "1", "--d-model", "16", "--heads", "2", "--augment", "on",
+            "--seed", "2", "--out", dirs["train"],
+        ]) == EXIT_OK
+        assert "error" not in manifest_of(dirs["train"])
 
 
 class TestInputValidation:

@@ -49,16 +49,9 @@ class TestAtomCoordTokens:
 
     def test_crystal_prepends_lattice_whole(self):
         c = Crystal(Lattice(4, 4, 4, 90, 90, 90), [Site("Po", 0, 0, 0)])
-        toks = content_tokens(c, Scheme("atom_coord", 2, "whole_token"))
+        toks = content_tokens(c, Scheme("atom_coord", 2))
         assert toks[:6] == ["4.00", "4.00", "4.00", "90.00", "90.00", "90.00"]
         assert toks[6:] == ["Po", "0.00", "0.00", "0.00"]
-
-    def test_crystal_spelled_lattice(self):
-        c = Crystal(Lattice(4, 4, 4, 90, 90, 90), [Site("Po", 0, 0, 0)])
-        toks = content_tokens(c, Scheme("atom_coord", 1, "char"))
-        assert toks[:5] == ["4", ".", "0", " ", "4"]
-        assert toks.count(" ") == 6
-        assert toks[-4:] == ["Po", "0.0", "0.0", "0.0"]
 
     def test_pocket_uses_indicators(self, rng):
         p = random_structure(rng, "pocket")
@@ -76,11 +69,6 @@ class TestRoundTrips:
             scheme = Scheme(scheme_kind, precision)
             back, _ = roundtrip(s, scheme)
             assert back == round_coords(s, precision)
-
-    def test_char_lattice_mode_round_trip(self, rng):
-        s = random_structure(rng, "crystal")
-        back, _ = roundtrip(s, Scheme("atom_coord", 2, "char"))
-        assert back == round_coords(s, 2)
 
     def test_sequence_shape(self, rng):
         s = random_structure(rng, "molecule")
@@ -221,7 +209,7 @@ class TestCrystalDecodeErrors:
         )
 
     def test_truncated_lattice_whole(self):
-        vocab = build_vocab([self.xtl], Scheme("atom_coord", 2, "whole_token"))
+        vocab = build_vocab([self.xtl], Scheme("atom_coord", 2))
         seq = encode(self.xtl, vocab)
         bad = TokenSequence(seq.ids[:4], truncated=True)
         with pytest.raises(DecodeError) as ei:
@@ -229,7 +217,7 @@ class TestCrystalDecodeErrors:
         assert ei.value.kind == "truncated_lattice"
 
     def test_unrealizable_lattice(self):
-        vocab = build_vocab([self.xtl], Scheme("atom_coord", 2, "whole_token"))
+        vocab = build_vocab([self.xtl], Scheme("atom_coord", 2))
         v = vocab
         # 6 numeric tokens that do not form a realizable cell: reuse the
         # fractional token 0.50 as a cell length of 0.50 but make an
@@ -243,15 +231,6 @@ class TestCrystalDecodeErrors:
         with pytest.raises(DecodeError) as ei:
             decode(TokenSequence(tuple(ids)), v)
         assert ei.value.kind == "invalid_lattice"
-
-    def test_char_lattice_missing_separator(self):
-        vocab = build_vocab([self.xtl], Scheme("atom_coord", 2, "char"))
-        seq = encode(self.xtl, vocab)
-        sep = vocab.id_of(" ")
-        ids = tuple(i for i in seq.ids if i != sep)
-        with pytest.raises(DecodeError) as ei:
-            decode(TokenSequence(ids), vocab)
-        assert ei.value.kind in ("lattice_expected", "truncated_lattice")
 
 
 class TestPocketAssembly:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from chemlm.metrics import emd_1d
+from chemlm.metrics.emd import emd_1d
 
 
 def lp_transport_cost(a, b):

@@ -2,22 +2,22 @@ import math
 
 import pytest
 
-from chemlm.metrics import (
-    canonical_key,
+from chemlm.metrics import evaluate_sequences, evaluate_structures
+from chemlm.metrics.bonds import molecule_validity
+from chemlm.metrics.crystals import (
     charge_neutrality,
     crystal_structural_validity,
-    crystal_validity,
-    evaluate_sequences,
-    evaluate_structures,
-    molecule_validity,
-    pocket_overlap_check,
-    pocket_residue_check,
-    pocket_validity,
+    shortest_self_image_distance,
+)
+from chemlm.metrics.keys import (
+    canonical_key,
+    crystal_key,
+    molecule_key,
+    residue_ordering,
     unique_novel,
 )
-from chemlm.metrics.crystals import shortest_self_image_distance
-from chemlm.metrics.keys import crystal_key, molecule_key, residue_ordering
-from chemlm.metrics.report import SCHEMA_VERSION, MetricsReport
+from chemlm.metrics.pockets import pocket_overlap_check, pocket_residue_check
+from chemlm.metrics.report import SCHEMA_VERSION, MetricsReport, validity
 from chemlm.structures import (
     Atom,
     Crystal,
@@ -160,14 +160,26 @@ class TestChargeNeutrality:
             Lattice(5.6, 5.6, 5.6, 90, 90, 90),
             [Site("Na", 0, 0, 0), Site("Cl", 0.5, 0.5, 0.5)],
         )
-        assert crystal_validity(good).valid
+        assert validity(good) == (True, "", {"structural": True, "composition": True})
+        clash = Crystal(
+            Lattice(5.6, 5.6, 5.6, 90, 90, 90),
+            [Site("Na", 0, 0, 0), Site("Cl", 0.05, 0, 0)],
+        )
+        ok, reason, flags = validity(clash)
+        assert not ok
+        assert flags == {"structural": False, "composition": True}
+        assert "sites 0 and 1" in reason
+
+    def test_validity_flags_composition_only_failure(self):
         bad_comp = Crystal(
             Lattice(5.6, 5.6, 5.6, 90, 90, 90),
             [Site("Na", 0, 0, 0), Site("Na", 0.5, 0, 0), Site("Cl", 0.5, 0.5, 0.5)],
         )
-        v = crystal_validity(bad_comp)
-        assert not v.valid
-        assert "oxidation" in v.reason
+        ok, reason, flags = validity(bad_comp)
+        assert not ok
+        assert flags == {"structural": True, "composition": False}
+        assert "oxidation" in reason
+        assert reason == charge_neutrality({"Na": 2, "Cl": 1}).reason
 
 
 def ideal_gly(index, x0):
@@ -184,7 +196,7 @@ class TestPocketChecks:
         p = Pocket(tuple(ideal_gly(1, 0.0) + ideal_gly(2, 8.0)))
         ok, reasons = pocket_residue_check(p)
         assert ok and reasons == []
-        assert pocket_validity(p).valid
+        assert validity(p) == (True, "", {"residue": True, "overlap": True})
 
     def test_missing_atom_reason(self):
         atoms = ideal_gly(1, 0.0)

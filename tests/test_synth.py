@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from chemlm.metrics import (
-    charge_neutrality,
-    crystal_validity,
-    molecule_validity,
-    pocket_validity,
-)
-from chemlm.metrics.crystals import crystal_composition
+from chemlm.metrics.bonds import molecule_validity
+from chemlm.metrics.crystals import charge_neutrality, crystal_composition
 from chemlm.metrics.pockets import default_residue_table, pocket_residue_check
+from chemlm.metrics.report import validity
 from chemlm.structures import Crystal, Molecule, Pocket
 from chemlm.synth import synth_corpus, synth_molecule, synth_perovskite, synth_pocket
 
@@ -64,7 +60,8 @@ class TestPerovskites:
 
     def test_fully_valid(self, rng):
         for _ in range(30):
-            assert crystal_validity(synth_perovskite(rng)).valid
+            ok, reason, _ = validity(synth_perovskite(rng))
+            assert ok, reason
 
 
 class TestPockets:
@@ -76,7 +73,8 @@ class TestPockets:
 
     def test_no_overlaps(self, rng):
         for _ in range(20):
-            assert pocket_validity(synth_pocket(rng)).valid
+            ok, reason, _ = validity(synth_pocket(rng))
+            assert ok, reason
 
     def test_residue_count_range(self, rng):
         counts = {synth_pocket(rng).n_residues() for _ in range(30)}

@@ -1,6 +1,6 @@
 import pytest
 
-from chemlm.errors import EncodeError
+from chemlm.errors import ArtifactError, EncodeError
 from chemlm.tokenize import (
     BOS_TOKEN,
     EOS_TOKEN,
@@ -80,8 +80,8 @@ class TestPersistence:
         assert back.structure_kind == v.structure_kind
 
     def test_space_token_survives(self, tmp_path):
-        # char-lattice crystals use a literal space token as a separator
-        v = make_vocabulary([" ", "1", "."], Scheme("atom_coord", 2, "char"), "crystal")
+        # the char scheme spells the spaces of a CIF file as a space token
+        v = make_vocabulary([" ", "1", "."], Scheme("char", 2), "crystal")
         path = tmp_path / "vocab.txt"
         v.save(path)
         assert " " in Vocabulary.load(path).tokens
@@ -104,6 +104,13 @@ class TestPersistence:
         path.write_text("not a vocabulary\n")
         with pytest.raises(ValueError):
             Vocabulary.load(path)
+
+    def test_spelled_lattice_mode_rejected(self):
+        v = make_vocabulary(["C", "H"], S_AC, "crystal")
+        text = v.dumps()
+        assert "lattice_param_mode whole_token\n" in text
+        with pytest.raises(ArtifactError, match="lattice_param_mode"):
+            Vocabulary.loads(text.replace("lattice_param_mode whole_token", "lattice_param_mode char"))
 
     def test_truncated_file_rejected(self, tmp_path):
         v = make_vocabulary(["C", "H", "O"], S_AC, "molecule")
