@@ -60,6 +60,13 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """A command's parser, with the --config and --out flags every command takes."""
+
+    def __init__(self, prog):
+        super().__init__(prog=prog)
+        self.add_argument("--config", help="key=value config file")
+        self.add_argument("--out")
+
     # user errors exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -170,14 +177,12 @@ def _load_bundle(bundle_dir):
 
 def build_synth_parser():
     p = _Parser(prog="chemlm synth")
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--kind", required=True, choices=["molecule", "perovskite", "pocket"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--precision", type=int, default=3, choices=[1, 2, 3])
     p.add_argument("--residues", type=int, default=0,
                    help="pocket kind only: fixed residue count (0 = random 6-10)")
-    p.add_argument("--out")
     return p
 
 
@@ -206,7 +211,6 @@ def cmd_synth(args, out_dir, phases):
 
 def build_prepare_parser():
     p = _Parser(prog="chemlm prepare")
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--input", required=True, help="directory of structure files")
     p.add_argument("--scheme", required=True, choices=["char", "atom_coord"])
     p.add_argument("--precision", type=int, required=True, choices=[1, 2, 3])
@@ -216,7 +220,6 @@ def build_prepare_parser():
                    help="pockets: prune to the target atom range")
     p.add_argument("--prune-lo", type=int, default=200)
     p.add_argument("--prune-hi", type=int, default=250)
-    p.add_argument("--out")
     return p
 
 
@@ -294,7 +297,6 @@ def cmd_prepare(args, out_dir, phases):
 
 def build_train_parser():
     p = _Parser(prog="chemlm train")
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--corpus", required=True, help="prepare output directory")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--batch-size", type=int, default=16)
@@ -313,7 +315,6 @@ def build_train_parser():
     p.add_argument("--max-seq-len", type=int, default=0, help="0 = longest corpus sequence")
     p.add_argument("--dropout", type=float, default=0.1)
     p.add_argument("--tie-embeddings", type=_onoff, default=True)
-    p.add_argument("--out")
     return p
 
 
@@ -345,7 +346,6 @@ def cmd_train(args, out_dir, phases):
         crystal_shift=args.crystal_shift,
         grad_clip=args.grad_clip,
         checkpoint_interval=args.checkpoint_interval,
-        scheme=vocab.scheme,
     )
 
     with _phase(phases, "train"):
@@ -373,14 +373,12 @@ def cmd_train(args, out_dir, phases):
 
 def build_sample_parser():
     p = _Parser(prog="chemlm sample")
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True, help="vocab.txt from the training bundle")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--max-len", type=int, default=0, help="0 = model context length")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     return p
 
 
@@ -429,8 +427,11 @@ def read_samples_csv(path):
         if header != ["index", "truncated", "ids"]:
             raise CliError(f"{path} is not a samples.csv (bad header {header!r})")
         for row in reader:
-            ids = tuple(int(t) for t in row[2].split())
-            sequences.append(TokenSequence(ids=ids, truncated=bool(int(row[1]))))
+            try:
+                ids = tuple(int(t) for t in row[2].split())
+                sequences.append(TokenSequence(ids=ids, truncated=bool(int(row[1]))))
+            except (IndexError, ValueError) as exc:
+                raise CliError(f"{path}: bad samples row {reader.line_num}: {row!r}") from exc
     if not sequences:
         raise CliError(f"no sequences in {path}")
     return sequences
@@ -440,13 +441,11 @@ def read_samples_csv(path):
 
 def build_evaluate_parser():
     p = _Parser(prog="chemlm evaluate")
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--samples", required=True,
                    help="samples.csv from `sample`, or a directory of structure files")
     p.add_argument("--train", required=True, help="prepare output directory (training corpus)")
     p.add_argument("--eval-seed", type=int, default=0)
     p.add_argument("--overlap-threshold", type=float, default=1.1)
-    p.add_argument("--out")
     return p
 
 
@@ -576,11 +575,9 @@ def _positions_of(structure):
 
 def build_report_parser():
     p = _Parser(prog="chemlm report")
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--reports", required=True, nargs="+", help="report.json files")
     p.add_argument("--structures", help="evaluate output structures/ directory")
     p.add_argument("--reference", help="reference conformer directory for RMSD CSV")
-    p.add_argument("--out")
     return p
 
 

@@ -1,4 +1,4 @@
-"""Bundled periodic table.
+"""Bundled periodic table, and `data_rows`, the one reader of the bundled CSV tables.
 
 The table is a static 89-entry subset (Z = 1..84 plus Ac, Th, Pa, U, Pu)
 that covers every element appearing in the crystal corpora this toolkit
@@ -8,7 +8,6 @@ Angstrom.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from importlib import resources
 
@@ -23,22 +22,18 @@ class Element:
     covalent_radius: float
 
 
-def _load_table() -> dict[str, Element]:
-    table: dict[str, Element] = {}
-    path = resources.files("chemlm.data").joinpath("periodic_table.csv")
-    with path.open("r", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            el = Element(
-                symbol=row["symbol"],
-                atomic_number=int(row["atomic_number"]),
-                mass=float(row["mass"]),
-                covalent_radius=float(row["covalent_radius"]),
-            )
-            table[el.symbol] = el
-    return table
+def data_rows(name: str) -> list[tuple[str, str]]:
+    """(first field, rest of the line) pairs of the bundled CSV `name`, header skipped."""
+    text = resources.files("chemlm.data").joinpath(name).read_text(encoding="utf-8")
+    return [tuple(line.split(",", 1)) for line in text.splitlines()[1:] if line.strip()]
 
 
-ELEMENTS: dict[str, Element] = _load_table()
+def _element(symbol: str, rest: str) -> Element:
+    atomic_number, mass, covalent_radius = rest.split(",")
+    return Element(symbol, int(atomic_number), float(mass), float(covalent_radius))
+
+
+ELEMENTS: dict[str, Element] = {s: _element(s, rest) for s, rest in data_rows("periodic_table.csv")}
 
 SYMBOLS: frozenset[str] = frozenset(ELEMENTS)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..errors import ConfigError
 from ..structures import Pocket
 
 
@@ -37,7 +38,7 @@ def prune_pocket(
     """
     lo, hi = target_atoms
     if lo < 1 or hi < lo:
-        raise ValueError(f"bad target range [{lo}, {hi}]")
+        raise ConfigError(f"bad target range [{lo}, {hi}]")
     if len(pocket) < lo:
         return PruneResult(pocket, 0, True)
 

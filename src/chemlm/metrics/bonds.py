@@ -7,11 +7,9 @@ and the bond graph must be connected. No formal charges, no aromaticity.
 
 from __future__ import annotations
 
-from importlib import resources
-
 import numpy as np
 
-from ..elements import get_element
+from ..elements import data_rows, get_element
 from ..geometry import pairwise_distances
 from ..structures import Molecule
 from .verdict import Verdict
@@ -21,21 +19,11 @@ CLASH_FLOOR = 0.4
 BOND_SLACK = 0.4
 
 
-def _load_valences() -> dict[str, frozenset[int]]:
-    table = {}
-    path = resources.files("chemlm.data").joinpath("valences.csv")
-    with path.open("r", encoding="utf-8") as fh:
-        next(fh)  # header
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            symbol, states = line.split(",", 1)
-            table[symbol] = frozenset(int(v) for v in states.split())
-    return table
-
-
-VALENCES = _load_valences()
+#: Symbol -> the bond counts an atom of that element may have.
+VALENCES: dict[str, frozenset[int]] = {
+    symbol: frozenset(int(v) for v in states.split())
+    for symbol, states in data_rows("valences.csv")
+}
 
 
 def perceive_bonds(molecule: Molecule):

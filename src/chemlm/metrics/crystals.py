@@ -4,52 +4,22 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
-from ..geometry import crystal_density, lattice_matrix, min_image_distance
+from ..elements import data_rows
+from ..geometry import lattice_matrix, min_image_distance
 from ..structures import Crystal
 from .verdict import Verdict
 
 #: Minimum allowed distance between any two atoms, periodic images included.
 MIN_ATOM_DISTANCE = 0.5
 
-
-@dataclass(frozen=True)
-class OxidationTable:
-    states: dict
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self.states
-
-    def __getitem__(self, symbol: str) -> tuple[int, ...]:
-        return self.states[symbol]
-
-
-def load_oxidation_table() -> OxidationTable:
-    states = {}
-    path = resources.files("chemlm.data").joinpath("oxidation_states.csv")
-    with path.open("r", encoding="utf-8") as fh:
-        next(fh)  # header
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            symbol, values = line.split(",", 1)
-            states[symbol] = tuple(int(v) for v in values.split())
-    return OxidationTable(states)
-
-
-_DEFAULT_TABLE = None
-
-
-def default_oxidation_table() -> OxidationTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = load_oxidation_table()
-    return _DEFAULT_TABLE
+#: Symbol -> the oxidation states an element may take.
+OXIDATION_STATES: dict[str, tuple[int, ...]] = {
+    symbol: tuple(int(v) for v in states.split())
+    for symbol, states in data_rows("oxidation_states.csv")
+}
 
 
 def shortest_self_image_distance(crystal: Crystal) -> float:
@@ -84,22 +54,20 @@ def crystal_structural_validity(crystal: Crystal, threshold: float = MIN_ATOM_DI
     return Verdict.ok()
 
 
-def charge_neutrality(composition: dict, table: OxidationTable = None) -> Verdict:
+def charge_neutrality(composition: dict) -> Verdict:
     """Valid iff one oxidation state per element can balance the total charge.
 
     Exhaustive search over per-element state choices with min/max bound
     pruning; compositions here have few distinct elements.
     """
-    if table is None:
-        table = default_oxidation_table()
     items = sorted(composition.items())
     for symbol, count in items:
-        if symbol not in table:
+        if symbol not in OXIDATION_STATES:
             return Verdict.fail(f"no oxidation states for element {symbol}")
         if count < 1:
             raise ValueError(f"non-positive count for {symbol}")
 
-    choices = [[state * count for state in table[symbol]] for symbol, count in items]
+    choices = [[state * count for state in OXIDATION_STATES[symbol]] for symbol, count in items]
     min_tail = [0] * (len(choices) + 1)
     max_tail = [0] * (len(choices) + 1)
     for k in range(len(choices) - 1, -1, -1):
@@ -121,11 +89,6 @@ def charge_neutrality(composition: dict, table: OxidationTable = None) -> Verdic
 
 def crystal_composition(crystal: Crystal) -> dict:
     return dict(Counter(crystal.symbols()))
-
-
-def density(crystal: Crystal) -> float:
-    """Mass density in g/cm^3."""
-    return crystal_density(crystal)
 
 
 def n_unique_elements(crystal: Crystal) -> int:

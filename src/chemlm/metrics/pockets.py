@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from collections import Counter
 
+from ..errors import ConfigError
 from ..geometry import pairwise_distances
-from ..structures import Pocket, default_residue_table
+from ..structures import RESIDUE_ATOMS, Pocket
 from .verdict import Verdict
 
 #: Inter-residue atom pairs closer than this fail the overlap check. The
@@ -13,21 +14,16 @@ from .verdict import Verdict
 DEFAULT_OVERLAP_THRESHOLD = 1.1
 
 
-def pocket_residue_check(pocket: Pocket, table: dict = None) -> tuple[bool, list[str]]:
+def pocket_residue_check(pocket: Pocket) -> tuple[bool, list[str]]:
     """Each residue's heavy-atom multiset must equal its table entry exactly.
 
     Returns the overall verdict plus one reason per failing residue, like
     "GLY@3: missing O".
     """
-    if table is None:
-        table = default_residue_table()
     reasons = []
     for code, atoms in pocket.residues():
         index = atoms[0].residue_index
-        expected = table.get(code)
-        if expected is None:
-            reasons.append(f"{code}@{index}: residue not in the composition table")
-            continue
+        expected = RESIDUE_ATOMS[code]  # PocketAtom admits canonical codes only
         have = Counter(a.element for a in atoms)
         problems = []
         for element in sorted(set(expected) | set(have)):
@@ -47,7 +43,7 @@ def pocket_overlap_check(
 ) -> Verdict:
     """Fail iff atoms of different residues come closer than `threshold`."""
     if threshold <= 0:
-        raise ValueError("threshold must be positive")
+        raise ConfigError(f"overlap threshold must be positive, got {threshold}")
     d = pairwise_distances(pocket.positions())
     atoms = pocket.atoms
     for i in range(len(atoms)):

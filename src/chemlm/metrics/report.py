@@ -15,16 +15,14 @@ from typing import Optional
 import numpy as np
 
 from ..errors import DecodeError
-from ..geometry import molecular_weight
+from ..geometry import crystal_density, molecular_weight
 from ..structures import structure_kind
 from ..tokenize import Vocabulary, decode
 from .bonds import molecule_validity
 from .crystals import (
-    OxidationTable,
     charge_neutrality,
     crystal_composition,
     crystal_structural_validity,
-    density,
     n_unique_elements,
 )
 from .emd import emd_1d
@@ -89,16 +87,11 @@ def property_functions(kind: str) -> dict:
     if kind == "molecule":
         return {"mw": molecular_weight}
     if kind == "crystal":
-        return {"density": density, "n_elem": lambda c: float(n_unique_elements(c))}
+        return {"density": crystal_density, "n_elem": lambda c: float(n_unique_elements(c))}
     return {"n_residues": lambda p: float(p.n_residues())}
 
 
-def validity(
-    structure,
-    oxidation: OxidationTable = None,
-    residue_table: dict = None,
-    overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD,
-):
+def validity(structure, overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD):
     """(valid, reason, per-check flags) for one structure of any kind.
 
     Molecules are judged by bond perception alone and carry no flags.
@@ -111,12 +104,12 @@ def validity(
         return v.valid, v.reason or "", {}
     if kind == "crystal":
         struct_v = crystal_structural_validity(structure)
-        comp_v = charge_neutrality(crystal_composition(structure), oxidation)
+        comp_v = charge_neutrality(crystal_composition(structure))
         flags = {"structural": struct_v.valid, "composition": comp_v.valid}
         ok = struct_v.valid and comp_v.valid
         reason = "" if ok else (struct_v.reason or comp_v.reason or "")
         return ok, reason, flags
-    residue_ok, reasons = pocket_residue_check(structure, residue_table)
+    residue_ok, reasons = pocket_residue_check(structure)
     overlap_v = pocket_overlap_check(structure, overlap_threshold)
     flags = {"residue": residue_ok, "overlap": overlap_v.valid}
     ok = residue_ok and overlap_v.valid
@@ -130,8 +123,6 @@ def evaluate_sequences(
     train_structures,
     *,
     overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD,
-    oxidation: OxidationTable = None,
-    residue_table: dict = None,
     eval_seed: int = 0,
 ) -> EvalResult:
     """Decode every sequence, then aggregate (see evaluate_structures)."""
@@ -148,8 +139,6 @@ def evaluate_sequences(
         train_structures,
         decode_failures=failures,
         overlap_threshold=overlap_threshold,
-        oxidation=oxidation,
-        residue_table=residue_table,
         eval_seed=eval_seed,
     )
 
@@ -160,8 +149,6 @@ def evaluate_structures(
     *,
     decode_failures: dict = None,
     overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD,
-    oxidation: OxidationTable = None,
-    residue_table: dict = None,
     eval_seed: int = 0,
 ) -> EvalResult:
     """Aggregate metrics for decoded samples against a training corpus.
@@ -193,7 +180,7 @@ def evaluate_structures(
             rows.append(StructureRow(index, INVALID, "wrong structure kind"))
             continue
         n_decoded += 1
-        ok, reason, flags = validity(structure, oxidation, residue_table, overlap_threshold)
+        ok, reason, flags = validity(structure, overlap_threshold)
         for name, passed in flags.items():
             flag_totals[name] = flag_totals.get(name, 0) + (1 if passed else 0)
         if ok:

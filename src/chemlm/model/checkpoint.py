@@ -59,7 +59,7 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig, vocab_hash: str, rng_s
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a malformed or truncated file is an ArtifactError."""
+    """Read a checkpoint; a malformed, truncated or overlong file is an ArtifactError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -77,6 +77,8 @@ def load_checkpoint(path) -> Checkpoint:
                 if len(raw) != n_items * 8:
                     raise ValueError(f"truncated in tensor {entry['name']}")
                 params[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if fh.read(1):
+                raise ValueError("trailing bytes after the last tensor")
             return Checkpoint(
                 params=params,
                 config=ModelConfig.from_dict(header["model_config"]),

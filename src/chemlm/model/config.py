@@ -32,6 +32,8 @@ class ModelConfig:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
+        if self.d_ff < 1:
+            raise ConfigError("d_ff must be >= 1")
         if self.max_seq_len < 2:
             raise ConfigError("max_seq_len must be >= 2")
         if self.vocab_size < 4:

@@ -298,14 +298,15 @@ def loss_and_grads(
     mask,
     train_mode: bool = True,
     rng=None,
-    check_finite: bool = True,
 ):
-    """One training step's loss and exact parameter gradients."""
+    """One training step's loss and exact parameter gradients.
+
+    A non-finite gradient raises FloatingPointError.
+    """
     logits, cache = forward(params, cfg, inputs, train_mode=train_mode, rng=rng)
     loss, dlogits = cross_entropy(logits, targets, mask)
     grads = backward(params, cfg, cache, dlogits)
-    if check_finite:
-        for name, g in grads.items():
-            if g is not None and not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient in {name}")
+    for name, g in grads.items():
+        if g is not None and not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient in {name}")
     return loss, grads

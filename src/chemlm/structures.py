@@ -11,13 +11,11 @@ stored triples) and `with_coords(triples)` (a copy with new coordinates).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from importlib import resources
 from typing import Union
 
-from .elements import get_element
+from .elements import data_rows, get_element
 from .errors import InvalidLatticeError
 
 #: The 20 canonical amino-acid residue codes.
@@ -29,31 +27,14 @@ CANONICAL_RESIDUES: frozenset[str] = frozenset(
 )
 
 
-def load_residue_table() -> dict:
-    """Residue code -> heavy-atom element counts, e.g. GLY -> {C:2, N:1, O:1}."""
-    table = {}
-    path = resources.files("chemlm.data").joinpath("residue_atoms.csv")
-    with path.open("r", encoding="utf-8") as fh:
-        next(fh)  # header
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            code, spec = line.split(",", 1)
-            counts = {}
-            for pair in spec.split():
-                element, n = pair.split(":")
-                counts[element] = int(n)
-            table[code] = counts
-    return table
+#: Residue code -> heavy-atom element counts, e.g. GLY -> {C: 2, N: 1, O: 1}.
+RESIDUE_ATOMS: dict[str, dict[str, int]] = {
+    code: {element: int(n) for element, n in (pair.split(":") for pair in spec.split())}
+    for code, spec in data_rows("residue_atoms.csv")
+}
 
 
-@functools.cache
-def default_residue_table() -> dict:
-    return load_residue_table()
-
-
-def _check_finite(name: str, *values: float) -> None:
+def _require_finite(name: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise ValueError(f"{name} has non-finite coordinate {v!r}")
@@ -70,7 +51,7 @@ class Atom:
 
     def __post_init__(self):
         get_element(self.symbol)
-        _check_finite("atom", self.x, self.y, self.z)
+        _require_finite("atom", self.x, self.y, self.z)
 
 
 @dataclass(frozen=True)
@@ -161,7 +142,7 @@ class Site:
 
     def __post_init__(self):
         get_element(self.symbol)
-        _check_finite("site", self.fx, self.fy, self.fz)
+        _require_finite("site", self.fx, self.fy, self.fz)
         object.__setattr__(self, "fx", wrap_frac(self.fx))
         object.__setattr__(self, "fy", wrap_frac(self.fy))
         object.__setattr__(self, "fz", wrap_frac(self.fz))
@@ -218,7 +199,7 @@ class PocketAtom:
         if self.residue not in CANONICAL_RESIDUES:
             raise ValueError(f"non-canonical residue code: {self.residue!r}")
         get_element(self.element)
-        _check_finite("pocket atom", self.x, self.y, self.z)
+        _require_finite("pocket atom", self.x, self.y, self.z)
 
     @property
     def indicator(self) -> str:

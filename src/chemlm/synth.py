@@ -27,8 +27,7 @@ import numpy as np
 
 from .augment import random_rotation
 from .metrics.bonds import molecule_validity
-from .metrics.pockets import default_residue_table
-from .structures import Atom, Crystal, Lattice, Molecule, Pocket, PocketAtom, Site
+from .structures import RESIDUE_ATOMS, Atom, Crystal, Lattice, Molecule, Pocket, PocketAtom, Site
 
 BOND_CC = 1.54
 BOND_CH = 1.09
@@ -144,8 +143,7 @@ def synth_perovskite(rng: np.random.Generator) -> Crystal:
 
 def synth_pocket(rng: np.random.Generator, n_residues=None) -> Pocket:
     """Residues with exact table compositions, centers 5 A apart."""
-    table = default_residue_table()
-    codes = sorted(table)
+    codes = sorted(RESIDUE_ATOMS)
     if n_residues is None:
         n_residues = int(rng.integers(6, 11))
     axis = rng.normal(size=3)
@@ -155,7 +153,7 @@ def synth_pocket(rng: np.random.Generator, n_residues=None) -> Pocket:
         code = str(rng.choice(codes))
         center = axis * 5.0 * (ridx - 1) + rng.uniform(-0.3, 0.3, size=3)
         placed = []
-        for element, count in sorted(table[code].items()):
+        for element, count in sorted(RESIDUE_ATOMS[code].items()):
             for _ in range(count):
                 for _ in range(100):
                     d = rng.normal(size=3)

@@ -20,11 +20,12 @@ import re
 from dataclasses import dataclass
 
 from ..elements import MULTI_LETTER_SYMBOLS, is_element
-from ..errors import DecodeError, ParseError
+from ..errors import ConfigError, DecodeError, ParseError
 from ..formats import FORMAT_FOR_KIND, FileDocument, parse_document, write_structure
 from ..rounding import fmt_fixed, round_coords
 from ..structures import (
     CANONICAL_RESIDUES,
+    RESIDUE_ATOMS,
     Atom,
     Crystal,
     Lattice,
@@ -33,7 +34,6 @@ from ..structures import (
     PocketAtom,
     Site,
     Structure,
-    default_residue_table,
     structure_kind,
 )
 from .scheme import ATOM_COORD, CHAR, Scheme
@@ -143,7 +143,7 @@ def build_vocab(
         tokens.update(content_tokens(s, scheme))
     if dense_coordinate_range:
         if scheme.kind != ATOM_COORD:
-            raise ValueError("dense coordinate range only applies to the atom_coord scheme")
+            raise ConfigError("dense coordinate range only applies to the atom_coord scheme")
         tokens.update(_dense_coordinate_tokens(rounded, scheme.precision))
     return make_vocabulary(tokens, scheme, kind)
 
@@ -310,13 +310,12 @@ def _assemble_pocket(atoms) -> Pocket:
     atom would exceed the code's composition from the residue table; for
     table-complete pockets this reconstruction is exact.
     """
-    table = default_residue_table()
     built = []
     index = 0
     code = None
     counts: dict[str, int] = {}
     for (residue, element), (x, y, z) in atoms:
-        target = table.get(residue, {})
+        target = RESIDUE_ATOMS[residue]
         boundary = (
             residue != code
             or counts.get(element, 0) + 1 > target.get(element, 0)

@@ -71,9 +71,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._ids
 
-    def content_tokens(self) -> tuple[str, ...]:
-        return self.tokens[3:]
-
     def id_of(self, token: str) -> int:
         try:
             return self._ids[token]

@@ -15,9 +15,14 @@ import numpy as np
 from .augment import augment_structure
 from .errors import ConfigError, TrainingDiverged
 from .model import ModelConfig, init_params, loss_and_grads, save_checkpoint
-from .tokenize import Scheme, Vocabulary, encode
+from .tokenize import Vocabulary, encode
 
 LR_END_DEFAULT = 9e-6
+
+#: Adam's moment decay rates and denominator floor.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -32,7 +37,6 @@ class TrainConfig:
     crystal_shift: bool = False
     grad_clip: float = 1.0
     checkpoint_interval: int = 0
-    scheme: Optional[Scheme] = None
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -46,10 +50,6 @@ class TrainConfig:
         if self.grad_clip < 0:
             raise ConfigError("grad_clip must be >= 0")
 
-    @property
-    def precision(self) -> Optional[int]:
-        return self.scheme.precision if self.scheme is not None else None
-
 
 def lr_schedule(step: int, cfg: TrainConfig) -> float:
     """Linear from lr_start at step 0 to lr_end at total_steps, then flat."""
@@ -60,22 +60,19 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
 
 
 class Adam:
-    def __init__(self, params: dict, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: dict):
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params: dict, grads: dict, lr: float) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         for k, g in grads.items():
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            params[k] -= lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + self.eps)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
+            params[k] -= lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + ADAM_EPS)
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> float:
@@ -138,8 +135,6 @@ def train(
     """
     if not corpus:
         raise ValueError("empty training corpus")
-    if train_cfg.scheme is not None and train_cfg.scheme != vocab.scheme:
-        raise ValueError("train_cfg.scheme disagrees with the vocabulary's scheme")
     if model_cfg.vocab_size != len(vocab.tokens):
         raise ValueError(
             f"model vocab_size {model_cfg.vocab_size} != vocabulary size {len(vocab.tokens)}"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from chemlm.errors import InvalidLatticeError
-from chemlm.metrics.pockets import default_residue_table
-from chemlm.structures import Atom, Crystal, Lattice, Molecule, Pocket, PocketAtom, Site
+from chemlm.structures import (
+    RESIDUE_ATOMS, Atom, Crystal, Lattice, Molecule, Pocket, PocketAtom, Site,
+)
 
 MOLECULE_ELEMENTS = ["C", "N", "O", "H", "S", "P", "F", "Cl", "Br", "Si", "Se"]
 CRYSTAL_ELEMENTS = ["Na", "Cl", "Ca", "Ti", "O", "Sr", "Ba", "F", "K", "Mg", "Zr"]
@@ -51,15 +52,14 @@ def random_crystal(rng: np.random.Generator) -> Crystal:
 
 def random_pocket(rng: np.random.Generator, n_residues=None) -> Pocket:
     """Residues with exact table compositions (decode relies on that)."""
-    table = default_residue_table()
-    codes = sorted(table)
+    codes = sorted(RESIDUE_ATOMS)
     if n_residues is None:
         n_residues = int(rng.integers(2, 6))
     atoms = []
     for ridx in range(1, n_residues + 1):
         code = str(rng.choice(codes))
         center = rng.uniform(-20.0, 20.0, size=3)
-        for element, count in sorted(table[code].items()):
+        for element, count in sorted(RESIDUE_ATOMS[code].items()):
             for _ in range(count):
                 p = center + rng.uniform(-1.5, 1.5, size=3)
                 atoms.append(PocketAtom(code, element, ridx, float(p[0]), float(p[1]), float(p[2])))

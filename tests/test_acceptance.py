@@ -160,8 +160,7 @@ def test_criterion_03_overfit():
         max_seq_len=longest + 8, vocab_size=len(vocab.tokens), dropout_rate=0.0,
     )
     train_cfg = TrainConfig(
-        batch_size=32, lr_start=1e-3, lr_end=9e-6, total_steps=2000,
-        seed=3, scheme=scheme,
+        batch_size=32, lr_start=1e-3, lr_end=9e-6, total_steps=2000, seed=3,
     )
     problems = []
     with tempfile.TemporaryDirectory() as td:
@@ -194,8 +193,7 @@ def test_criterion_04_distribution():
         max_seq_len=longest, vocab_size=len(vocab.tokens), dropout_rate=0.0,
     )
     train_cfg = TrainConfig(
-        batch_size=16, lr_start=1e-3, lr_end=9e-6, total_steps=3000,
-        seed=4, scheme=scheme,
+        batch_size=16, lr_start=1e-3, lr_end=9e-6, total_steps=3000, seed=4,
     )
     problems = []
     with tempfile.TemporaryDirectory() as td:

@@ -84,6 +84,23 @@ def pipeline(tmp_path_factory):
     return dirs
 
 
+@pytest.fixture(scope="module")
+def pockets(tmp_path_factory):
+    """A two-pocket corpus and its unpruned bundle: (structures dir, bundle dir)."""
+    root = str(tmp_path_factory.mktemp("pockets"))
+    synth, bundle = os.path.join(root, "synth"), os.path.join(root, "prepare")
+    assert run_cli([
+        "synth", "--kind", "pocket", "--n", "2", "--residues", "3", "--seed", "1",
+        "--out", synth,
+    ]) == EXIT_OK
+    structures = os.path.join(synth, "structures")
+    assert run_cli([
+        "prepare", "--input", structures, "--scheme", "atom_coord", "--precision", "1",
+        "--prune", "off", "--out", bundle,
+    ]) == EXIT_OK
+    return structures, bundle
+
+
 class TestPipeline:
     def test_synth_outputs(self, pipeline):
         files = sorted(os.listdir(os.path.join(pipeline["synth"], "structures")))
@@ -262,6 +279,7 @@ class TestExitCodes:
         (["--layers", "0"], "n_layers"),
         (["--heads", "0"], "n_heads 0"),
         (["--max-seq-len", "3"], "exceeds model context"),
+        (["--d-ff", "-3"], "d_ff"),
     ])
     def test_bad_model_config_is_user_error(self, pipeline, tmp_path, capsys, flags, message):
         out = os.path.join(tmp_path, "out")
@@ -310,6 +328,44 @@ class TestExitCodes:
             dst.write(src.read(40))  # magic, header length, part of the header
         error = self.sample_error(truncated, pipeline["vocab"], tmp_path, capsys)
         assert "malformed checkpoint" in error
+
+    def test_checkpoint_with_trailing_bytes_is_user_error(self, pipeline, tmp_path, capsys):
+        padded = os.path.join(tmp_path, "padded.bin")
+        with open(pipeline["checkpoint"], "rb") as src, open(padded, "wb") as dst:
+            dst.write(src.read() + b"\0" * 7)
+        error = self.sample_error(padded, pipeline["vocab"], tmp_path, capsys)
+        assert "trailing bytes" in error
+
+    @pytest.mark.parametrize("argv, message", [
+        (["prepare", "--input", "{pockets}", "--scheme", "atom_coord", "--precision", "1",
+          "--prune-lo", "0", "--prune-hi", "10"], "bad target range [0, 10]"),
+        (["prepare", "--input", "{pockets}", "--scheme", "atom_coord", "--precision", "1",
+          "--prune-lo", "50", "--prune-hi", "10"], "bad target range [50, 10]"),
+        (["prepare", "--input", "{molecules}", "--scheme", "char", "--precision", "2",
+          "--dense-coords", "on"], "only applies to the atom_coord scheme"),
+        (["evaluate", "--samples", "{pockets}", "--train", "{pocket_bundle}",
+          "--overlap-threshold", "0"], "overlap threshold must be positive"),
+        (["evaluate", "--samples", "{bad_id}", "--train", "{bundle}"], "bad samples row 2"),
+        (["evaluate", "--samples", "{short_row}", "--train", "{bundle}"], "bad samples row 2"),
+    ], ids=["prune-lo-0", "prune-lo-above-hi", "char-dense-coords", "overlap-threshold-0",
+            "samples-bad-id", "samples-short-row"])
+    def test_bad_setting_or_row_is_user_error(
+        self, pipeline, pockets, tmp_path, capsys, argv, message
+    ):
+        paths = {
+            "molecules": os.path.join(pipeline["synth"], "structures"),
+            "bundle": pipeline["prepare"],
+            "pockets": pockets[0],
+            "pocket_bundle": pockets[1],
+        }
+        for name, row in (("bad_id", "0,0,1 x 2"), ("short_row", "0,0")):
+            paths[name] = os.path.join(tmp_path, f"{name}.csv")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(f"index,truncated,ids\n{row}\n")
+        out = os.path.join(tmp_path, "out")
+        assert run_cli([a.format(**paths) for a in argv] + ["--out", out]) == EXIT_USER
+        assert "internal error" not in capsys.readouterr().err
+        assert message in manifest_of(out)["error"]
 
     @pytest.mark.parametrize("wrong", ["losses.csv", "checkpoint"])
     def test_non_vocabulary_file_is_user_error(self, pipeline, tmp_path, capsys, wrong):

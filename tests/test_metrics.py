@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from chemlm.elements import is_element
 from chemlm.metrics import evaluate_sequences, evaluate_structures
-from chemlm.metrics.bonds import molecule_validity
+from chemlm.metrics.bonds import VALENCES, molecule_validity
 from chemlm.metrics.crystals import (
+    OXIDATION_STATES,
     charge_neutrality,
     crystal_structural_validity,
     shortest_self_image_distance,
@@ -19,6 +21,8 @@ from chemlm.metrics.keys import (
 from chemlm.metrics.pockets import pocket_overlap_check, pocket_residue_check
 from chemlm.metrics.report import SCHEMA_VERSION, MetricsReport, validity
 from chemlm.structures import (
+    CANONICAL_RESIDUES,
+    RESIDUE_ATOMS,
     Atom,
     Crystal,
     Lattice,
@@ -48,6 +52,15 @@ def water():
     return Molecule(
         [Atom("O", 0, 0, 0), Atom("H", 0.96, 0, 0), Atom("H", -0.24, 0.93, 0)]
     )
+
+
+class TestDataTables:
+    def test_residue_table_covers_the_canonical_residues(self):
+        assert set(RESIDUE_ATOMS) == CANONICAL_RESIDUES
+
+    @pytest.mark.parametrize("table", [VALENCES, OXIDATION_STATES], ids=["valences", "oxidation"])
+    def test_element_tables_are_keyed_by_elements(self, table):
+        assert table and all(is_element(symbol) for symbol in table)
 
 
 class TestMoleculeValidity:

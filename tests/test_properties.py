@@ -1,0 +1,138 @@
+"""Property-based tests of the codec invariants.
+
+Round trip: decoding an encoding gives back the structure rounded to the
+scheme precision. Robustness: decoding any id list either returns a
+structure or raises DecodeError. Formatting: `fmt_fixed` is exact to
+half a unit in the last place and a fixed point. Pockets: renumbering
+residues is idempotent.
+"""
+
+import functools
+from decimal import Decimal
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chemlm.errors import DecodeError
+from chemlm.rounding import fmt_fixed, round_coords
+from chemlm.structures import CANONICAL_RESIDUES, Pocket, PocketAtom, structure_kind
+from chemlm.synth import synth_molecule, synth_perovskite, synth_pocket
+from chemlm.tokenize import ATOM_COORD, CHAR, Scheme, TokenSequence, build_vocab, decode, encode
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
+
+KINDS = ("molecule", "perovskite", "pocket")
+SCHEMES = (ATOM_COORD, CHAR)
+
+
+def synth(kind: str, seed: int):
+    rng = np.random.default_rng(seed)
+    if kind == "molecule":
+        return synth_molecule(rng)
+    if kind == "perovskite":
+        return synth_perovskite(rng)
+    return synth_pocket(rng, n_residues=int(rng.integers(1, 5)))
+
+
+@functools.cache
+def bundle(kind: str, scheme_kind: str):
+    """A three-structure corpus at precision 2 and its vocabulary."""
+    corpus = [round_coords(synth(kind, seed), 2) for seed in range(3)]
+    vocab = build_vocab(corpus, Scheme(scheme_kind, 2))
+    return corpus, vocab
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    scheme_kind=st.sampled_from(SCHEMES),
+    precision=st.integers(1, 3),
+)
+def test_decode_inverts_encode(kind, seed, scheme_kind, precision):
+    s = synth(kind, seed)
+    vocab = build_vocab([s], Scheme(scheme_kind, precision))
+    assert decode(encode(s, vocab), vocab) == round_coords(s, precision)
+
+
+def assert_decodes_or_raises_decode_error(ids, vocab):
+    try:
+        out = decode(TokenSequence(tuple(ids)), vocab)
+    except DecodeError:
+        return
+    assert structure_kind(out) == vocab.structure_kind
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from(KINDS),
+    scheme_kind=st.sampled_from(SCHEMES),
+    data=st.data(),
+)
+def test_decoding_any_ids_raises_only_decode_error(kind, scheme_kind, data):
+    _, vocab = bundle(kind, scheme_kind)
+    ids = data.draw(st.lists(st.integers(-2, len(vocab) + 2), max_size=80))
+    if data.draw(st.booleans()):
+        ids = [vocab.bos_id] + ids
+    assert_decodes_or_raises_decode_error(ids, vocab)
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from(KINDS),
+    scheme_kind=st.sampled_from(SCHEMES),
+    data=st.data(),
+)
+def test_decoding_an_edited_encoding_raises_only_decode_error(kind, scheme_kind, data):
+    # random id lists rarely get past the first few tokens; edits of a real
+    # encoding reach the per-kind grammar and the structure constructors
+    corpus, vocab = bundle(kind, scheme_kind)
+    ids = list(encode(corpus[data.draw(st.integers(0, len(corpus) - 1))], vocab).ids)
+    for _ in range(data.draw(st.integers(1, 4))):
+        pos = data.draw(st.integers(1, len(ids) - 1))
+        new_id = data.draw(st.integers(-2, len(vocab) + 2))
+        edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "replace":
+            ids[pos] = new_id
+        elif edit == "insert":
+            ids.insert(pos, new_id)
+        elif len(ids) > 2:
+            del ids[pos]
+    assert_decodes_or_raises_decode_error(ids, vocab)
+
+
+@SETTINGS
+@given(
+    x=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+    precision=st.integers(1, 3),
+)
+def test_fmt_fixed_is_exact_and_a_fixed_point(x, precision):
+    text = fmt_fixed(x, precision)
+    whole, _, decimals = text.partition(".")
+    assert len(decimals) == precision and whole.lstrip("-").isdigit()
+    assert abs(Decimal(text) - Decimal(repr(x))) <= Decimal(1).scaleb(-precision) / 2
+    assert fmt_fixed(float(text), precision) == text
+
+
+@st.composite
+def pockets(draw):
+    """A pocket whose residues carry arbitrary distinct original indices."""
+    n = draw(st.integers(1, 6))
+    indices = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
+    atoms = []
+    for k, index in enumerate(indices):
+        code = draw(st.sampled_from(sorted(CANONICAL_RESIDUES)))
+        for j in range(draw(st.integers(1, 3))):
+            element = draw(st.sampled_from(["C", "N", "O", "S"]))
+            atoms.append(PocketAtom(code, element, index, 4.0 * k, 1.0 * j, 0.0))
+    return Pocket(tuple(atoms))
+
+
+@SETTINGS
+@given(p=pockets())
+def test_pocket_renumbering_is_idempotent(p):
+    assert Pocket(p.atoms) == p
+    indices = [a.residue_index for a in p.atoms]
+    assert indices[0] == 1
+    assert all(b - a in (0, 1) for a, b in zip(indices, indices[1:]))

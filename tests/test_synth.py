@@ -3,9 +3,9 @@ import pytest
 
 from chemlm.metrics.bonds import molecule_validity
 from chemlm.metrics.crystals import charge_neutrality, crystal_composition
-from chemlm.metrics.pockets import default_residue_table, pocket_residue_check
+from chemlm.metrics.pockets import pocket_residue_check
 from chemlm.metrics.report import validity
-from chemlm.structures import Crystal, Molecule, Pocket
+from chemlm.structures import RESIDUE_ATOMS, Crystal, Molecule, Pocket
 from chemlm.synth import synth_corpus, synth_molecule, synth_perovskite, synth_pocket
 
 
@@ -86,11 +86,10 @@ class TestPockets:
         assert p.n_residues() == 4
 
     def test_only_canonical_heavy_atoms(self, rng):
-        table = default_residue_table()
         p = synth_pocket(rng)
         for a in p.atoms:
             assert a.element != "H"
-            assert a.residue in table
+            assert a.residue in RESIDUE_ATOMS
 
 
 class TestCorpus:

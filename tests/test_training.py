@@ -257,15 +257,6 @@ class TestTrain:
         with pytest.raises(ValueError, match="exceeds"):
             train(corpus, vocab, small, train_cfg)
 
-    def test_scheme_mismatch_rejected(self):
-        corpus, vocab, model_cfg, _ = setup_run()
-        cfg = TrainConfig(
-            batch_size=2, lr_start=1e-3, total_steps=2, seed=0,
-            scheme=Scheme("char", 2),
-        )
-        with pytest.raises(ValueError, match="scheme"):
-            train(corpus, vocab, model_cfg, cfg)
-
     def test_augmented_training_runs_and_is_deterministic(self):
         corpus, vocab, model_cfg, _ = setup_run()
         vocab = build_vocab(corpus, Scheme("atom_coord", 2), dense_coordinate_range=True)
