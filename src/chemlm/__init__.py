@@ -24,7 +24,6 @@ from .structures import (
     PocketAtom,
     Site,
     Structure,
-    structure_kind,
 )
 
 __version__ = "0.1.0"
@@ -49,6 +48,5 @@ __all__ = [
     "PocketAtom",
     "Site",
     "Structure",
-    "structure_kind",
     "__version__",
 ]

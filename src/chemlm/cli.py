@@ -23,14 +23,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import ChemlmError
-from .formats import (
-    EXTENSIONS,
-    FORMAT_FOR_KIND,
-    FileDocument,
-    parse_document,
-    prune_pocket,
-    write_structure,
-)
+from .formats import EXTENSIONS, FileDocument, parse_document, prune_pocket, write_structure
 from .geometry import centroid, kabsch_rmsd, pairwise_distances
 from .manifest import (
     file_sha256,
@@ -43,7 +36,6 @@ from .metrics import MetricsReport, evaluate_sequences, evaluate_structures, pro
 from .model import ModelConfig, load_checkpoint
 from .rounding import round_coords
 from .sampling import SampleConfig, sample_from_checkpoint, truncation_rate
-from .structures import Crystal, Pocket, structure_kind
 from .synth import synth_corpus
 from .tokenize import ATOM_COORD, CHAR, Scheme, TokenSequence, Vocabulary, build_vocab, encode
 from .training import TrainConfig, train
@@ -119,7 +111,7 @@ def _write_structures(directory, named, precision):
     os.makedirs(directory, exist_ok=True)
     for name, s in named:
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-            fh.write(write_structure(s, precision).text)
+            fh.write(write_structure(s, precision))
 
 
 def _scheme_from(args) -> Scheme:
@@ -147,13 +139,13 @@ def _read_structure_files(directory):
     if not known:
         raise CliError(f"no structure files (.xyz/.cif/.pdb) in {directory}")
     ext, names = next(iter(known.items()))
-    fmt = {v: k for k, v in EXTENSIONS.items()}[ext]
+    kind = {v: k for k, v in EXTENSIONS.items()}[ext]
     out = []
     for name in names:
         try:
             with open(os.path.join(directory, name), encoding="utf-8") as fh:
                 text = fh.read()
-            out.append((name, parse_document(FileDocument(fmt, text, name)), ""))
+            out.append((name, parse_document(FileDocument(kind, text, name)), ""))
         except (ChemlmError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
             out.append((name, None, str(exc)))
     return out
@@ -189,6 +181,8 @@ def build_synth_parser():
 def cmd_synth(args, out_dir, phases):
     if args.n < 1:
         raise CliError("--n must be >= 1")
+    if args.residues < 0:
+        raise CliError("--residues must be >= 0")
     kwargs = {}
     if args.kind == "pocket" and args.residues > 0:
         kwargs["n_residues"] = args.residues
@@ -196,7 +190,7 @@ def cmd_synth(args, out_dir, phases):
         corpus = synth_corpus(args.kind, args.n, args.seed, **kwargs)
 
     with _phase(phases, "write"):
-        ext = EXTENSIONS[FORMAT_FOR_KIND[structure_kind(corpus[0])]]
+        ext = EXTENSIONS[corpus[0].kind]
         named = ((f"{i:06d}{ext}", s) for i, s in enumerate(corpus))
         _write_structures(os.path.join(out_dir, "structures"), named, args.precision)
     return {
@@ -235,7 +229,7 @@ def cmd_prepare(args, out_dir, phases):
         prune_stats = []
         prepared = []
         for name, s in parsed:
-            if isinstance(s, Pocket) and args.prune:
+            if s.kind == "pocket" and args.prune:
                 center = tuple(centroid(s.coords()))
                 result = prune_pocket(s, center, (args.prune_lo, args.prune_hi))
                 prune_stats.append(
@@ -265,7 +259,7 @@ def cmd_prepare(args, out_dir, phases):
     stats = {
         "n_structures": len(prepared),
         "n_failures": len(failures),
-        "structure_kind": structure_kind(structures[0]),
+        "structure_kind": structures[0].kind,
         "scheme": scheme.kind,
         "precision": scheme.precision,
         "vocab_size": len(vocab.tokens),
@@ -450,6 +444,8 @@ def build_evaluate_parser():
 
 
 def cmd_evaluate(args, out_dir, phases):
+    if args.overlap_threshold <= 0:
+        raise CliError(f"overlap threshold must be positive, got {args.overlap_threshold}")
     with _phase(phases, "load"):
         train_structures, vocab = _load_bundle(args.train)
 
@@ -490,11 +486,11 @@ def cmd_evaluate(args, out_dir, phases):
 
         # decoded structures, for the report command's distribution CSVs
         kind = result.report.structure_kind
-        ext = EXTENSIONS[FORMAT_FOR_KIND[kind]]
+        ext = EXTENSIONS[kind]
         named = (
             (f"{i:06d}{ext}", s)
             for i, s in enumerate(result.structures)
-            if s is not None and structure_kind(s) == kind
+            if s is not None and s.kind == kind
         )
         _write_structures(os.path.join(out_dir, "structures"), named, vocab.scheme.precision)
 
@@ -568,7 +564,7 @@ def _histogram_csv(path, values, bins=20):
 
 
 def _positions_of(structure):
-    if isinstance(structure, Crystal):
+    if structure.kind == "crystal":
         return None  # fractional coordinates, no direct Cartesian histogram
     return structure.coords()
 
@@ -605,7 +601,7 @@ def cmd_report(args, out_dir, phases):
             triples = _read_structure_files(args.structures)
             structures = [s for _, s, _ in triples if s is not None]
             if structures:
-                kind = structure_kind(structures[0])
+                kind = structures[0].kind
                 for name, fn in property_functions(kind).items():
                     _histogram_csv(
                         os.path.join(out_dir, f"hist_{name}.csv"),

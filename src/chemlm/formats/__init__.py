@@ -2,46 +2,35 @@
 
 from __future__ import annotations
 
-from ..structures import Crystal, Molecule, Pocket, Structure
+from ..structures import Structure
 from .cif import parse_cif, write_cif
-from .document import CIF, FORMATS, PDB, XYZ, FileDocument
+from .document import FileDocument
 from .pdb import parse_pdb, write_pdb
 from .prune import PruneResult, prune_pocket
 from .xyz import parse_xyz, write_xyz
 
-#: File extension per format, used by directory readers and writers.
-EXTENSIONS = {XYZ: ".xyz", CIF: ".cif", PDB: ".pdb"}
+#: File extension per structure kind, used by directory readers and writers.
+EXTENSIONS = {"molecule": ".xyz", "crystal": ".cif", "pocket": ".pdb"}
 
-FORMAT_FOR_KIND = {"molecule": XYZ, "crystal": CIF, "pocket": PDB}
+_PARSERS = {"molecule": parse_xyz, "crystal": parse_cif, "pocket": parse_pdb}
 
-_PARSERS = {XYZ: parse_xyz, CIF: parse_cif, PDB: parse_pdb}
+_WRITERS = {"molecule": write_xyz, "crystal": write_cif, "pocket": write_pdb}
 
 
 def parse_document(doc: FileDocument) -> Structure:
-    """Dispatch to the parser matching doc.format."""
-    return _PARSERS[doc.format](doc)
+    """Parse doc.text with the parser of doc.kind."""
+    return _PARSERS[doc.kind](doc.text)
 
 
-def write_structure(structure: Structure, precision: int) -> FileDocument:
+def write_structure(structure: Structure, precision: int) -> str:
     """Serialize a structure in its native format at fixed precision."""
-    if isinstance(structure, Molecule):
-        return write_xyz(structure, precision)
-    if isinstance(structure, Crystal):
-        return write_cif(structure, precision)
-    if isinstance(structure, Pocket):
-        return write_pdb(structure, precision)
-    raise TypeError(f"not a structure: {type(structure).__name__}")
+    return _WRITERS[structure.kind](structure, precision)
 
 
 __all__ = [
-    "CIF",
     "EXTENSIONS",
-    "FORMATS",
-    "FORMAT_FOR_KIND",
     "FileDocument",
-    "PDB",
     "PruneResult",
-    "XYZ",
     "parse_cif",
     "parse_document",
     "parse_pdb",

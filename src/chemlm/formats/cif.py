@@ -26,7 +26,7 @@ from ..elements import is_element
 from ..errors import ParseError
 from ..rounding import fmt_fixed, round_coords
 from ..structures import Crystal, Lattice, Site
-from .document import CIF, FileDocument, parse_number, require_format
+from .document import parse_number
 
 CELL_KEYS = (
     "_cell_length_a",
@@ -45,9 +45,8 @@ SITE_TAGS = (
 )
 
 
-def parse_cif(doc: FileDocument) -> Crystal:
-    require_format(doc, CIF)
-    lines = doc.text.splitlines()
+def parse_cif(text: str) -> Crystal:
+    lines = text.splitlines()
     if len(lines) < len(CELL_KEYS) + 1 + len(SITE_TAGS) + 1:
         raise ParseError("file too short for the cell block and one site", max(1, len(lines)))
 
@@ -91,7 +90,7 @@ def parse_cif(doc: FileDocument) -> Crystal:
     return Crystal(lattice, tuple(sites))
 
 
-def write_cif(crystal: Crystal, precision: int) -> FileDocument:
+def write_cif(crystal: Crystal, precision: int) -> str:
     c = round_coords(crystal, precision)
     out = []
     for key, value in zip(CELL_KEYS, c.lattice.params()):
@@ -103,4 +102,4 @@ def write_cif(crystal: Crystal, precision: int) -> FileDocument:
             f"{s.symbol} {fmt_fixed(s.fx, precision)}"
             f" {fmt_fixed(s.fy, precision)} {fmt_fixed(s.fz, precision)}"
         )
-    return FileDocument(CIF, "\n".join(out) + "\n")
+    return "\n".join(out) + "\n"

@@ -1,4 +1,4 @@
-"""Text-file wrapper shared by all format readers and writers."""
+"""One structure file's text and kind, and the field readers all formats share."""
 
 from __future__ import annotations
 
@@ -7,25 +7,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ParseError
-
-XYZ = "XYZ"
-CIF = "CIF"
-PDB = "PDB"
-
-FORMATS = (XYZ, CIF, PDB)
+from ..structures import KINDS
 
 
 @dataclass(frozen=True)
 class FileDocument:
-    """Raw contents of one structure file plus its declared format."""
+    """Raw contents of one structure file plus the kind it holds."""
 
-    format: str
+    kind: str
     text: str
     source_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format {self.format!r}")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown structure kind {self.kind!r}")
 
 
 # Plain decimal literals only: no exponents, no leading +, no bare dot.
@@ -42,8 +37,3 @@ def parse_count(field: str, line_no: int, what: str = "count") -> int:
     if not field.isdigit():
         raise ParseError(f"unparseable {what} {field!r}", line_no)
     return int(field)
-
-
-def require_format(doc: FileDocument, expected: str) -> None:
-    if doc.format != expected:
-        raise ValueError(f"expected a {expected} document, got {doc.format}")

@@ -17,12 +17,11 @@ from ..elements import is_element
 from ..errors import ParseError
 from ..rounding import fmt_fixed, round_coords
 from ..structures import CANONICAL_RESIDUES, Pocket, PocketAtom
-from .document import PDB, FileDocument, parse_count, parse_number, require_format
+from .document import parse_count, parse_number
 
 
-def parse_pdb(doc: FileDocument) -> Pocket:
-    require_format(doc, PDB)
-    lines = doc.text.splitlines()
+def parse_pdb(text: str) -> Pocket:
+    lines = text.splitlines()
     if not lines or lines[-1].strip() != "END":
         raise ParseError("missing END terminator", max(1, len(lines)))
 
@@ -72,7 +71,7 @@ def parse_pdb(doc: FileDocument) -> Pocket:
     return Pocket(tuple(atoms))
 
 
-def write_pdb(pocket: Pocket, precision: int) -> FileDocument:
+def write_pdb(pocket: Pocket, precision: int) -> str:
     p = round_coords(pocket, precision)
     out = []
     for serial, a in enumerate(p.atoms, start=1):
@@ -82,4 +81,4 @@ def write_pdb(pocket: Pocket, precision: int) -> FileDocument:
             f" {fmt_fixed(a.z, precision)}"
         )
     out.append("END")
-    return FileDocument(PDB, "\n".join(out) + "\n")
+    return "\n".join(out) + "\n"

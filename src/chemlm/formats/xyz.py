@@ -17,12 +17,11 @@ from ..elements import is_element
 from ..errors import ParseError
 from ..rounding import fmt_fixed, round_coords
 from ..structures import Atom, Molecule
-from .document import XYZ, FileDocument, parse_count, parse_number, require_format
+from .document import parse_count, parse_number
 
 
-def parse_xyz(doc: FileDocument) -> Molecule:
-    require_format(doc, XYZ)
-    lines = doc.text.splitlines()
+def parse_xyz(text: str) -> Molecule:
+    lines = text.splitlines()
     if len(lines) < 2:
         raise ParseError("file needs a count line and a comment line", max(1, len(lines)))
     n = parse_count(lines[0].strip(), 1, "atom count")
@@ -49,7 +48,7 @@ def parse_xyz(doc: FileDocument) -> Molecule:
     return Molecule(tuple(atoms))
 
 
-def write_xyz(molecule: Molecule, precision: int) -> FileDocument:
+def write_xyz(molecule: Molecule, precision: int) -> str:
     m = round_coords(molecule, precision)
     out = [str(len(m.atoms)), ""]
     for a in m.atoms:
@@ -57,4 +56,4 @@ def write_xyz(molecule: Molecule, precision: int) -> FileDocument:
             f"{a.symbol} {fmt_fixed(a.x, precision)}"
             f" {fmt_fixed(a.y, precision)} {fmt_fixed(a.z, precision)}"
         )
-    return FileDocument(XYZ, "\n".join(out) + "\n")
+    return "\n".join(out) + "\n"

@@ -28,7 +28,7 @@ VALENCES: dict[str, frozenset[int]] = {
 
 def perceive_bonds(molecule: Molecule):
     """Return (bond index pairs, clash index pairs) from the distance matrix."""
-    d = pairwise_distances(molecule.positions())
+    d = pairwise_distances(molecule.coords())
     radii = np.array([get_element(s).covalent_radius for s in molecule.symbols()])
     upper = radii[:, None] + radii[None, :] + BOND_SLACK
     n = len(molecule)

@@ -43,7 +43,7 @@ def crystal_structural_validity(crystal: Crystal, threshold: float = MIN_ATOM_DI
         return Verdict.fail(
             f"self-image distance {self_image:.3f} A not larger than {threshold} A"
         )
-    coords = crystal.frac_coords()
+    coords = crystal.coords()
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
             d = min_image_distance(crystal.lattice, coords[i], coords[j])

@@ -59,14 +59,11 @@ def pocket_key(pocket: Pocket) -> str:
     return "pkt:" + residue_ordering(pocket)
 
 
+_KEYS = {"molecule": molecule_key, "crystal": crystal_key, "pocket": pocket_key}
+
+
 def canonical_key(structure: Structure) -> str:
-    if isinstance(structure, Molecule):
-        return molecule_key(structure)
-    if isinstance(structure, Crystal):
-        return crystal_key(structure)
-    if isinstance(structure, Pocket):
-        return pocket_key(structure)
-    raise TypeError(f"not a structure: {type(structure).__name__}")
+    return _KEYS[structure.kind](structure)
 
 
 def unique_novel(sample_keys, train_keys) -> tuple[float, float]:

@@ -44,7 +44,7 @@ def pocket_overlap_check(
     """Fail iff atoms of different residues come closer than `threshold`."""
     if threshold <= 0:
         raise ConfigError(f"overlap threshold must be positive, got {threshold}")
-    d = pairwise_distances(pocket.positions())
+    d = pairwise_distances(pocket.coords())
     atoms = pocket.atoms
     for i in range(len(atoms)):
         for j in range(i + 1, len(atoms)):

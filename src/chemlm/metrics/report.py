@@ -16,7 +16,6 @@ import numpy as np
 
 from ..errors import DecodeError
 from ..geometry import crystal_density, molecular_weight
-from ..structures import structure_kind
 from ..tokenize import Vocabulary, decode
 from .bonds import molecule_validity
 from .crystals import (
@@ -98,11 +97,10 @@ def validity(structure, overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD):
     Crystals must pass the structural and the composition check, pockets
     the residue and the overlap check; the reason is the first failure's.
     """
-    kind = structure_kind(structure)
-    if kind == "molecule":
+    if structure.kind == "molecule":
         v = molecule_validity(structure)
         return v.valid, v.reason or "", {}
-    if kind == "crystal":
+    if structure.kind == "crystal":
         struct_v = crystal_structural_validity(structure)
         comp_v = charge_neutrality(crystal_composition(structure))
         flags = {"structural": struct_v.valid, "composition": comp_v.valid}
@@ -164,7 +162,7 @@ def evaluate_structures(
         raise ValueError("empty training set")
     decode_failures = decode_failures or {}
 
-    kind = structure_kind(train_structures[0])
+    kind = train_structures[0].kind
     props = property_functions(kind)
 
     rows = []
@@ -176,7 +174,7 @@ def evaluate_structures(
             reason = decode_failures.get(index, "decode failed")
             rows.append(StructureRow(index, DECODE_FAILED, reason))
             continue
-        if structure_kind(structure) != kind:
+        if structure.kind != kind:
             rows.append(StructureRow(index, INVALID, "wrong structure kind"))
             continue
         n_decoded += 1

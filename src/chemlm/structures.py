@@ -4,16 +4,18 @@ All three are point clouds of atoms. Molecules and pockets carry Cartesian
 coordinates in Angstrom; crystals carry fractional coordinates inside a
 periodic lattice. Instances are immutable and validated on construction.
 
-Every type exposes the same per-atom layout: `labels()` (the atom token:
-element symbol, or residue-atom indicator for pockets), `coords()` (the
-stored triples) and `with_coords(triples)` (a copy with new coordinates).
+Every type names its kind in the class attribute `kind` ("molecule",
+"crystal" or "pocket"; `KINDS` lists them) and exposes the same per-atom
+layout: `labels()` (the atom token: element symbol, or residue-atom
+indicator for pockets), `coords()` (the stored triples) and
+`with_coords(triples)` (a copy with new coordinates).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 from .elements import data_rows, get_element
 from .errors import InvalidLatticeError
@@ -56,6 +58,7 @@ class Atom:
 
 @dataclass(frozen=True)
 class Molecule:
+    kind: ClassVar[str] = "molecule"
     atoms: tuple[Atom, ...]
 
     def __post_init__(self):
@@ -72,10 +75,8 @@ class Molecule:
 
     labels = symbols
 
-    def positions(self) -> list[tuple[float, float, float]]:
+    def coords(self) -> list[tuple[float, float, float]]:
         return [(a.x, a.y, a.z) for a in self.atoms]
-
-    coords = positions
 
     def with_coords(self, triples) -> "Molecule":
         return Molecule(
@@ -150,6 +151,7 @@ class Site:
 
 @dataclass(frozen=True)
 class Crystal:
+    kind: ClassVar[str] = "crystal"
     lattice: Lattice
     sites: tuple[Site, ...]
 
@@ -167,10 +169,9 @@ class Crystal:
 
     labels = symbols
 
-    def frac_coords(self) -> list[tuple[float, float, float]]:
+    def coords(self) -> list[tuple[float, float, float]]:
+        """Fractional coordinates, one triple per site."""
         return [(s.fx, s.fy, s.fz) for s in self.sites]
-
-    coords = frac_coords
 
     def with_coords(self, triples) -> "Crystal":
         """Same lattice, new fractional coordinates (wrapped into [0, 1))."""
@@ -209,6 +210,7 @@ class PocketAtom:
 
 @dataclass(frozen=True)
 class Pocket:
+    kind: ClassVar[str] = "pocket"
     atoms: tuple[PocketAtom, ...]
 
     def __post_init__(self):
@@ -269,10 +271,8 @@ class Pocket:
     def labels(self) -> list[str]:
         return [a.indicator for a in self.atoms]
 
-    def positions(self) -> list[tuple[float, float, float]]:
+    def coords(self) -> list[tuple[float, float, float]]:
         return [(a.x, a.y, a.z) for a in self.atoms]
-
-    coords = positions
 
     def with_coords(self, triples) -> "Pocket":
         """Same residues and numbering, new Cartesian coordinates."""
@@ -286,13 +286,4 @@ class Pocket:
 
 Structure = Union[Molecule, Crystal, Pocket]
 
-
-def structure_kind(s: Structure) -> str:
-    """Return "molecule", "crystal", or "pocket"."""
-    if isinstance(s, Molecule):
-        return "molecule"
-    if isinstance(s, Crystal):
-        return "crystal"
-    if isinstance(s, Pocket):
-        return "pocket"
-    raise TypeError(f"not a structure: {type(s).__name__}")
+KINDS: tuple[str, ...] = (Molecule.kind, Crystal.kind, Pocket.kind)

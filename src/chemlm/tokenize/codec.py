@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from ..elements import MULTI_LETTER_SYMBOLS, is_element
 from ..errors import ConfigError, DecodeError, ParseError
-from ..formats import FORMAT_FOR_KIND, FileDocument, parse_document, write_structure
+from ..formats import FileDocument, parse_document, write_structure
 from ..rounding import fmt_fixed, round_coords
 from ..structures import (
     CANONICAL_RESIDUES,
@@ -34,7 +34,6 @@ from ..structures import (
     PocketAtom,
     Site,
     Structure,
-    structure_kind,
 )
 from .scheme import ATOM_COORD, CHAR, Scheme
 from .vocab import Vocabulary, make_vocabulary
@@ -83,8 +82,7 @@ def segment_chars(text: str) -> list[str]:
 
 def char_tokens(structure: Structure, precision: int) -> list[str]:
     """CHAR-scheme token strings: the file text with "#" for newline."""
-    doc = write_structure(structure, precision)
-    return segment_chars(doc.text.replace("\n", "#"))
+    return segment_chars(write_structure(structure, precision).replace("\n", "#"))
 
 
 def atom_coord_tokens(structure: Structure, scheme: Scheme) -> list[str]:
@@ -112,7 +110,7 @@ def _dense_coordinate_tokens(corpus, precision: int) -> set[str]:
     step = 10 ** -precision
     count = round((hi - lo) / step) + 1
     if count > 50_000:
-        raise ValueError(
+        raise ConfigError(
             f"dense coordinate range would need {count} tokens; narrow the corpus"
         )
     return {fmt_fixed(lo + k * step, precision) for k in range(count)}
@@ -133,10 +131,9 @@ def build_vocab(
     corpus = list(corpus)
     if not corpus:
         raise ValueError("empty corpus")
-    kind = structure_kind(corpus[0])
-    for s in corpus[1:]:
-        if structure_kind(s) != kind:
-            raise ValueError("corpus mixes structure kinds")
+    kind = corpus[0].kind
+    if any(s.kind != kind for s in corpus):
+        raise ValueError("corpus mixes structure kinds")
     rounded = [round_coords(s, scheme.precision) for s in corpus]
     tokens: set[str] = set()
     for s in rounded:
@@ -150,10 +147,9 @@ def build_vocab(
 
 def encode(structure: Structure, vocab: Vocabulary) -> TokenSequence:
     """Structure to ids: BOS + content + EOS. Rounds to the vocab precision."""
-    kind = structure_kind(structure)
-    if kind != vocab.structure_kind:
+    if structure.kind != vocab.structure_kind:
         raise ValueError(
-            f"vocabulary is for {vocab.structure_kind} structures, got {kind}"
+            f"vocabulary is for {vocab.structure_kind} structures, got {structure.kind}"
         )
     tokens = content_tokens(structure, vocab.scheme)
     ids = [vocab.bos_id]
@@ -197,9 +193,8 @@ def decode(seq: TokenSequence, vocab: Vocabulary) -> Structure:
 
 def _decode_char(tokens: list[str], vocab: Vocabulary) -> Structure:
     text = "".join(tokens).replace("#", "\n")
-    fmt = FORMAT_FOR_KIND[vocab.structure_kind]
     try:
-        return parse_document(FileDocument(fmt, text))
+        return parse_document(FileDocument(vocab.structure_kind, text))
     except ParseError as exc:
         position = _token_position_of_line(tokens, exc.line)
         raise DecodeError("malformed_char_stream", position, str(exc)) from exc

@@ -13,14 +13,13 @@ import hashlib
 from dataclasses import dataclass, field
 
 from ..errors import ArtifactError, EncodeError
+from ..structures import KINDS
 from .scheme import Scheme
 
 BOS_TOKEN = "<BOS>"
 EOS_TOKEN = "<EOS>"
 PAD_TOKEN = "<PAD>"
 SPECIALS = (BOS_TOKEN, EOS_TOKEN, PAD_TOKEN)
-
-STRUCTURE_KINDS = ("molecule", "crystal", "pocket")
 
 #: Crystal lattice parameters are always whole tokens. The header line
 #: naming this mode is part of the v1 file format, and so of every
@@ -40,7 +39,7 @@ class Vocabulary:
     _ids: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.structure_kind not in STRUCTURE_KINDS:
+        if self.structure_kind not in KINDS:
             raise ValueError(f"unknown structure kind {self.structure_kind!r}")
         if tuple(self.tokens[:3]) != SPECIALS:
             raise ValueError("tokens must begin with <BOS>, <EOS>, <PAD>")

@@ -49,6 +49,8 @@ class TrainConfig:
             raise ConfigError("augment_attempts must be >= 1")
         if self.grad_clip < 0:
             raise ConfigError("grad_clip must be >= 0")
+        if self.checkpoint_interval < 0:
+            raise ConfigError("checkpoint_interval must be >= 0")
 
 
 def lr_schedule(step: int, cfg: TrainConfig) -> float:

@@ -21,7 +21,7 @@ from scipy.optimize import linprog
 from chemlm.augment import random_rotation, rotate_about_center
 from chemlm.cli import main as cli_main
 from chemlm.errors import InvalidLatticeError
-from chemlm.formats import parse_document, write_structure
+from chemlm.formats import FileDocument, parse_document, write_structure
 from chemlm.geometry import (
     cell_volume,
     centroid,
@@ -99,7 +99,7 @@ def test_criterion_01_round_trip():
                         )
                         break
             for s in group:
-                if parse_document(write_structure(s, precision)) != s:
+                if parse_document(FileDocument(s.kind, write_structure(s, precision))) != s:
                     problems.append(
                         f"{kind}/p{precision}: write/parse changed a structure"
                     )

@@ -64,8 +64,8 @@ class TestRotateAboutCenter:
                 continue
             out = rotate_about_center(m, random_rotation(rng))
             np.testing.assert_allclose(
-                sorted_distance_multiset(out.positions()),
-                sorted_distance_multiset(m.positions()),
+                sorted_distance_multiset(out.coords()),
+                sorted_distance_multiset(m.coords()),
                 atol=1e-9,
             )
 
@@ -74,7 +74,7 @@ class TestRotateAboutCenter:
             m = random_molecule(rng)
             out = rotate_about_center(m, random_rotation(rng))
             np.testing.assert_allclose(
-                centroid(out.positions()), centroid(m.positions()), atol=1e-9
+                centroid(out.coords()), centroid(m.coords()), atol=1e-9
             )
 
     def test_composition_of_rotations(self, rng):
@@ -83,7 +83,7 @@ class TestRotateAboutCenter:
         once = rotate_about_center(rotate_about_center(m, r1), r2)
         both = rotate_about_center(m, r2 @ r1)
         np.testing.assert_allclose(
-            np.array(once.positions()), np.array(both.positions()), atol=1e-9
+            np.array(once.coords()), np.array(both.coords()), atol=1e-9
         )
 
     def test_elements_preserved(self, rng):
@@ -131,8 +131,8 @@ class TestShiftOrigin:
         out = shift_origin(c, tuple(rng.random(3)))
         for i in range(len(c)):
             for j in range(i + 1, len(c)):
-                before = min_image_distance(c.lattice, c.frac_coords()[i], c.frac_coords()[j])
-                after = min_image_distance(out.lattice, out.frac_coords()[i], out.frac_coords()[j])
+                before = min_image_distance(c.lattice, c.coords()[i], c.coords()[j])
+                after = min_image_distance(out.lattice, out.coords()[i], out.coords()[j])
                 assert after == pytest.approx(before, abs=1e-9)
 
 

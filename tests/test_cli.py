@@ -86,12 +86,13 @@ def pipeline(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def pockets(tmp_path_factory):
-    """A two-pocket corpus and its unpruned bundle: (structures dir, bundle dir)."""
+    """A two-pocket corpus and its unpruned bundle: (structures dir, bundle dir).
+
+    The pockets have 6-10 residues each and coordinates spanning about 61 A."""
     root = str(tmp_path_factory.mktemp("pockets"))
     synth, bundle = os.path.join(root, "synth"), os.path.join(root, "prepare")
     assert run_cli([
-        "synth", "--kind", "pocket", "--n", "2", "--residues", "3", "--seed", "1",
-        "--out", synth,
+        "synth", "--kind", "pocket", "--n", "2", "--seed", "1", "--out", synth,
     ]) == EXIT_OK
     structures = os.path.join(synth, "structures")
     assert run_cli([
@@ -280,6 +281,7 @@ class TestExitCodes:
         (["--heads", "0"], "n_heads 0"),
         (["--max-seq-len", "3"], "exceeds model context"),
         (["--d-ff", "-3"], "d_ff"),
+        (["--checkpoint-interval", "-1"], "checkpoint_interval"),
     ])
     def test_bad_model_config_is_user_error(self, pipeline, tmp_path, capsys, flags, message):
         out = os.path.join(tmp_path, "out")
@@ -343,12 +345,18 @@ class TestExitCodes:
           "--prune-lo", "50", "--prune-hi", "10"], "bad target range [50, 10]"),
         (["prepare", "--input", "{molecules}", "--scheme", "char", "--precision", "2",
           "--dense-coords", "on"], "only applies to the atom_coord scheme"),
+        (["prepare", "--input", "{pockets}", "--scheme", "atom_coord", "--precision", "3",
+          "--dense-coords", "on", "--prune", "off"], "dense coordinate range would need"),
         (["evaluate", "--samples", "{pockets}", "--train", "{pocket_bundle}",
           "--overlap-threshold", "0"], "overlap threshold must be positive"),
+        (["evaluate", "--samples", "{molecules}", "--train", "{bundle}",
+          "--overlap-threshold", "-5"], "overlap threshold must be positive"),
         (["evaluate", "--samples", "{bad_id}", "--train", "{bundle}"], "bad samples row 2"),
         (["evaluate", "--samples", "{short_row}", "--train", "{bundle}"], "bad samples row 2"),
-    ], ids=["prune-lo-0", "prune-lo-above-hi", "char-dense-coords", "overlap-threshold-0",
-            "samples-bad-id", "samples-short-row"])
+        (["synth", "--kind", "pocket", "--n", "1", "--residues", "-4"], "--residues must be >= 0"),
+    ], ids=["prune-lo-0", "prune-lo-above-hi", "char-dense-coords", "dense-coords-too-wide",
+            "overlap-threshold-0", "overlap-threshold-negative-molecule",
+            "samples-bad-id", "samples-short-row", "synth-residues-negative"])
     def test_bad_setting_or_row_is_user_error(
         self, pipeline, pockets, tmp_path, capsys, argv, message
     ):

@@ -1,14 +1,8 @@
 import pytest
 
 from chemlm.errors import ParseError
-from chemlm.formats import (
-    EXTENSIONS,
-    FORMAT_FOR_KIND,
-    parse_document,
-    write_structure,
-)
+from chemlm.formats import EXTENSIONS, FileDocument, parse_document, write_structure
 from chemlm.formats.cif import parse_cif, write_cif
-from chemlm.formats.document import CIF, PDB, XYZ, FileDocument
 from chemlm.formats.pdb import parse_pdb, write_pdb
 from chemlm.formats.xyz import parse_xyz, write_xyz
 from chemlm.rounding import round_coords
@@ -51,7 +45,7 @@ def line_of(err: ParseError) -> int:
 
 class TestXyz:
     def test_parse(self):
-        m = parse_xyz(FileDocument(XYZ, WATER_XYZ))
+        m = parse_xyz(WATER_XYZ)
         assert m.symbols() == ["O", "H", "H"]
         assert m.atoms[1].x == pytest.approx(0.96)
 
@@ -68,43 +62,43 @@ class TestXyz:
     def test_count_mismatch(self):
         bad = "2\n\nO 0 0 0\n"
         with pytest.raises(ParseError) as ei:
-            parse_xyz(FileDocument(XYZ, bad))
+            parse_xyz(bad)
         assert "count" in str(ei.value)
 
     def test_garbage_count_line(self):
         with pytest.raises(ParseError) as ei:
-            parse_xyz(FileDocument(XYZ, "three\n\nO 0 0 0\n"))
+            parse_xyz("three\n\nO 0 0 0\n")
         assert line_of(ei.value) == 1
 
     def test_zero_atoms(self):
         with pytest.raises(ParseError):
-            parse_xyz(FileDocument(XYZ, "0\n\n"))
+            parse_xyz("0\n\n")
 
     def test_wrong_field_count_reports_line(self):
         bad = "2\n\nO 0 0 0\nH 1 2\n"
         with pytest.raises(ParseError) as ei:
-            parse_xyz(FileDocument(XYZ, bad))
+            parse_xyz(bad)
         assert line_of(ei.value) == 4
 
     def test_unknown_element_reports_line(self):
         bad = "1\n\nQq 0 0 0\n"
         with pytest.raises(ParseError) as ei:
-            parse_xyz(FileDocument(XYZ, bad))
+            parse_xyz(bad)
         assert line_of(ei.value) == 3
 
     def test_bad_coordinate(self):
         bad = "1\n\nO zero 0 0\n"
         with pytest.raises(ParseError):
-            parse_xyz(FileDocument(XYZ, bad))
+            parse_xyz(bad)
 
     def test_writer_emits_fixed_decimals(self):
         m = Molecule([Atom("C", 1.0, -0.0004, 2.3456)])
-        assert write_xyz(m, 3).text == "1\n\nC 1.000 0.000 2.346\n"
+        assert write_xyz(m, 3) == "1\n\nC 1.000 0.000 2.346\n"
 
 
 class TestCif:
     def test_parse(self):
-        c = parse_cif(FileDocument(CIF, SMALL_CIF))
+        c = parse_cif(SMALL_CIF)
         assert c.lattice.a == pytest.approx(4.0)
         assert c.symbols() == ["Ca", "Ti"]
 
@@ -121,30 +115,30 @@ class TestCif:
             "_cell_length_b 4.00\n_cell_length_a 4.00",
         )
         with pytest.raises(ParseError) as ei:
-            parse_cif(FileDocument(CIF, swapped))
+            parse_cif(swapped)
         assert line_of(ei.value) == 1
 
     def test_missing_loop_keyword(self):
         bad = SMALL_CIF.replace("loop_\n", "")
         with pytest.raises(ParseError):
-            parse_cif(FileDocument(CIF, bad))
+            parse_cif(bad)
 
     def test_extra_column_rejected(self):
         bad = SMALL_CIF.replace("Ca 0.00 0.00 0.00", "Ca 0.00 0.00 0.00 1.0")
         with pytest.raises(ParseError) as ei:
-            parse_cif(FileDocument(CIF, bad))
+            parse_cif(bad)
         assert line_of(ei.value) == 12
 
     def test_no_sites(self):
         bad = "".join(SMALL_CIF.splitlines(keepends=True)[:11])
         with pytest.raises(ParseError):
-            parse_cif(FileDocument(CIF, bad))
+            parse_cif(bad)
 
     def test_unrealizable_lattice_is_a_parse_error(self):
         bad = SMALL_CIF.replace("_cell_angle_gamma 90.00", "_cell_angle_gamma 179.00")
         bad = bad.replace("_cell_angle_alpha 90.00", "_cell_angle_alpha 5.00")
         with pytest.raises(ParseError) as ei:
-            parse_cif(FileDocument(CIF, bad))
+            parse_cif(bad)
         assert line_of(ei.value) == 6
 
     def test_writer_wraps_fractions(self):
@@ -153,12 +147,12 @@ class TestCif:
             sites=[Site("Na", 0.996, 0.5, 0.5)],
         )
         # 0.996 rounds to 1.00 at two decimals, which wraps to 0.00
-        assert "Na 0.00 0.50 0.50" in write_cif(c, 2).text
+        assert "Na 0.00 0.50 0.50" in write_cif(c, 2)
 
 
 class TestPdb:
     def test_parse(self):
-        p = parse_pdb(FileDocument(PDB, SMALL_PDB))
+        p = parse_pdb(SMALL_PDB)
         assert p.n_residues() == 2
         assert [a.element for a in p.atoms] == ["N", "C", "O"]
 
@@ -172,26 +166,26 @@ class TestPdb:
     def test_end_required(self):
         bad = SMALL_PDB.replace("END\n", "")
         with pytest.raises(ParseError) as ei:
-            parse_pdb(FileDocument(PDB, bad))
+            parse_pdb(bad)
         assert "END" in str(ei.value)
 
     def test_hydrogen_rejected(self):
         bad = SMALL_PDB.replace("ATOM 2 C GLY 1", "ATOM 2 H GLY 1")
         with pytest.raises(ParseError) as ei:
-            parse_pdb(FileDocument(PDB, bad))
+            parse_pdb(bad)
         assert "hydrogen" in str(ei.value).lower()
         assert line_of(ei.value) == 2
 
     def test_serial_out_of_order(self):
         bad = SMALL_PDB.replace("ATOM 3 O SER 2", "ATOM 5 O SER 2")
         with pytest.raises(ParseError) as ei:
-            parse_pdb(FileDocument(PDB, bad))
+            parse_pdb(bad)
         assert line_of(ei.value) == 3
 
     def test_non_canonical_residue(self):
         bad = SMALL_PDB.replace("SER", "LIG")
         with pytest.raises(ParseError) as ei:
-            parse_pdb(FileDocument(PDB, bad))
+            parse_pdb(bad)
         assert "LIG" in str(ei.value)
 
     def test_interleaved_residues(self):
@@ -202,37 +196,33 @@ class TestPdb:
             "END\n"
         )
         with pytest.raises(ParseError) as ei:
-            parse_pdb(FileDocument(PDB, bad))
+            parse_pdb(bad)
         assert line_of(ei.value) == 3
 
     def test_wrong_record_type(self):
         bad = SMALL_PDB.replace("ATOM 1", "HETATM 1")
         with pytest.raises(ParseError):
-            parse_pdb(FileDocument(PDB, bad))
+            parse_pdb(bad)
 
     def test_empty_body(self):
         with pytest.raises(ParseError):
-            parse_pdb(FileDocument(PDB, "END\n"))
+            parse_pdb("END\n")
 
     def test_residues_renumbered_on_read(self):
         shifted = SMALL_PDB.replace("GLY 1", "GLY 4").replace("SER 2", "SER 9")
-        p = parse_pdb(FileDocument(PDB, shifted))
+        p = parse_pdb(shifted)
         assert [a.residue_index for a in p.atoms] == [1, 1, 2]
 
 
 class TestDispatch:
     def test_kind_tables(self):
-        assert FORMAT_FOR_KIND == {"molecule": XYZ, "crystal": CIF, "pocket": PDB}
-        assert EXTENSIONS[XYZ] == ".xyz"
-        assert EXTENSIONS[CIF] == ".cif"
-        assert EXTENSIONS[PDB] == ".pdb"
+        assert EXTENSIONS == {"molecule": ".xyz", "crystal": ".cif", "pocket": ".pdb"}
+        for not_a_kind in ("XYZ", "ligand"):
+            with pytest.raises(ValueError, match="unknown structure kind"):
+                FileDocument(not_a_kind, WATER_XYZ)
 
     def test_write_then_parse_any_kind(self, rng):
         for kind in ("molecule", "crystal", "pocket"):
             s = random_structure(rng, kind)
-            doc = write_structure(s, 2)
+            doc = FileDocument(kind, write_structure(s, 2))
             assert parse_document(doc) == round_coords(s, 2)
-
-    def test_wrong_format_tag_rejected(self):
-        with pytest.raises(ValueError):
-            parse_xyz(FileDocument(CIF, WATER_XYZ))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from chemlm.errors import DecodeError
 from chemlm.rounding import fmt_fixed, round_coords
-from chemlm.structures import CANONICAL_RESIDUES, Pocket, PocketAtom, structure_kind
+from chemlm.structures import CANONICAL_RESIDUES, Pocket, PocketAtom
 from chemlm.synth import synth_molecule, synth_perovskite, synth_pocket
 from chemlm.tokenize import ATOM_COORD, CHAR, Scheme, TokenSequence, build_vocab, decode, encode
 
@@ -61,7 +61,7 @@ def assert_decodes_or_raises_decode_error(ids, vocab):
         out = decode(TokenSequence(tuple(ids)), vocab)
     except DecodeError:
         return
-    assert structure_kind(out) == vocab.structure_kind
+    assert out.kind == vocab.structure_kind
 
 
 @SETTINGS

@@ -5,6 +5,7 @@ import pytest
 from chemlm.elements import get_element
 from chemlm.errors import InvalidLatticeError, UnknownElementError
 from chemlm.structures import (
+    KINDS,
     Atom,
     Crystal,
     Lattice,
@@ -12,7 +13,6 @@ from chemlm.structures import (
     Pocket,
     PocketAtom,
     Site,
-    structure_kind,
     wrap_frac,
 )
 
@@ -37,7 +37,7 @@ class TestAtomAndMolecule:
         m = Molecule([Atom("C", 0, 0, 0), Atom("H", 1.09, 0, 0)])
         assert len(m) == 2
         assert m.symbols() == ["C", "H"]
-        assert m.positions()[1] == (1.09, 0.0, 0.0)
+        assert m.coords()[1] == (1.09, 0.0, 0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -100,7 +100,7 @@ class TestSiteWrapping:
         )
         assert len(xtl) == 2
         assert xtl.symbols() == ["Ca", "O"]
-        assert xtl.frac_coords()[1] == (0.5, 0.5, 0.5)
+        assert xtl.coords()[1] == (0.5, 0.5, 0.5)
 
     def test_empty_crystal_rejected(self):
         with pytest.raises(ValueError):
@@ -163,15 +163,9 @@ class TestStructureKind:
     def test_all_kinds(self, rng):
         from conftest import random_structure
 
-        for kind in ("molecule", "crystal", "pocket"):
-            assert structure_kind(random_structure(rng, kind)) == kind
-
-    def test_non_structure(self):
-        with pytest.raises(TypeError):
-            structure_kind("water")
-
-
-KINDS = ("molecule", "crystal", "pocket")
+        assert KINDS == ("molecule", "crystal", "pocket")
+        for kind in KINDS:
+            assert random_structure(rng, kind).kind == kind
 
 
 class TestCoordinateLayout:
@@ -214,5 +208,5 @@ class TestCoordinateLayout:
 
     def test_crystal_coords_are_fractional(self):
         c = Crystal(Lattice(4, 4, 4, 90, 90, 90), [Site("Na", 0.5, 0.25, 0.0)])
-        assert c.coords() == c.frac_coords() == [(0.5, 0.25, 0.0)]
+        assert c.coords() == [(0.5, 0.25, 0.0)]
         assert c.with_coords([(1.25, -0.5, 1.0)]).coords() == [(0.25, 0.5, 0.0)]

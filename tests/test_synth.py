@@ -26,7 +26,7 @@ class TestMolecules:
         from chemlm.geometry import centroid
 
         m = synth_molecule(rng)
-        np.testing.assert_allclose(centroid(m.positions()), 0.0, atol=0.5)
+        np.testing.assert_allclose(centroid(m.coords()), 0.0, atol=0.5)
 
     def test_composition(self, rng):
         m = synth_molecule(rng)
