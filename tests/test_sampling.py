@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import chemlm.sampling as sampling_module
-from chemlm.model import Checkpoint, ModelConfig, init_params
+from chemlm.model import Checkpoint, ModelConfig, forward, init_params
 from chemlm.sampling import (
     SampleConfig,
     sample,
@@ -10,7 +10,8 @@ from chemlm.sampling import (
     truncation_rate,
 )
 from chemlm.structures import Atom, Molecule
-from chemlm.tokenize import Scheme, build_vocab
+from chemlm.synth import synth_corpus
+from chemlm.tokenize import Scheme, TokenSequence, build_vocab
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +112,61 @@ class TestSample:
         wrong = ModelConfig(**{**cfg.to_dict(), "vocab_size": len(vocab.tokens) + 3})
         with pytest.raises(ValueError, match="vocab"):
             sample(params, wrong, vocab, SampleConfig(n_samples=1, max_len=8))
+
+
+def reference_sample(params, model_cfg, vocab, cfg):
+    """The full-prefix sampler: one whole forward over every active row's
+    prefix per new token, with the same chunks, rngs and draws."""
+    out = [None] * cfg.n_samples
+    for start in range(0, cfg.n_samples, sampling_module.CHUNK):
+        indices = range(start, min(start + sampling_module.CHUNK, cfg.n_samples))
+        rngs = {i: np.random.default_rng([cfg.seed, i]) for i in indices}
+        seqs = {i: [vocab.bos_id] for i in indices}
+        active = list(indices)
+        while active:
+            prefix = np.array([seqs[i] for i in active], dtype=np.int64)
+            logits, _ = forward(params, model_cfg, prefix, train_mode=False)
+            still = []
+            for row, i in enumerate(active):
+                seqs[i].append(sampling_module._draw(logits[row, -1], cfg.temperature, rngs[i]))
+                if seqs[i][-1] == vocab.eos_id:
+                    out[i] = TokenSequence(ids=seqs[i], truncated=False)
+                elif len(seqs[i]) >= cfg.max_len:
+                    out[i] = TokenSequence(ids=seqs[i], truncated=True)
+                else:
+                    still.append(i)
+            active = still
+    return out
+
+
+@pytest.fixture(scope="module", params=["molecule", "perovskite", "pocket"])
+def kind_model(request):
+    """A two-layer model for one kind, vocabulary from a few synthesized structures."""
+    vocab = build_vocab(synth_corpus(request.param, 4, seed=0), Scheme("atom_coord", 1))
+    cfg = ModelConfig(
+        n_layers=2, d_model=16, n_heads=2, d_ff=32, max_seq_len=40,
+        vocab_size=len(vocab.tokens), dropout_rate=0.0,
+    )
+    return init_params(cfg, seed=11), cfg, vocab
+
+
+class TestAgainstFullPrefix:
+    # at temperature 1 the EOS logit is raised, so that rows of one chunk
+    # end at different steps and leave the others' cached K/V behind
+    @pytest.mark.parametrize("temperature, eos_bias", [(0.0, 0.0), (1.0, 0.06)])
+    def test_token_for_token_identical(self, kind_model, monkeypatch, temperature, eos_bias):
+        params, cfg, vocab = kind_model
+        params = {**params, "lnf.b": np.random.default_rng(12).normal(0.0, 1.0, cfg.d_model)}
+        params["tok_emb"] = params["tok_emb"].copy()
+        params["tok_emb"][vocab.eos_id] += eos_bias * params["lnf.b"]
+        monkeypatch.setattr(sampling_module, "CHUNK", 3)
+        c = SampleConfig(n_samples=7, max_len=cfg.max_seq_len, temperature=temperature, seed=5)
+        got = sample(params, cfg, vocab, c)
+        want = reference_sample(params, cfg, vocab, c)
+        assert [s.ids for s in got] == [s.ids for s in want]
+        assert [s.truncated for s in got] == [s.truncated for s in want]
+        if temperature:
+            assert len({len(s.ids) for s in want}) > 2
 
 
 class TestFromCheckpoint:
