@@ -22,12 +22,14 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ChemlmError
+from .errors import ArtifactError, ChemlmError
 from .formats import EXTENSIONS, FileDocument, parse_document, prune_pocket, write_structure
 from .geometry import centroid, kabsch_rmsd, pairwise_distances
 from .manifest import (
+    MANIFEST_NAME,
     file_sha256,
     hash_outputs,
+    read_manifest,
     tree_hash,
     write_manifest,
     write_timing,
@@ -183,9 +185,9 @@ def cmd_synth(args, out_dir, phases):
         raise CliError("--n must be >= 1")
     if args.residues < 0:
         raise CliError("--residues must be >= 0")
-    kwargs = {}
-    if args.kind == "pocket" and args.residues > 0:
-        kwargs["n_residues"] = args.residues
+    if args.residues and args.kind != "pocket":
+        raise CliError(f"--residues only applies to --kind pocket, not {args.kind}")
+    kwargs = {"n_residues": args.residues} if args.residues else {}
     with _phase(phases, "generate"):
         corpus = synth_corpus(args.kind, args.n, args.seed, **kwargs)
 
@@ -317,6 +319,8 @@ def cmd_train(args, out_dir, phases):
         corpus, vocab = _load_bundle(args.corpus)
         with open(os.path.join(args.corpus, "corpus.txt"), encoding="utf-8") as fh:
             longest = max(len(line.split()) for line in fh)  # prepare wrote encode(s).ids
+    if args.crystal_shift and corpus[0].kind != "crystal":
+        raise CliError(f"--crystal-shift only applies to crystals, not a {corpus[0].kind} bundle")
 
     max_seq_len = args.max_seq_len or longest
     model_cfg = ModelConfig(
@@ -431,6 +435,24 @@ def read_samples_csv(path):
     return sequences
 
 
+def _check_samples_vocab(samples_path, vocab):
+    """Refuse samples that the `sample` manifest beside them says were
+    drawn with another vocabulary; samples with no such record pass."""
+    directory = os.path.dirname(samples_path)
+    if not os.path.isfile(os.path.join(directory, MANIFEST_NAME)):
+        return
+    try:
+        made_by = read_manifest(directory)
+    except ValueError as exc:
+        raise ArtifactError(f"unreadable manifest beside {samples_path}: {exc}") from exc
+    recorded, own = made_by.get("vocab_hash"), vocab.content_hash()
+    if made_by.get("command") == "sample" and recorded not in (None, own):
+        raise ArtifactError(
+            f"vocabulary hash mismatch: the manifest beside {samples_path} records "
+            f"vocab_hash {recorded}, the --train bundle's vocabulary has {own}"
+        )
+
+
 # ------------------------------------------------------------- evaluate
 
 def build_evaluate_parser():
@@ -463,6 +485,7 @@ def cmd_evaluate(args, out_dir, phases):
             )
         else:
             sequences = read_samples_csv(args.samples)
+            _check_samples_vocab(args.samples, vocab)
             result = evaluate_sequences(
                 sequences,
                 vocab,

@@ -4,7 +4,10 @@ Pre-norm blocks, causal self-attention, GELU feed-forward, learned
 positional embeddings, optional weight tying between the input embedding
 and the output projection. Everything runs in float64; forward keeps a
 cache that backward consumes, and the gradients are exact (they are
-checked against central finite differences in the tests).
+checked against central finite differences in the tests). For
+incremental decoding forward also takes a `kv` dict of each layer's
+keys and values so far: it attends the new positions over them and
+appends theirs.
 """
 
 from __future__ import annotations
@@ -127,13 +130,14 @@ def _softmax(x):
 _MASK_CACHE = {}
 
 
-def _causal_mask(t: int) -> np.ndarray:
-    if t not in _MASK_CACHE:
-        _MASK_CACHE[t] = np.triu(np.full((t, t), NEG_INF), k=1)
-    return _MASK_CACHE[t]
+def _causal_mask(t: int, past: int) -> np.ndarray:
+    """[t, past + t]: query i may see keys up to past + i."""
+    if (t, past) not in _MASK_CACHE:
+        _MASK_CACHE[t, past] = np.triu(np.full((t, past + t), NEG_INF), k=past + 1)
+    return _MASK_CACHE[t, past]
 
 
-def _attention_fwd(x, params, prefix, cfg, rate, train_mode, rng):
+def _attention_fwd(x, params, prefix, cfg, rate, train_mode, rng, kv):
     b, t, d = x.shape
     h, dh = cfg.n_heads, cfg.d_head
     q, cq = _linear_fwd(x, params[prefix + "wq"], params[prefix + "bq"])
@@ -144,8 +148,14 @@ def _attention_fwd(x, params, prefix, cfg, rate, train_mode, rng):
         return y.reshape(b, t, h, dh).transpose(0, 2, 1, 3)
 
     qs, ks, vs = split(q), split(k), split(v)
+    if kv is not None:
+        if prefix in kv:
+            ks = np.concatenate((kv[prefix][0], ks), axis=2)
+            vs = np.concatenate((kv[prefix][1], vs), axis=2)
+        kv[prefix] = (ks, vs)
     scores = qs @ ks.transpose(0, 1, 3, 2) / math.sqrt(dh)
-    scores = scores + _causal_mask(t)
+    if t > 1:
+        scores = scores + _causal_mask(t, ks.shape[2] - t)
     att = _softmax(scores)
     att_d, catt_drop = _dropout_fwd(att, rate, train_mode, rng)
     ctx = att_d @ vs
@@ -187,28 +197,32 @@ def _attention_bwd(dout, cache, grads, prefix):
     return dq + dk + dv
 
 
-def forward(params, cfg: ModelConfig, ids, train_mode: bool = False, rng=None):
+def forward(params, cfg: ModelConfig, ids, train_mode: bool = False, rng=None, *, kv=None):
     """Logits [batch, seq, vocab] plus the cache backward needs.
 
     In train mode dropout draws from `rng`; eval mode is deterministic.
+    `kv` maps each layer's attention prefix ("h0.attn.", ...) to its keys
+    and values [batch, heads, L, d_head] for the L positions before `ids`;
+    forward appends those of `ids`. Backward does not support it.
     """
     ids = np.asarray(ids)
     if ids.ndim == 1:
         ids = ids[None, :]
     b, t = ids.shape
-    if t > cfg.max_seq_len:
-        raise ValueError(f"sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
+    past = kv["h0.attn."][0].shape[2] if kv else 0
+    if past + t > cfg.max_seq_len:
+        raise ValueError(f"sequence length {past + t} exceeds max_seq_len {cfg.max_seq_len}")
     if train_mode and cfg.dropout_rate > 0.0 and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng")
     rate = cfg.dropout_rate
 
-    x = params["tok_emb"][ids] + params["pos_emb"][:t][None, :, :]
+    x = params["tok_emb"][ids] + params["pos_emb"][past:past + t][None, :, :]
     x, demb = _dropout_fwd(x, rate, train_mode, rng)
     blocks = []
     for i in range(cfg.n_layers):
         p = f"h{i}."
         a, cln1 = _layernorm_fwd(x, params[p + "ln1.g"], params[p + "ln1.b"])
-        attn_out, cattn = _attention_fwd(a, params, p + "attn.", cfg, rate, train_mode, rng)
+        attn_out, cattn = _attention_fwd(a, params, p + "attn.", cfg, rate, train_mode, rng, kv)
         x = x + attn_out
         m, cln2 = _layernorm_fwd(x, params[p + "ln2.g"], params[p + "ln2.b"])
         f1, cf1 = _linear_fwd(m, params[p + "mlp.w1"], params[p + "mlp.b1"])

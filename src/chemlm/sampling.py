@@ -4,7 +4,9 @@ Each sequence starts at BOS and draws the next id from
 softmax(logits / temperature) until EOS or the length cap; temperature
 zero means greedy argmax. Every sequence owns an rng seeded by
 [seed, index], so results are independent of how sequences are grouped
-into forward-pass chunks.
+into forward-pass chunks. Each step feeds the model only the newest
+token of every unfinished sequence and reuses the keys and values of
+the earlier positions (forward's `kv` cache).
 """
 
 from __future__ import annotations
@@ -69,13 +71,13 @@ def sample(
         rngs = {i: np.random.default_rng([cfg.seed, i]) for i in indices}
         seqs = {i: [vocab.bos_id] for i in indices}
         active = list(indices)
+        kv = {}
         while active:
-            prefix = np.array([seqs[i] for i in active], dtype=np.int64)
-            logits, _ = forward(params, model_cfg, prefix, train_mode=False)
-            last = logits[:, -1, :]
-            still = []
+            newest = np.array([seqs[i][-1:] for i in active], dtype=np.int64)
+            logits, _ = forward(params, model_cfg, newest, train_mode=False, kv=kv)
+            still, keep = [], []
             for row, i in enumerate(active):
-                nxt = _draw(last[row], cfg.temperature, rngs[i])
+                nxt = _draw(logits[row, -1], cfg.temperature, rngs[i])
                 seqs[i].append(nxt)
                 if nxt == vocab.eos_id:
                     out[i] = TokenSequence(ids=seqs[i], truncated=False)
@@ -83,6 +85,9 @@ def sample(
                     out[i] = TokenSequence(ids=seqs[i], truncated=True)
                 else:
                     still.append(i)
+                    keep.append(row)
+            if len(keep) < len(active):
+                kv = {name: (k[keep], v[keep]) for name, (k, v) in kv.items()}
             active = still
     return out
 

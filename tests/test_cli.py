@@ -354,9 +354,14 @@ class TestExitCodes:
         (["evaluate", "--samples", "{bad_id}", "--train", "{bundle}"], "bad samples row 2"),
         (["evaluate", "--samples", "{short_row}", "--train", "{bundle}"], "bad samples row 2"),
         (["synth", "--kind", "pocket", "--n", "1", "--residues", "-4"], "--residues must be >= 0"),
+        (["synth", "--kind", "molecule", "--n", "1", "--residues", "5"],
+         "--residues only applies to --kind pocket"),
+        (["train", "--corpus", "{bundle}", "--steps", "1", "--crystal-shift", "on"],
+         "--crystal-shift only applies to crystals"),
     ], ids=["prune-lo-0", "prune-lo-above-hi", "char-dense-coords", "dense-coords-too-wide",
             "overlap-threshold-0", "overlap-threshold-negative-molecule",
-            "samples-bad-id", "samples-short-row", "synth-residues-negative"])
+            "samples-bad-id", "samples-short-row", "synth-residues-negative",
+            "synth-residues-molecule", "train-crystal-shift-molecule"])
     def test_bad_setting_or_row_is_user_error(
         self, pipeline, pockets, tmp_path, capsys, argv, message
     ):
@@ -374,6 +379,24 @@ class TestExitCodes:
         assert run_cli([a.format(**paths) for a in argv] + ["--out", out]) == EXIT_USER
         assert "internal error" not in capsys.readouterr().err
         assert message in manifest_of(out)["error"]
+
+    def test_samples_of_another_vocabulary_are_user_error(self, pipeline, tmp_path, capsys):
+        other = os.path.join(tmp_path, "other")
+        assert run_cli([
+            "prepare", "--input", os.path.join(pipeline["synth"], "structures"),
+            "--scheme", "char", "--precision", "2", "--out", other,
+        ]) == EXIT_OK
+        samples = os.path.join(pipeline["sample"], "samples.csv")
+        out = os.path.join(tmp_path, "out")
+        argv = ["evaluate", "--train", other, "--out", out, "--samples"]
+        assert run_cli(argv + [samples]) == EXIT_USER
+        assert "internal error" not in capsys.readouterr().err
+        assert "vocabulary hash mismatch" in manifest_of(out)["error"]
+        # with no sample manifest beside them the samples are taken as given
+        alone = os.path.join(tmp_path, "alone")
+        os.makedirs(alone)
+        shutil.copy(samples, alone)
+        assert run_cli(argv + [os.path.join(alone, "samples.csv")]) == EXIT_OK
 
     @pytest.mark.parametrize("wrong", ["losses.csv", "checkpoint"])
     def test_non_vocabulary_file_is_user_error(self, pipeline, tmp_path, capsys, wrong):

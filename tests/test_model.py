@@ -110,6 +110,27 @@ class TestForward:
         with pytest.raises(ValueError, match="max_seq_len"):
             forward(params, TINY, too_long, train_mode=False)
 
+    def test_kv_cache_continues_a_forward(self, rng):
+        # the positions after k, fed with the keys and values of the first
+        # k, get the logits one forward over the whole sequence gives them
+        params = init_params(TINY, seed=0)
+        ids = rng.integers(0, TINY.vocab_size, size=(3, TINY.max_seq_len))
+        full, _ = forward(params, TINY, ids, train_mode=False)
+        for k in range(1, ids.shape[1]):
+            kv = {}
+            head, _ = forward(params, TINY, ids[:, :k], train_mode=False, kv=kv)
+            tail, _ = forward(params, TINY, ids[:, k:], train_mode=False, kv=kv)
+            np.testing.assert_allclose(np.concatenate((head, tail), axis=1), full, rtol=0, atol=1e-12)
+            assert sorted(kv) == [f"h{i}.attn." for i in range(TINY.n_layers)]
+            assert kv["h0.attn."][0].shape == (3, TINY.n_heads, ids.shape[1], TINY.d_head)
+
+    def test_kv_cache_counts_toward_the_context(self, rng):
+        params = init_params(TINY, seed=0)
+        kv = {}
+        forward(params, TINY, rng.integers(0, TINY.vocab_size, size=(1, TINY.max_seq_len - 1)), kv=kv)
+        with pytest.raises(ValueError, match="max_seq_len"):
+            forward(params, TINY, rng.integers(0, TINY.vocab_size, size=(1, 2)), kv=kv)
+
     def test_dropout_needs_rng(self, rng):
         cfg = ModelConfig(**{**TINY.to_dict(), "dropout_rate": 0.1})
         params = init_params(cfg, seed=0)
