@@ -26,7 +26,6 @@ from .errors import ArtifactError, ChemlmError
 from .formats import EXTENSIONS, FileDocument, parse_document, prune_pocket, write_structure
 from .geometry import centroid, kabsch_rmsd, pairwise_distances
 from .manifest import (
-    MANIFEST_NAME,
     file_sha256,
     hash_outputs,
     read_manifest,
@@ -436,21 +435,18 @@ def read_samples_csv(path):
 
 
 def _check_samples_vocab(samples_path, vocab):
-    """Refuse samples that the `sample` manifest beside them says were
+    """Refuse samples that the `sample` manifest beside them records as
     drawn with another vocabulary; samples with no such record pass."""
-    directory = os.path.dirname(samples_path)
-    if not os.path.isfile(os.path.join(directory, MANIFEST_NAME)):
-        return
     try:
-        made_by = read_manifest(directory)
+        made_by = read_manifest(os.path.dirname(samples_path))
+    except FileNotFoundError:
+        return
     except ValueError as exc:
         raise ArtifactError(f"unreadable manifest beside {samples_path}: {exc}") from exc
-    recorded, own = made_by.get("vocab_hash"), vocab.content_hash()
-    if made_by.get("command") == "sample" and recorded not in (None, own):
-        raise ArtifactError(
-            f"vocabulary hash mismatch: the manifest beside {samples_path} records "
-            f"vocab_hash {recorded}, the --train bundle's vocabulary has {own}"
-        )
+    recorded = made_by.get("vocab_hash") if made_by.get("command") == "sample" else None
+    if recorded not in (None, vocab.content_hash()):
+        raise ArtifactError(f"vocabulary hash mismatch: {samples_path} was sampled with "
+                            f"vocabulary {recorded}, not the --train bundle's")
 
 
 # ------------------------------------------------------------- evaluate

@@ -4,10 +4,8 @@ Pre-norm blocks, causal self-attention, GELU feed-forward, learned
 positional embeddings, optional weight tying between the input embedding
 and the output projection. Everything runs in float64; forward keeps a
 cache that backward consumes, and the gradients are exact (they are
-checked against central finite differences in the tests). For
-incremental decoding forward also takes a `kv` dict of each layer's
-keys and values so far: it attends the new positions over them and
-appends theirs.
+checked against central finite differences in the tests). Given a `kv`
+dict of cached keys and values, forward decodes incrementally.
 """
 
 from __future__ import annotations
@@ -201,9 +199,8 @@ def forward(params, cfg: ModelConfig, ids, train_mode: bool = False, rng=None, *
     """Logits [batch, seq, vocab] plus the cache backward needs.
 
     In train mode dropout draws from `rng`; eval mode is deterministic.
-    `kv` maps each layer's attention prefix ("h0.attn.", ...) to its keys
-    and values [batch, heads, L, d_head] for the L positions before `ids`;
-    forward appends those of `ids`. Backward does not support it.
+    `kv` maps each layer's attention prefix ("h0.attn.", ...) to the keys and values
+    [batch, heads, L, d_head] of the L positions before `ids`; forward appends theirs.
     """
     ids = np.asarray(ids)
     if ids.ndim == 1:

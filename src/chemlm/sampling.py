@@ -4,9 +4,8 @@ Each sequence starts at BOS and draws the next id from
 softmax(logits / temperature) until EOS or the length cap; temperature
 zero means greedy argmax. Every sequence owns an rng seeded by
 [seed, index], so results are independent of how sequences are grouped
-into forward-pass chunks. Each step feeds the model only the newest
-token of every unfinished sequence and reuses the keys and values of
-the earlier positions (forward's `kv` cache).
+into forward-pass chunks. Each step feeds one token per sequence and
+reuses the earlier positions' keys and values from forward's `kv` cache.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ def sample(
         while active:
             newest = np.array([seqs[i][-1:] for i in active], dtype=np.int64)
             logits, _ = forward(params, model_cfg, newest, train_mode=False, kv=kv)
-            still, keep = [], []
+            keep = []
             for row, i in enumerate(active):
                 nxt = _draw(logits[row, -1], cfg.temperature, rngs[i])
                 seqs[i].append(nxt)
@@ -84,11 +83,10 @@ def sample(
                 elif len(seqs[i]) >= cfg.max_len:
                     out[i] = TokenSequence(ids=seqs[i], truncated=True)
                 else:
-                    still.append(i)
                     keep.append(row)
             if len(keep) < len(active):
                 kv = {name: (k[keep], v[keep]) for name, (k, v) in kv.items()}
-            active = still
+                active = [active[row] for row in keep]
     return out
 
 

@@ -397,6 +397,10 @@ class TestExitCodes:
         os.makedirs(alone)
         shutil.copy(samples, alone)
         assert run_cli(argv + [os.path.join(alone, "samples.csv")]) == EXIT_OK
+        with open(os.path.join(alone, "manifest.json"), "w", encoding="utf-8") as fh:
+            fh.write("{not json")
+        assert run_cli(argv + [os.path.join(alone, "samples.csv")]) == EXIT_USER
+        assert "unreadable manifest" in manifest_of(out)["error"]
 
     @pytest.mark.parametrize("wrong", ["losses.csv", "checkpoint"])
     def test_non_vocabulary_file_is_user_error(self, pipeline, tmp_path, capsys, wrong):
