@@ -152,7 +152,10 @@ def kind_model(request):
 
 class TestAgainstFullPrefix:
     # at temperature 1 the EOS logit is raised, so that rows of one chunk
-    # end at different steps and leave the others' cached K/V behind
+    # end at different steps and leave the others' cached K/V behind: the
+    # final layer norm's bias shifts every hidden state along lnf.b, and
+    # EOS's (tied) embedding row, which is never fed back, gains a multiple
+    # of it
     @pytest.mark.parametrize("temperature, eos_bias", [(0.0, 0.0), (1.0, 0.06)])
     def test_token_for_token_identical(self, kind_model, monkeypatch, temperature, eos_bias):
         params, cfg, vocab = kind_model
