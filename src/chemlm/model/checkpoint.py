@@ -10,7 +10,8 @@ Byte layout, in order:
    (int), ``tensors`` (list of ``{"name": str, "shape": [int, ...]}``
    in ascending name order)
 4. tensor data: for each entry of ``tensors`` in listed order, the
-   array as little-endian float64 in C order, no padding between arrays
+   array as little-endian float64 in C order, no padding between arrays;
+   float32-trained values widen to float64 exactly, and load as float64
 
 Writing the same model twice yields byte-identical files, which the
 end-to-end determinism test relies on.

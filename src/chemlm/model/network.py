@@ -2,10 +2,12 @@
 
 Pre-norm blocks, causal self-attention, GELU feed-forward, learned
 positional embeddings, optional weight tying between the input embedding
-and the output projection. Everything runs in float64; forward keeps a
-cache that backward consumes, and the gradients are exact (they are
-checked against central finite differences in the tests). Given a `kv`
-dict of cached keys and values, forward decodes incrementally.
+and the output projection. Forward and backward compute in the dtype of
+the parameters: float64 from `init_params` and checkpoints (gradient
+checks, sampling), float32 in training. Forward keeps a cache that
+backward consumes, and the gradients are exact (they are checked against
+central finite differences in the tests). Given a `kv` dict of cached
+keys and values, forward decodes incrementally.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def _gelu_bwd(dy, cache):
 def _dropout_fwd(x, rate, train_mode, rng):
     if not train_mode or rate == 0.0:
         return x, None
-    keep = rng.random(x.shape) >= rate
+    keep = rng.random(x.shape, dtype=x.dtype) >= rate
     scale = 1.0 / (1.0 - rate)
     return x * keep * scale, (keep, scale)
 
@@ -153,7 +155,7 @@ def _attention_fwd(x, params, prefix, cfg, rate, train_mode, rng, kv):
         kv[prefix] = (ks, vs)
     scores = qs @ ks.transpose(0, 1, 3, 2) / math.sqrt(dh)
     if t > 1:
-        scores = scores + _causal_mask(t, ks.shape[2] - t)
+        scores += _causal_mask(t, ks.shape[2] - t)
     att = _softmax(scores)
     att_d, catt_drop = _dropout_fwd(att, rate, train_mode, rng)
     ctx = att_d @ vs
@@ -285,18 +287,20 @@ def cross_entropy(logits, targets, mask):
     target is a real token and 0 at padding.
     """
     targets = np.asarray(targets)
-    mask = np.asarray(mask, dtype=float)
+    mask = np.asarray(mask, dtype=logits.dtype)
     m = mask.sum()
     if m == 0:
         raise ValueError("all target positions are masked")
-    z = logits - logits.max(axis=-1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - logsumexp
     b, t = targets.shape
-    picked = logp[np.arange(b)[:, None], np.arange(t)[None, :], targets]
-    loss = -(picked * mask).sum() / m
-    dlogits = np.exp(logp)
-    dlogits[np.arange(b)[:, None], np.arange(t)[None, :], targets] -= 1.0
+    at_target = (np.arange(b)[:, None], np.arange(t)[None, :], targets)
+    # one [B, T, V] buffer holds the shifted logits, their exp, then the gradient
+    dlogits = logits - logits.max(axis=-1, keepdims=True)
+    z_target = dlogits[at_target]
+    np.exp(dlogits, out=dlogits)
+    total = dlogits.sum(axis=-1)
+    loss = -((z_target - np.log(total)) * mask).sum() / m
+    dlogits /= total[:, :, None]
+    dlogits[at_target] -= 1.0
     dlogits *= (mask / m)[:, :, None]
     return loss, dlogits
 

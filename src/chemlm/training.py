@@ -19,6 +19,9 @@ from .tokenize import Vocabulary, encode
 
 LR_END_DEFAULT = 9e-6
 
+#: Training's dtype for parameters, gradients and Adam's moments.
+TRAIN_DTYPE = np.float32
+
 #: Adam's moment decay rates and denominator floor.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -109,7 +112,7 @@ def pad_batch(sequences, pad_id: int):
         ids[i, : len(s)] = s
     inputs = ids[:, :-1]
     targets = ids[:, 1:]
-    mask = (targets != pad_id).astype(float)
+    mask = (targets != pad_id).astype(TRAIN_DTYPE)
     return inputs, targets, mask
 
 
@@ -144,7 +147,8 @@ def train(
 
     root = np.random.SeedSequence(train_cfg.seed)
     init_seed, shuffle_seed, augment_seed, dropout_seed = root.spawn(4)
-    params = init_params(model_cfg, seed=init_seed.generate_state(1)[0])
+    init = init_params(model_cfg, seed=init_seed.generate_state(1)[0])
+    params = {k: v.astype(TRAIN_DTYPE) for k, v in init.items()}
     shuffle_rng = np.random.default_rng(shuffle_seed)
     augment_rng = np.random.default_rng(augment_seed)
     dropout_rng = np.random.default_rng(dropout_seed)

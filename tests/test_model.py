@@ -13,6 +13,7 @@ from chemlm.model import (
     param_count,
     save_checkpoint,
 )
+from chemlm.training import pad_batch
 
 TINY = ModelConfig(
     n_layers=2,
@@ -112,17 +113,20 @@ class TestForward:
 
     def test_kv_cache_continues_a_forward(self, rng):
         # the positions after k, fed with the keys and values of the first
-        # k, get the logits one forward over the whole sequence gives them
-        params = init_params(TINY, seed=0)
+        # k, get the logits one forward over the whole sequence gives them,
+        # in float64 (sampling) and float32 (training's dtype)
         ids = rng.integers(0, TINY.vocab_size, size=(3, TINY.max_seq_len))
-        full, _ = forward(params, TINY, ids, train_mode=False)
-        for k in range(1, ids.shape[1]):
-            kv = {}
-            head, _ = forward(params, TINY, ids[:, :k], train_mode=False, kv=kv)
-            tail, _ = forward(params, TINY, ids[:, k:], train_mode=False, kv=kv)
-            np.testing.assert_allclose(np.concatenate((head, tail), axis=1), full, rtol=0, atol=1e-12)
-            assert sorted(kv) == [f"h{i}.attn." for i in range(TINY.n_layers)]
-            assert kv["h0.attn."][0].shape == (3, TINY.n_heads, ids.shape[1], TINY.d_head)
+        for dtype, atol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            params = {k: v.astype(dtype) for k, v in init_params(TINY, seed=0).items()}
+            full, _ = forward(params, TINY, ids, train_mode=False)
+            assert full.dtype == dtype
+            for k in range(1, ids.shape[1]):
+                kv = {}
+                head, _ = forward(params, TINY, ids[:, :k], train_mode=False, kv=kv)
+                tail, _ = forward(params, TINY, ids[:, k:], train_mode=False, kv=kv)
+                np.testing.assert_allclose(np.concatenate((head, tail), axis=1), full, rtol=0, atol=atol)
+                assert sorted(kv) == [f"h{i}.attn." for i in range(TINY.n_layers)]
+                assert kv["h0.attn."][0].shape == (3, TINY.n_heads, ids.shape[1], TINY.d_head)
 
     def test_kv_cache_counts_toward_the_context(self, rng):
         params = init_params(TINY, seed=0)
@@ -345,6 +349,47 @@ class TestCheckpoint:
         self.save(ck, path)
         after, _ = forward(load_checkpoint(path).params, TINY, inputs, train_mode=False)
         np.testing.assert_array_equal(before, after)
+
+
+def float32_params(cfg, seed):
+    return {k: v.astype(np.float32) for k, v in init_params(cfg, seed=seed).items()}
+
+
+class TestFloat32:
+    """Training computes in float32; nothing in a step may widen to float64."""
+
+    def padded_batch(self, rng):
+        seqs = [rng.integers(1, TINY.vocab_size, size=n) for n in (TINY.max_seq_len, 7, 4)]
+        inputs, targets, mask = pad_batch(seqs, pad_id=0)
+        assert mask.min() == 0.0
+        return inputs, targets, mask
+
+    def test_a_step_stays_in_float32(self, rng):
+        cfg = ModelConfig(**{**TINY.to_dict(), "dropout_rate": 0.1})
+        params = float32_params(cfg, seed=1)
+        inputs, targets, mask = self.padded_batch(rng)
+        logits, cache = forward(params, cfg, inputs, train_mode=True, rng=np.random.default_rng(3))
+        loss, dlogits = cross_entropy(logits, targets, mask)
+        assert logits.dtype == dlogits.dtype == loss.dtype == np.float32
+        for name, g in backward(params, cfg, cache, dlogits).items():
+            assert g.dtype == np.float32, name
+        loss, grads = loss_and_grads(params, cfg, inputs, targets, mask, rng=np.random.default_rng(3))
+        assert loss.dtype == np.float32
+        for name, g in grads.items():
+            assert g.dtype == np.float32, name
+
+    def test_agrees_with_float64(self, rng):
+        # float32 rounding (eps 1.2e-7) through two layers; gradients are
+        # compared against the largest gradient entry, since some (the key
+        # biases) are zero up to rounding
+        params = init_params(TINY, seed=1)
+        inputs, targets, mask = self.padded_batch(rng)
+        loss64, grads64 = loss_and_grads(params, TINY, inputs, targets, mask.astype(np.float64))
+        loss32, grads32 = loss_and_grads(float32_params(TINY, seed=1), TINY, inputs, targets, mask)
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        scale = max(np.abs(g).max() for g in grads64.values())
+        for name, g in grads64.items():
+            np.testing.assert_allclose(grads32[name], g, rtol=0, atol=1e-3 * scale, err_msg=name)
 
 
 class TestNonFinite:

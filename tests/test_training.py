@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from chemlm import training
 from chemlm.errors import TrainingDiverged
 from chemlm.model import ModelConfig, load_checkpoint
 from chemlm.structures import Atom, Molecule
@@ -208,8 +209,9 @@ class TestTrain:
         assert batched == pytest.approx(total / n, abs=1e-9)
 
     def test_divergence_aborts_with_context(self, tmp_path):
-        # Adam updates are scale-normalized, so float64 only overflows at
-        # an absurd learning rate; that is exactly the abort path we want
+        # Adam updates are scale-normalized, so training (in float32) only
+        # overflows at an absurd learning rate; that is exactly the abort
+        # path we want
         corpus, vocab, model_cfg, _ = setup_run()
         hot = TrainConfig(
             batch_size=2, lr_start=1e160, total_steps=50, seed=11,
@@ -234,16 +236,28 @@ class TestTrain:
         ]
         assert result.checkpoint_path == str(tmp_path / "checkpoint_0000006.bin")
 
-    def test_final_checkpoint_contents(self, tmp_path):
-        corpus, vocab, model_cfg, train_cfg = setup_run(total_steps=4)
+    def test_final_checkpoint_contents(self, tmp_path, monkeypatch):
+        optimizers = []
+
+        class RecordingAdam(Adam):
+            def __init__(self, params):
+                super().__init__(params)
+                optimizers.append(self)
+
+        monkeypatch.setattr(training, "Adam", RecordingAdam)
+        corpus, vocab, model_cfg, train_cfg = setup_run(total_steps=4, dropout_rate=0.1)
         result = train(corpus, vocab, model_cfg, train_cfg, out_dir=str(tmp_path))
         ck = load_checkpoint(result.checkpoint_path)
         assert ck.step == 4
         assert ck.vocab_hash == vocab.content_hash()
         assert ck.config == model_cfg
         assert set(ck.rng_state) == {"shuffle", "augment", "dropout"}
+        # training runs in float32; the checkpoint widens it exactly
+        (adam,) = optimizers
         for k in result.params:
-            np.testing.assert_array_equal(ck.params[k], result.params[k])
+            assert result.params[k].dtype == adam.m[k].dtype == adam.v[k].dtype == np.float32, k
+            assert ck.params[k].dtype == np.float64
+            np.testing.assert_array_equal(ck.params[k].astype(np.float32), result.params[k], strict=True)
 
     def test_vocab_size_mismatch_rejected(self):
         corpus, vocab, model_cfg, train_cfg = setup_run()
