@@ -471,7 +471,11 @@ def cmd_evaluate(args, out_dir, phases):
         if os.path.isdir(args.samples):
             triples = _read_structure_files(args.samples)
             structures = [s for _, s, _ in triples]
-            failures = {i: f"unparseable file: {e}" for i, (_, s, e) in enumerate(triples) if s is None}
+            failures = {
+                i: f"unparseable file {name}: {e}"
+                for i, (name, s, e) in enumerate(triples)
+                if s is None
+            }
             result = evaluate_structures(
                 structures,
                 train_structures,

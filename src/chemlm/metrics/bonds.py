@@ -7,6 +7,8 @@ and the bond graph must be connected. No formal charges, no aromaticity.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..elements import data_rows, get_element
@@ -26,21 +28,27 @@ VALENCES: dict[str, frozenset[int]] = {
 }
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(n: int):
+    """Row-major (i, j) index arrays of the pairs i < j among n atoms."""
+    return np.triu_indices(n, k=1)
+
+
 def perceive_bonds(molecule: Molecule):
-    """Return (bond index pairs, clash index pairs) from the distance matrix."""
+    """Return (bond index pairs, clash index pairs) from the distance matrix.
+
+    Both lists hold (i, j) pairs with i < j in row-major order.
+    """
     d = pairwise_distances(molecule.coords())
     radii = np.array([get_element(s).covalent_radius for s in molecule.symbols()])
-    upper = radii[:, None] + radii[None, :] + BOND_SLACK
-    n = len(molecule)
-    bonds = []
-    clashes = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] < CLASH_FLOOR:
-                clashes.append((i, j))
-            elif d[i, j] < upper[i, j]:
-                bonds.append((i, j))
-    return bonds, clashes
+    i, j = _upper_pairs(len(radii))
+    dij = d[i, j]
+    clash = dij < CLASH_FLOOR
+    bond = ~clash & (dij < radii[i] + radii[j] + BOND_SLACK)
+    return (
+        list(zip(i[bond].tolist(), j[bond].tolist())),
+        list(zip(i[clash].tolist(), j[clash].tolist())),
+    )
 
 
 def _connected(n: int, bonds) -> bool:

@@ -21,20 +21,34 @@ def _sha(text: str) -> str:
 
 
 def molecule_key(molecule: Molecule) -> str:
-    """Weisfeiler-Lehman-style hash of the element-labeled bond graph."""
-    n = len(molecule)
+    """Colour-refinement (1-WL) hash of the element-labeled bond graph.
+
+    Round 0 colours each atom by the rank of its symbol among the sorted
+    distinct symbols. Each round then recolours an atom by the rank of
+    its signature (colour, *sorted neighbour colours) among the sorted
+    distinct signatures, and stops at the first round that adds no
+    class: the partition is stable, so later rounds would only rename
+    it. Ranks mean nothing outside one molecule, so one sha256 covers
+    every round's sorted table plus the final (colour, count) pairs.
+    """
+    symbols = molecule.symbols()
     bonds, _ = perceive_bonds(molecule)
-    adjacency = [[] for _ in range(n)]
+    neighbours = [[] for _ in symbols]
     for i, j in bonds:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    labels = [_sha(sym) for sym in molecule.symbols()]
-    for _ in range(n):
-        labels = [
-            _sha(labels[i] + "|" + ",".join(sorted(labels[j] for j in adjacency[i])))
-            for i in range(n)
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    signatures = symbols
+    tables = []
+    while len(tables) < 2 or len(tables[-1]) > len(tables[-2]):
+        table = sorted(set(signatures))
+        rank = {sig: r for r, sig in enumerate(table)}
+        colours = [rank[sig] for sig in signatures]
+        tables.append(table)
+        signatures = [
+            (colour, *sorted([colours[j] for j in nbrs]))
+            for colour, nbrs in zip(colours, neighbours)
         ]
-    return "mol:" + _sha(",".join(sorted(labels)))
+    return "mol:" + _sha(repr((tables, sorted(Counter(colours).items()))))
 
 
 def composition_formula(symbols) -> str:

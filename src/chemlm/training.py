@@ -131,12 +131,13 @@ def train(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     out_dir: Optional[str] = None,
-    log: Optional[Callable[[int, float, float], None]] = None,
+    log: Optional[Callable[[int, float, float, float], None]] = None,
 ) -> TrainResult:
     """Runs the full optimization and returns final params plus the
     per-step loss trajectory. Writes checkpoints under `out_dir` every
     `checkpoint_interval` steps and always at the end; a non-finite
-    loss or gradient aborts with the last good checkpoint.
+    loss or gradient aborts with the last good checkpoint. After each
+    step, `log` gets (step, loss, lr, gradient norm before clipping).
     """
     if not corpus:
         raise ValueError("empty training corpus")
@@ -212,13 +213,13 @@ def train(
                 raise TrainingDiverged(step, result.checkpoint_path) from exc
             if not math.isfinite(loss):
                 raise TrainingDiverged(step, result.checkpoint_path)
-            clip_global_norm(grads, train_cfg.grad_clip)
+            grad_norm = clip_global_norm(grads, train_cfg.grad_clip)
             optimizer.step(params, grads, lr)
             result.losses.append(float(loss))
             result.lrs.append(lr)
             step += 1
             if log is not None:
-                log(step, float(loss), lr)
+                log(step, float(loss), lr, grad_norm)
             if train_cfg.checkpoint_interval > 0 and step % train_cfg.checkpoint_interval == 0:
                 path = write_checkpoint(step)
                 if path is not None:

@@ -502,6 +502,21 @@ class TestInputValidation:
         assert rows[1][0] == "zz_latin1.xyz"
         assert "utf-8" in rows[1][1]
 
+    def test_evaluate_names_the_unparseable_sample_file(self, pipeline, tmp_path):
+        src = os.path.join(tmp_path, "samples")
+        shutil.copytree(os.path.join(pipeline["synth"], "structures"), src)
+        with open(os.path.join(src, "zz_bad.xyz"), "w", encoding="utf-8") as fh:
+            fh.write("not a number\n\nC 0.0 0.0 0.0\n")
+        out = os.path.join(tmp_path, "out")
+        assert run_cli([
+            "evaluate", "--samples", src, "--train", pipeline["prepare"], "--out", out,
+        ]) == EXIT_OK
+        with open(os.path.join(out, "failures.csv"), encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[-1][:2] == ["6", "decode_failed"]
+        assert rows[-1][2].startswith("unparseable file zz_bad.xyz: ")
+        assert "line 1" in rows[-1][2]
+
     def test_bad_samples_header(self, tmp_path):
         path = os.path.join(tmp_path, "samples.csv")
         with open(path, "w", encoding="utf-8") as fh:

@@ -1,10 +1,23 @@
+import hashlib
 import math
+import os
 
+import numpy as np
 import pytest
+from conftest import random_molecule
 
-from chemlm.elements import is_element
+from chemlm.cli import main
+from chemlm.elements import get_element, is_element
+from chemlm.formats import parse_xyz
+from chemlm.geometry import pairwise_distances
 from chemlm.metrics import evaluate_sequences, evaluate_structures
-from chemlm.metrics.bonds import VALENCES, molecule_validity
+from chemlm.metrics.bonds import (
+    BOND_SLACK,
+    CLASH_FLOOR,
+    VALENCES,
+    molecule_validity,
+    perceive_bonds,
+)
 from chemlm.metrics.crystals import (
     OXIDATION_STATES,
     charge_neutrality,
@@ -52,6 +65,105 @@ def water():
     return Molecule(
         [Atom("O", 0, 0, 0), Atom("H", 0.96, 0, 0), Atom("H", -0.24, 0.93, 0)]
     )
+
+
+def reference_perceive_bonds(molecule):
+    """Pair-by-pair bond perception, the order perceive_bonds must keep."""
+    d = pairwise_distances(molecule.coords())
+    radii = [get_element(s).covalent_radius for s in molecule.symbols()]
+    bonds, clashes = [], []
+    for i in range(len(molecule)):
+        for j in range(i + 1, len(molecule)):
+            if d[i, j] < CLASH_FLOOR:
+                clashes.append((i, j))
+            elif d[i, j] < radii[i] + radii[j] + BOND_SLACK:
+                bonds.append((i, j))
+    return bonds, clashes
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def reference_molecule_key(molecule):
+    """n rounds of Weisfeiler-Lehman with one sha256 per atom and round.
+
+    Slow but plainly right: molecule_key must put two molecules under
+    one key exactly when this does.
+    """
+    n = len(molecule)
+    bonds, _ = reference_perceive_bonds(molecule)
+    adjacency = [[] for _ in range(n)]
+    for i, j in bonds:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    labels = [_sha(sym) for sym in molecule.symbols()]
+    for _ in range(n):
+        labels = [
+            _sha(labels[i] + "|" + ",".join(sorted(labels[j] for j in adjacency[i])))
+            for i in range(n)
+        ]
+    return "mol:" + _sha(",".join(sorted(labels)))
+
+
+def straight_chain(symbols, spacing=1.45):
+    """Atoms on the x axis, each bonded to the next and to nothing else."""
+    return Molecule([Atom(sym, spacing * i, 0.0, 0.0) for i, sym in enumerate(symbols)])
+
+
+@pytest.fixture(scope="module")
+def synth_molecules(tmp_path_factory):
+    """300 molecules as `chemlm synth --kind molecule` writes them."""
+    out = str(tmp_path_factory.mktemp("synth"))
+    assert main(["synth", "--kind", "molecule", "--n", "300", "--seed", "17", "--out", out]) == 0
+    directory = os.path.join(out, "structures")
+    molecules = []
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
+            molecules.append(parse_xyz(fh.read()))
+    return molecules
+
+
+class TestKeyReference:
+    """molecule_key and perceive_bonds against their slow references."""
+
+    @staticmethod
+    def assert_same_partition(molecules):
+        pairs = {(reference_molecule_key(m), molecule_key(m)) for m in molecules}
+        old = {o for o, _ in pairs}
+        new = {k for _, k in pairs}
+        # a bijection between old and new keys: the same classes
+        assert len(old) == len(pairs) == len(new)
+        # and the set has classes with more than one member to keep together
+        assert len(pairs) < len(molecules)
+
+    def test_same_partition_on_synth_molecules(self, synth_molecules):
+        self.assert_same_partition(synth_molecules)
+
+    def test_same_partition_on_random_molecules(self):
+        rng = np.random.default_rng(20240817)
+        self.assert_same_partition([random_molecule(rng) for _ in range(300)])
+
+    def test_bonds_match_the_pairwise_loop(self, synth_molecules):
+        rng = np.random.default_rng(5)
+        for m in synth_molecules + [random_molecule(rng) for _ in range(300)]:
+            assert perceive_bonds(m) == reference_perceive_bonds(m)
+
+    def test_two_clashes_in_row_major_order(self):
+        m = Molecule(
+            [
+                Atom("C", 0.0, 0, 0),
+                Atom("O", 5.0, 0, 0),
+                Atom("N", 10.0, 0, 0),
+                Atom("C", 5.2, 0, 0),
+                Atom("H", 0.1, 0, 0),
+                Atom("H", 11.0, 0, 0),
+            ]
+        )
+        expected = ([(2, 5)], [(0, 4), (1, 3)])
+        assert reference_perceive_bonds(m) == expected
+        assert perceive_bonds(m) == expected
+        assert "atoms 0 and 4" in molecule_validity(m).reason
 
 
 class TestDataTables:
@@ -294,6 +406,19 @@ class TestKeys:
 
         # not chemically valid, but the keys must still differ
         assert molecule_key(chain(2)) != molecule_key(chain(3))
+
+    def test_same_ranks_different_elements(self):
+        # C-O and C-N chains get the same colour ranks at every round;
+        # only the hashed tables (the symbols of round 0) tell them apart
+        co, cn, oc = straight_chain("CO"), straight_chain("CN"), straight_chain("OC")
+        assert molecule_key(co) != molecule_key(cn)
+        assert molecule_key(co) == molecule_key(oc)
+        assert reference_molecule_key(co) != reference_molecule_key(cn)
+
+    def test_bonded_and_distant_atoms_differ(self):
+        # both partitions are stable after one round with one class;
+        # only that last round's table says whether the carbons are bonded
+        assert molecule_key(straight_chain("CC")) != molecule_key(straight_chain("CC", 5.0))
 
     def test_crystal_key_rounds_to_two_decimals(self):
         a = Crystal(Lattice(4.001, 4, 4, 90, 90, 90), [Site("Po", 0.25, 0, 0)])

@@ -4,19 +4,25 @@ Round trip: decoding an encoding gives back the structure rounded to the
 scheme precision. Robustness: decoding any id list either returns a
 structure or raises DecodeError. Formatting: `fmt_fixed` is exact to
 half a unit in the last place and a fixed point. Pockets: renumbering
-residues is idempotent.
+residues is idempotent. Molecule keys: an atom permutation plus a rigid
+motion keeps the key.
 """
 
 import functools
 from decimal import Decimal
 
 import numpy as np
-from hypothesis import given, settings
+from conftest import random_molecule
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chemlm.elements import get_element
 from chemlm.errors import DecodeError
+from chemlm.geometry import pairwise_distances
+from chemlm.metrics.bonds import BOND_SLACK, CLASH_FLOOR
+from chemlm.metrics.keys import molecule_key
 from chemlm.rounding import fmt_fixed, round_coords
-from chemlm.structures import CANONICAL_RESIDUES, Pocket, PocketAtom
+from chemlm.structures import CANONICAL_RESIDUES, Atom, Molecule, Pocket, PocketAtom
 from chemlm.synth import synth_molecule, synth_perovskite, synth_pocket
 from chemlm.tokenize import ATOM_COORD, CHAR, Scheme, TokenSequence, build_vocab, decode, encode
 
@@ -136,3 +142,45 @@ def test_pocket_renumbering_is_idempotent(p):
     indices = [a.residue_index for a in p.atoms]
     assert indices[0] == 1
     assert all(b - a in (0, 1) for a, b in zip(indices, indices[1:]))
+
+
+#: A quarter turn about each axis; exact in floating point.
+QUARTER_TURNS = {
+    "x": lambda x, y, z: (x, -z, y),
+    "y": lambda x, y, z: (z, y, -x),
+    "z": lambda x, y, z: (-y, x, z),
+}
+
+
+def near_a_cutoff(molecule, tol=1e-6) -> bool:
+    """Whether some pair distance lies within tol of a clash or bond cutoff."""
+    d = pairwise_distances(molecule.coords())
+    radii = np.array([get_element(s).covalent_radius for s in molecule.symbols()])
+    i, j = np.triu_indices(len(molecule), k=1)
+    cutoffs = radii[i] + radii[j] + BOND_SLACK
+    return bool(
+        np.any(np.abs(d[i, j] - CLASH_FLOOR) <= tol) or np.any(np.abs(d[i, j] - cutoffs) <= tol)
+    )
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    synthetic=st.booleans(),
+    axis=st.sampled_from(sorted(QUARTER_TURNS)),
+    turns=st.integers(0, 3),
+    shift=st.tuples(*[st.floats(-50.0, 50.0)] * 3),
+)
+def test_molecule_key_survives_permutation_and_rigid_motion(seed, synthetic, axis, turns, shift):
+    rng = np.random.default_rng(seed)
+    m = synth_molecule(rng) if synthetic else random_molecule(rng)
+    # float rounding must not be able to flip a bond or a clash
+    assume(not near_a_cutoff(m))
+    moved = []
+    for k in rng.permutation(len(m)):
+        a = m.atoms[k]
+        p = (a.x, a.y, a.z)
+        for _ in range(turns):
+            p = QUARTER_TURNS[axis](*p)
+        moved.append(Atom(a.symbol, *(c + t for c, t in zip(p, shift))))
+    assert molecule_key(Molecule(moved)) == molecule_key(m)

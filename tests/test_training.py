@@ -180,9 +180,20 @@ class TestTrain:
     def test_logged_lr_matches_schedule(self):
         corpus, vocab, model_cfg, train_cfg = setup_run()
         seen = []
-        train(corpus, vocab, model_cfg, train_cfg, log=lambda s, loss, lr: seen.append((s, lr)))
+        train(corpus, vocab, model_cfg, train_cfg,
+              log=lambda s, loss, lr, grad_norm: seen.append((s, lr)))
         for step, lr in seen:
             assert lr == pytest.approx(lr_schedule(step - 1, train_cfg))
+
+    def test_logged_grad_norm_is_the_unclipped_norm(self):
+        # a clip far below every norm: the log must still see the norm
+        # clip_global_norm measured, not the clipped one
+        corpus, vocab, model_cfg, train_cfg = setup_run(total_steps=3, grad_clip=1e-6)
+        seen = []
+        train(corpus, vocab, model_cfg, train_cfg,
+              log=lambda s, loss, lr, grad_norm: seen.append(grad_norm))
+        assert len(seen) == 3
+        assert all(isinstance(g, float) and 1e-3 < g < 1e6 for g in seen)
 
     def test_extra_padding_does_not_change_loss(self):
         # a batch where one sequence is longer forces PAD on the others;
