@@ -68,18 +68,23 @@ _IMAGE_OFFSETS = np.array(
 )
 
 
-def min_image_distance(lattice: Lattice, frac_i, frac_j) -> float:
+def min_image_distance(lattice: Lattice, frac_i, frac_j) -> float | np.ndarray:
     """Shortest distance between two fractional sites under periodicity.
 
     Checks the 125 lattice translations with offsets in {-2 .. 2} on each
     axis. The wider shell keeps the search exact even for strongly skewed
     cells where the nearest image falls outside the neighboring cells.
+
+    `frac_i` and `frac_j` are triples, or arrays of triples whose leading
+    axes broadcast: two triples give a float, arrays give one distance
+    per broadcast pair.
     """
     m = lattice_matrix(lattice)
-    fi = np.asarray(frac_i, dtype=float)
-    fj = np.asarray(frac_j, dtype=float)
+    fi = np.asarray(frac_i, dtype=float)[..., None, :]
+    fj = np.asarray(frac_j, dtype=float)[..., None, :]
     deltas = (fj + _IMAGE_OFFSETS - fi) @ m
-    return float(np.min(np.linalg.norm(deltas, axis=1)))
+    d = np.min(np.linalg.norm(deltas, axis=-1), axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 def kabsch_rmsd(coords_p, coords_q) -> float:

@@ -36,21 +36,32 @@ def shortest_self_image_distance(crystal: Crystal) -> float:
     return float(np.min(np.linalg.norm(offsets @ m, axis=1)))
 
 
+#: Site pairs measured per array op; bounds the (pairs, 125, 3) temporaries.
+_PAIRS_PER_BLOCK = 2048
+
+
 def crystal_structural_validity(crystal: Crystal, threshold: float = MIN_ATOM_DISTANCE) -> Verdict:
-    """Valid iff every atom pair, periodic images included, is farther than `threshold`."""
+    """Valid iff every atom pair, periodic images included, is farther than `threshold`.
+
+    An invalid crystal names its first failing pair (i < j) in row-major order.
+    """
     self_image = shortest_self_image_distance(crystal)
     if self_image <= threshold:
         return Verdict.fail(
             f"self-image distance {self_image:.3f} A not larger than {threshold} A"
         )
-    coords = crystal.coords()
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            d = min_image_distance(crystal.lattice, coords[i], coords[j])
-            if d <= threshold:
-                return Verdict.fail(
-                    f"sites {i} and {j} at {d:.3f} A, not larger than {threshold} A"
-                )
+    coords = np.array(crystal.coords())
+    first, second = np.triu_indices(len(coords), 1)
+    for start in range(0, len(first), _PAIRS_PER_BLOCK):
+        i = first[start : start + _PAIRS_PER_BLOCK]
+        j = second[start : start + _PAIRS_PER_BLOCK]
+        d = min_image_distance(crystal.lattice, coords[i], coords[j])
+        failing = np.flatnonzero(d <= threshold)
+        if failing.size:
+            k = failing[0]
+            return Verdict.fail(
+                f"sites {i[k]} and {j[k]} at {d[k]:.3f} A, not larger than {threshold} A"
+            )
     return Verdict.ok()
 
 

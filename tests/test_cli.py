@@ -18,8 +18,11 @@ from chemlm.cli import (
     read_samples_csv,
     render_table,
 )
+from chemlm.formats import parse_xyz
 from chemlm.manifest import read_manifest, tree_hash
 from chemlm.metrics import MetricsReport
+from chemlm.rounding import round_coords
+from chemlm.tokenize import Vocabulary, decode, encode
 
 
 def run_cli(argv):
@@ -501,6 +504,30 @@ class TestInputValidation:
             rows = list(csv.reader(fh))
         assert rows[1][0] == "zz_latin1.xyz"
         assert "utf-8" in rows[1][1]
+
+    @pytest.mark.parametrize(
+        "scheme, precision, value",
+        [
+            ("atom_coord", 2, "1000000000000000000000000000000.0"),
+            ("char", 2, "1000000000000000000000000000000.0"),
+            ("atom_coord", 3, "12345678901234567890123456.0"),
+        ],
+    )
+    def test_long_coordinate_is_prepared(self, tmp_path, scheme, precision, value):
+        # quantizing these values overflowed Decimal's default 28 digits
+        src = os.path.join(tmp_path, "structures")
+        os.makedirs(src)
+        text = f"2\nlong\nO {value} 0.0 0.0\nH 0.96 0.0 0.0\n"
+        with open(os.path.join(src, "a.xyz"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = os.path.join(tmp_path, "out")
+        assert run_cli([
+            "prepare", "--input", src, "--scheme", scheme,
+            "--precision", str(precision), "--out", out,
+        ]) == EXIT_OK
+        vocab = Vocabulary.load(os.path.join(out, "vocab.txt"))
+        s = parse_xyz(text)
+        assert decode(encode(s, vocab), vocab) == round_coords(s, precision)
 
     def test_evaluate_names_the_unparseable_sample_file(self, pipeline, tmp_path):
         src = os.path.join(tmp_path, "samples")

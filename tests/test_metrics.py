@@ -4,12 +4,12 @@ import os
 
 import numpy as np
 import pytest
-from conftest import random_molecule
+from conftest import random_crystal, random_molecule
 
 from chemlm.cli import main
 from chemlm.elements import get_element, is_element
 from chemlm.formats import parse_xyz
-from chemlm.geometry import pairwise_distances
+from chemlm.geometry import min_image_distance, pairwise_distances
 from chemlm.metrics import evaluate_sequences, evaluate_structures
 from chemlm.metrics.bonds import (
     BOND_SLACK,
@@ -24,6 +24,7 @@ from chemlm.metrics.crystals import (
     crystal_structural_validity,
     shortest_self_image_distance,
 )
+from chemlm.metrics.verdict import Verdict
 from chemlm.metrics.keys import (
     canonical_key,
     crystal_key,
@@ -33,6 +34,7 @@ from chemlm.metrics.keys import (
 )
 from chemlm.metrics.pockets import pocket_overlap_check, pocket_residue_check
 from chemlm.metrics.report import SCHEMA_VERSION, MetricsReport, validity
+from chemlm.synth import synth_perovskite
 from chemlm.structures import (
     CANONICAL_RESIDUES,
     RESIDUE_ATOMS,
@@ -226,6 +228,30 @@ class TestMoleculeValidity:
         assert not molecule_validity(Molecule([Atom("C", 0, 0, 0), Atom("C", 0.2, 0, 0)]))
 
 
+def reference_crystal_validity(crystal, threshold):
+    """Pair-by-pair periodic distance check, the verdicts crystal_structural_validity must keep."""
+    self_image = shortest_self_image_distance(crystal)
+    if self_image <= threshold:
+        return Verdict.fail(
+            f"self-image distance {self_image:.3f} A not larger than {threshold} A"
+        )
+    coords = crystal.coords()
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            d = min_image_distance(crystal.lattice, coords[i], coords[j])
+            if d <= threshold:
+                return Verdict.fail(
+                    f"sites {i} and {j} at {d:.3f} A, not larger than {threshold} A"
+                )
+    return Verdict.ok()
+
+
+def perturbed(crystal, rng, scale):
+    """The crystal with every fractional coordinate moved by up to `scale`."""
+    moved = np.array(crystal.coords()) + rng.uniform(-scale, scale, size=(len(crystal), 3))
+    return crystal.with_coords(moved)
+
+
 class TestCrystalValidity:
     def hand_crystal(self, separation_frac):
         lat = Lattice(10, 10, 10, 90, 90, 90)
@@ -257,6 +283,29 @@ class TestCrystalValidity:
     def test_single_site_reasonable_cell_valid(self):
         c = Crystal(Lattice(4, 4, 4, 90, 90, 90), [Site("Po", 0, 0, 0)])
         assert crystal_structural_validity(c).valid
+
+    @pytest.mark.parametrize("threshold", [0.5, 1.0, 1.8, 2.5])
+    def test_matches_the_pairwise_loop(self, threshold):
+        rng = np.random.default_rng(11)
+        crystals = [synth_perovskite(rng) for _ in range(60)]
+        crystals += [perturbed(c, rng, 0.2) for c in crystals]
+        crystals += [random_crystal(rng) for _ in range(120)]
+        verdicts = [crystal_structural_validity(c, threshold) for c in crystals]
+        assert verdicts == [reference_crystal_validity(c, threshold) for c in crystals]
+        # both verdicts are well represented
+        failing = sum(not v.valid for v in verdicts)
+        assert 0 < failing < len(verdicts)
+        assert any(v.reason and v.reason.startswith("sites") for v in verdicts)
+
+    def test_first_failing_pair_beyond_the_first_block(self):
+        # a 9 x 9 grid of sites 4 A apart plus two sites 0.8 A apart gives
+        # 3403 pairs; only the last one fails, past the first block of pairs
+        sites = [Site("Na", 0.1 * a, 0.1 * b, 0.0) for a in range(9) for b in range(9)]
+        sites += [Site("Cl", 0.55, 0.55, 0.5), Site("Cl", 0.55, 0.55, 0.52)]
+        c = Crystal(Lattice(40, 40, 40, 90, 90, 90), sites)
+        v = crystal_structural_validity(c, 1.0)
+        assert v == reference_crystal_validity(c, 1.0)
+        assert v.reason.startswith("sites 81 and 82 at 0.800 A")
 
 
 class TestChargeNeutrality:

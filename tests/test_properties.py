@@ -3,17 +3,19 @@
 Round trip: decoding an encoding gives back the structure rounded to the
 scheme precision. Robustness: decoding any id list either returns a
 structure or raises DecodeError. Formatting: `fmt_fixed` is exact to
-half a unit in the last place and a fixed point. Pockets: renumbering
+half a unit in the last place, a fixed point, and equal to quantizing
+every value with Decimal, fast path or not. Pockets: renumbering
 residues is idempotent. Molecule keys: an atom permutation plus a rigid
 motion keeps the key.
 """
 
+import decimal
 import functools
 from decimal import Decimal
 
 import numpy as np
 from conftest import random_molecule
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chemlm.elements import get_element
@@ -119,6 +121,46 @@ def test_fmt_fixed_is_exact_and_a_fixed_point(x, precision):
     assert len(decimals) == precision and whole.lstrip("-").isdigit()
     assert abs(Decimal(text) - Decimal(repr(x))) <= Decimal(1).scaleb(-precision) / 2
     assert fmt_fixed(float(text), precision) == text
+
+
+def reference_fmt_fixed(x, precision):
+    """fmt_fixed without its fast path: every value is quantized with Decimal."""
+    context = decimal.Context(prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_UP)
+    d = Decimal(repr(float(x))).quantize(Decimal(1).scaleb(-precision), context=context)
+    if d == 0:
+        d = d.copy_abs()
+    return format(d, "f")
+
+
+@st.composite
+def short_literals(draw):
+    """(float, precision) where the float's repr has at most `precision` decimals."""
+    precision = draw(st.integers(0, 4))
+    places = draw(st.integers(0, precision))
+    digits = draw(st.integers(-(10**9), 10**9))
+    return float(Decimal(digits).scaleb(-places)), precision
+
+
+@SETTINGS
+@given(case=short_literals())
+def test_fmt_fixed_fast_path_matches_decimal(case):
+    x, precision = case
+    assert fmt_fixed(x, precision) == reference_fmt_fixed(x, precision)
+
+
+@SETTINGS
+@given(
+    x=st.floats(allow_nan=False, allow_infinity=False),
+    precision=st.integers(0, 4),
+)
+@example(x=-0.0, precision=2)
+@example(x=1e16, precision=2)
+@example(x=1e-05, precision=3)
+@example(x=0.996, precision=2)
+@example(x=1.005, precision=2)
+@example(x=2.5, precision=0)
+def test_fmt_fixed_matches_decimal(x, precision):
+    assert fmt_fixed(x, precision) == reference_fmt_fixed(x, precision)
 
 
 @st.composite
