@@ -8,8 +8,6 @@ fractional coordinates, off by default.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .geometry import centroid
@@ -29,12 +27,6 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
-
-
-def rotation_angle(R: np.ndarray) -> float:
-    """Rotation angle in [0, pi]."""
-    c = (np.trace(R) - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, c)))
 
 
 def rotate_about_center(structure, R: np.ndarray):

@@ -1,6 +1,6 @@
 """Geometric operations on structures.
 
-Covers the lattice algebra (cell volume, fractional/Cartesian transforms,
+Covers the lattice algebra (cell volume, the cell matrix,
 minimum-image distances), rigid-body superposition via the Kabsch
 algorithm, and small helpers like centroids and molecular weight.
 """
@@ -48,18 +48,6 @@ def lattice_matrix(lattice: Lattice) -> np.ndarray:
             [cx, cy, cz],
         ]
     )
-
-
-def frac_to_cart(lattice: Lattice, frac) -> np.ndarray:
-    """Map fractional coordinates (n, 3) or (3,) to Cartesian Angstrom."""
-    f = np.asarray(frac, dtype=float)
-    return f @ lattice_matrix(lattice)
-
-
-def cart_to_frac(lattice: Lattice, cart) -> np.ndarray:
-    """Map Cartesian coordinates (n, 3) or (3,) to fractional."""
-    x = np.asarray(cart, dtype=float)
-    return x @ np.linalg.inv(lattice_matrix(lattice))
 
 
 _IMAGE_OFFSETS = np.array(

@@ -7,7 +7,6 @@ from .network import (
     forward,
     init_params,
     loss_and_grads,
-    param_count,
 )
 
 __all__ = [
@@ -22,6 +21,5 @@ __all__ = [
     "init_params",
     "load_checkpoint",
     "loss_and_grads",
-    "param_count",
     "save_checkpoint",
 ]

@@ -8,6 +8,12 @@ checks, sampling), float32 in training. Forward keeps a cache that
 backward consumes, and the gradients are exact (they are checked against
 central finite differences in the tests). Given a `kv` dict of cached
 keys and values, forward decodes incrementally.
+
+Linear layers and the logits are one 2-D matmul over the flattened
+[batch * seq, d] rows: numpy runs `@` on a 3-D operand as one matmul per
+batch row. The elementwise kernels work in their own buffers with `out=`
+and in-place operators, applying the same operations in the same order
+as the plain expressions they replace, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -55,39 +61,49 @@ def init_params(cfg: ModelConfig, seed: int) -> dict:
     return params
 
 
-def param_count(params: dict) -> int:
-    return sum(int(t.size) for t in params.values())
-
-
 def _layernorm_fwd(x, g, b):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    sq = xc * xc
+    var = sq.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    xhat = xc
+    xhat *= inv
+    y = np.multiply(xhat, g, out=sq)
+    y += b
+    return y, (xhat, inv, g)
 
 
 def _layernorm_bwd(dy, cache):
     xhat, inv, g = cache
-    dg = (dy * xhat).sum(axis=(0, 1))
+    tmp = dy * xhat
+    dg = tmp.sum(axis=(0, 1))
     db = dy.sum(axis=(0, 1))
-    dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
+    dx = dy * g
+    m1 = dx.mean(axis=-1, keepdims=True)
+    np.multiply(dx, xhat, out=tmp)
+    m2 = tmp.mean(axis=-1, keepdims=True)
+    dx -= m1
+    np.multiply(xhat, m2, out=tmp)
+    dx -= tmp
+    dx *= inv
     return dx, dg, db
 
 
 def _linear_fwd(x, w, b):
-    return x @ w + b, (x, w)
+    """x [..., d_in] @ w + b as one 2-D matmul over the flattened rows."""
+    x2 = x.reshape(-1, x.shape[-1])
+    y = x2 @ w
+    y += b
+    return y.reshape(*x.shape[:-1], w.shape[1]), (x2, w)
 
 
 def _linear_bwd(dy, cache):
-    x, w = cache
-    dx = dy @ w.T
-    dw = x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
-    db = dy.sum(axis=(0, 1))
+    x2, w = cache
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    dx = (dy2 @ w.T).reshape(*dy.shape[:-1], w.shape[0])
+    dw = x2.T @ dy2
+    db = dy2.sum(axis=0)
     return dx, dw, db
 
 
@@ -95,15 +111,35 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def _gelu_fwd(x):
-    u = _GELU_C * (x + 0.044715 * x * x * x)
-    t = np.tanh(u)
-    return 0.5 * x * (1.0 + t), (x, t)
+    # 0.5 x (1 + tanh(c (x + 0.044715 x^3))), one operation at a time
+    t = x * 0.044715
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = x * 0.5
+    y *= t + 1.0
+    return y, (x, t)
 
 
 def _gelu_bwd(dy, cache):
+    # dy (0.5 (1 + t) + 0.5 x (1 - t^2) du), du = c (1 + 3 * 0.044715 x^2)
     x, t = cache
-    du = _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    du = x * (3.0 * 0.044715)
+    du *= x
+    du += 1.0
+    du *= _GELU_C
+    one_minus_tt = t * t
+    np.subtract(1.0, one_minus_tt, out=one_minus_tt)
+    dx = x * 0.5
+    dx *= one_minus_tt
+    dx *= du
+    half_one_plus_t = np.add(t, 1.0, out=du)
+    half_one_plus_t *= 0.5
+    dx += half_one_plus_t
+    dx *= dy
+    return dx
 
 
 def _dropout_fwd(x, rate, train_mode, rng):
@@ -111,20 +147,25 @@ def _dropout_fwd(x, rate, train_mode, rng):
         return x, None
     keep = rng.random(x.shape, dtype=x.dtype) >= rate
     scale = 1.0 / (1.0 - rate)
-    return x * keep * scale, (keep, scale)
+    y = x * keep
+    y *= scale
+    return y, (keep, scale)
 
 
 def _dropout_bwd(dy, cache):
     if cache is None:
         return dy
     keep, scale = cache
-    return dy * keep * scale
+    dx = dy * keep
+    dx *= scale
+    return dx
 
 
 def _softmax(x):
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 _MASK_CACHE = {}
@@ -153,7 +194,8 @@ def _attention_fwd(x, params, prefix, cfg, rate, train_mode, rng, kv):
             ks = np.concatenate((kv[prefix][0], ks), axis=2)
             vs = np.concatenate((kv[prefix][1], vs), axis=2)
         kv[prefix] = (ks, vs)
-    scores = qs @ ks.transpose(0, 1, 3, 2) / math.sqrt(dh)
+    scores = qs @ ks.transpose(0, 1, 3, 2)
+    scores /= math.sqrt(dh)
     if t > 1:
         scores += _causal_mask(t, ks.shape[2] - t)
     att = _softmax(scores)
@@ -177,7 +219,11 @@ def _attention_bwd(dout, cache, grads, prefix):
     datt_d = dctx @ vs.transpose(0, 1, 3, 2)
     dvs = att_d.transpose(0, 1, 3, 2) @ dctx
     datt = _dropout_bwd(datt_d, catt_drop)
-    dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
+    # att * (datt - sum(datt * att)) / sqrt(dh) in one buffer
+    dscores = datt * att
+    row = dscores.sum(axis=-1, keepdims=True)
+    np.subtract(datt, row, out=dscores)
+    dscores *= att
     dscores /= math.sqrt(dh)
     dqs = dscores @ ks
     dks = dscores.transpose(0, 1, 3, 2) @ qs
@@ -222,36 +268,35 @@ def forward(params, cfg: ModelConfig, ids, train_mode: bool = False, rng=None, *
         p = f"h{i}."
         a, cln1 = _layernorm_fwd(x, params[p + "ln1.g"], params[p + "ln1.b"])
         attn_out, cattn = _attention_fwd(a, params, p + "attn.", cfg, rate, train_mode, rng, kv)
-        x = x + attn_out
+        x += attn_out
         m, cln2 = _layernorm_fwd(x, params[p + "ln2.g"], params[p + "ln2.b"])
         f1, cf1 = _linear_fwd(m, params[p + "mlp.w1"], params[p + "mlp.b1"])
         g1, cg = _gelu_fwd(f1)
         f2, cf2 = _linear_fwd(g1, params[p + "mlp.w2"], params[p + "mlp.b2"])
         f2, cmlp_drop = _dropout_fwd(f2, rate, train_mode, rng)
-        x = x + f2
+        x += f2
         blocks.append((cln1, cattn, cln2, cf1, cg, cf2, cmlp_drop))
     hf, clnf = _layernorm_fwd(x, params["lnf.g"], params["lnf.b"])
-    if cfg.tie_embeddings:
-        logits = hf @ params["tok_emb"].T
-    else:
-        logits = hf @ params["head.w"]
-    cache = (ids, demb, blocks, clnf, hf)
+    hf2 = hf.reshape(b * t, -1)
+    head = params["tok_emb"].T if cfg.tie_embeddings else params["head.w"]
+    logits = (hf2 @ head).reshape(b, t, -1)
+    cache = (ids, demb, blocks, clnf, hf2)
     return logits, cache
 
 
 def backward(params, cfg: ModelConfig, cache, dlogits) -> dict:
     """Gradients of whatever scalar produced `dlogits`, keyed like params."""
-    ids, demb, blocks, clnf, hf = cache
+    ids, demb, blocks, clnf, hf2 = cache
     grads = {name: None for name in params}
 
-    v = dlogits.shape[-1]
-    d = hf.shape[-1]
+    dl2 = dlogits.reshape(-1, dlogits.shape[-1])
     if cfg.tie_embeddings:
-        dhf = dlogits @ params["tok_emb"]
-        dtok_head = dlogits.reshape(-1, v).T @ hf.reshape(-1, d)
+        dhf2 = dl2 @ params["tok_emb"]
+        dtok_head = dl2.T @ hf2
     else:
-        dhf = dlogits @ params["head.w"].T
-        grads["head.w"] = hf.reshape(-1, d).T @ dlogits.reshape(-1, v)
+        dhf2 = dl2 @ params["head.w"].T
+        grads["head.w"] = hf2.T @ dl2
+    dhf = dhf2.reshape(*ids.shape, -1)
 
     dx, grads["lnf.g"], grads["lnf.b"] = _layernorm_bwd(dhf, clnf)
 
@@ -263,10 +308,10 @@ def backward(params, cfg: ModelConfig, cache, dlogits) -> dict:
         df1 = _gelu_bwd(dg1, cg)
         dm, grads[p + "mlp.w1"], grads[p + "mlp.b1"] = _linear_bwd(df1, cf1)
         dx_ln2, grads[p + "ln2.g"], grads[p + "ln2.b"] = _layernorm_bwd(dm, cln2)
-        dx = dx + dx_ln2
+        dx += dx_ln2
         da = _attention_bwd(dx, cattn, grads, p + "attn.")
         dx_ln1, grads[p + "ln1.g"], grads[p + "ln1.b"] = _layernorm_bwd(da, cln1)
-        dx = dx + dx_ln1
+        dx += dx_ln1
 
     dx = _dropout_bwd(dx, demb)
     dtok = np.zeros_like(params["tok_emb"])

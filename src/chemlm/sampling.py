@@ -4,12 +4,14 @@ Each sequence starts at BOS and draws the next id from
 softmax(logits / temperature) until EOS or the length cap; temperature
 zero means greedy argmax. Every sequence owns an rng seeded by
 [seed, index], so results are independent of how sequences are grouped
-into forward-pass chunks. Each step feeds one token per sequence and
-reuses the earlier positions' keys and values from forward's `kv` cache.
+into forward-pass chunks. Each step feeds one token per sequence,
+reuses the earlier positions' keys and values from forward's `kv` cache,
+and draws the next ids of all active sequences in one array op.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,20 +35,29 @@ class SampleConfig:
             raise ConfigError("n_samples must be >= 1")
         if self.max_len < 2:
             raise ConfigError("max_len must be >= 2")
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
 
 
-def _draw(logits: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
+def _draw(logits: np.ndarray, temperature: float, rngs) -> np.ndarray:
+    """Next id of each row of `logits` [n, vocab]; row i draws u from rngs[i].
+
+    The inverse-CDF draw: the first id whose cumulative probability
+    exceeds u, which counts the ids whose cumulative probability is <= u.
+    Subtracting the row max before dividing by the temperature keeps a
+    tiny positive temperature finite: it draws among the maxima.
+    """
     if temperature == 0.0:
-        return int(np.argmax(logits))
-    z = logits / temperature
-    z = z - z.max()
-    p = np.exp(z)
-    p /= p.sum()
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
-    return min(idx, len(p) - 1)
+        return logits.argmax(axis=-1)
+    p = logits - logits.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        p /= temperature
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    cdf = np.cumsum(p, axis=-1)
+    u = np.array([rng.random() for rng in rngs])
+    idx = (cdf <= u[:, None]).sum(axis=-1)
+    return np.minimum(idx, logits.shape[-1] - 1)
 
 
 def sample(
@@ -74,9 +85,9 @@ def sample(
         while active:
             newest = np.array([seqs[i][-1:] for i in active], dtype=np.int64)
             logits, _ = forward(params, model_cfg, newest, train_mode=False, kv=kv)
+            drawn = _draw(logits[:, -1], cfg.temperature, [rngs[i] for i in active]).tolist()
             keep = []
-            for row, i in enumerate(active):
-                nxt = _draw(logits[row, -1], cfg.temperature, rngs[i])
+            for row, (i, nxt) in enumerate(zip(active, drawn)):
                 seqs[i].append(nxt)
                 if nxt == vocab.eos_id:
                     out[i] = TokenSequence(ids=seqs[i], truncated=False)

@@ -75,9 +75,21 @@ class Adam:
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
         for k, g in grads.items():
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
-            params[k] -= lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + ADAM_EPS)
+            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, in place
+            m, v = self.m[k], self.v[k]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            gg = (1.0 - ADAM_BETA2) * g
+            gg *= g
+            v *= ADAM_BETA2
+            v += gg
+            update = m / c1
+            update *= lr
+            den = np.divide(v, c2, out=gg)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            update /= den
+            params[k] -= update
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> float:

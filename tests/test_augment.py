@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from chemlm.augment import (
     augment_structure,
     random_rotation,
     rotate_about_center,
-    rotation_angle,
     shift_origin,
 )
 from chemlm.geometry import centroid, pairwise_distances
@@ -13,6 +14,12 @@ from chemlm.structures import Atom, Crystal, Lattice, Molecule, Site
 from chemlm.tokenize import Scheme, build_vocab, content_tokens
 
 from conftest import random_molecule, random_structure
+
+
+def rotation_angle(R):
+    """Rotation angle of R in [0, pi]."""
+    c = (np.trace(R) - 1.0) / 2.0
+    return math.acos(min(1.0, max(-1.0, c)))
 
 
 def sorted_distance_multiset(points):

@@ -151,6 +151,19 @@ class TestPipeline:
         assert 0.0 <= m["truncation_rate"] <= 1.0
         assert m["checkpoint_step"] == 6
 
+    def test_tiny_temperature_samples_greedily(self, pipeline, tmp_path):
+        # a subnormal temperature once turned every logit into nan and
+        # every drawn id into 0 (BOS)
+        drawn = {}
+        for temperature in ("0", "1e-320"):
+            out = os.path.join(tmp_path, temperature)
+            assert run_cli([
+                "sample", "--checkpoint", pipeline["checkpoint"], "--vocab", pipeline["vocab"],
+                "--n", "3", "--temperature", temperature, "--seed", "1", "--out", out,
+            ]) == EXIT_OK
+            drawn[temperature] = [s.ids for s in read_samples_csv(os.path.join(out, "samples.csv"))]
+        assert drawn["1e-320"] == drawn["0"]
+
     def test_evaluate_sequence_outputs(self, pipeline):
         out = pipeline["eval_seq"]
         with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
@@ -302,6 +315,16 @@ class TestExitCodes:
         ]) == EXIT_USER
         assert "internal error" not in capsys.readouterr().err
         assert "max_len 999" in manifest_of(out)["error"]
+
+    @pytest.mark.parametrize("temperature", ["nan", "inf", "-0.5"])
+    def test_bad_temperature_is_user_error(self, pipeline, tmp_path, capsys, temperature):
+        out = os.path.join(tmp_path, "out")
+        assert run_cli([
+            "sample", "--checkpoint", pipeline["checkpoint"], "--vocab", pipeline["vocab"],
+            "--n", "1", "--temperature", temperature, "--out", out,
+        ]) == EXIT_USER
+        assert "internal error" not in capsys.readouterr().err
+        assert "temperature must be finite and >= 0" in manifest_of(out)["error"]
 
     def sample_error(self, checkpoint, vocab, tmp_path, capsys):
         """The manifest error of a `sample` run that must exit 1."""

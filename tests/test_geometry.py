@@ -5,11 +5,9 @@ import pytest
 
 from chemlm.errors import InvalidLatticeError
 from chemlm.geometry import (
-    cart_to_frac,
     cell_volume,
     centroid,
     crystal_density,
-    frac_to_cart,
     kabsch_rmsd,
     lattice_matrix,
     min_image_distance,
@@ -19,6 +17,16 @@ from chemlm.geometry import (
 from chemlm.structures import Atom, Lattice, Molecule
 
 from conftest import random_lattice
+
+
+def frac_to_cart(lattice, frac):
+    """Fractional coordinates (n, 3) or (3,) in Cartesian Angstrom."""
+    return np.asarray(frac, dtype=float) @ lattice_matrix(lattice)
+
+
+def cart_to_frac(lattice, cart):
+    """Cartesian coordinates (n, 3) or (3,) in fractions of the cell."""
+    return np.asarray(cart, dtype=float) @ np.linalg.inv(lattice_matrix(lattice))
 
 
 def brute_force_min_image(lattice, f1, f2, span):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import chemlm.model.network as network
 from chemlm.model import (
     Checkpoint,
     ModelConfig,
@@ -10,7 +13,6 @@ from chemlm.model import (
     init_params,
     load_checkpoint,
     loss_and_grads,
-    param_count,
     save_checkpoint,
 )
 from chemlm.training import pad_batch
@@ -24,6 +26,10 @@ TINY = ModelConfig(
     vocab_size=11,
     dropout_rate=0.0,
 )
+
+
+def param_count(params):
+    return sum(int(t.size) for t in params.values())
 
 
 def tiny_batch(rng, batch=3, length=8, cfg=TINY):
@@ -71,8 +77,12 @@ class TestInit:
             assert v.dtype == np.float64
 
     def test_param_count(self):
+        # 2 embeddings + per layer: 2 layer norms, 4 attention projections, 2 MLP
+        # matrices with their biases; then the final layer norm
+        d, f, v, t = TINY.d_model, TINY.d_ff, TINY.vocab_size, TINY.max_seq_len
+        per_layer = 4 * d + 4 * (d * d + d) + (d * f + f) + (f * d + d)
         params = init_params(TINY, seed=0)
-        assert param_count(params) == sum(v.size for v in params.values())
+        assert param_count(params) == v * d + t * d + TINY.n_layers * per_layer + 2 * d
 
     def test_layernorm_starts_at_identity(self):
         params = init_params(TINY, seed=0)
@@ -390,6 +400,226 @@ class TestFloat32:
         scale = max(np.abs(g).max() for g in grads64.values())
         for name, g in grads64.items():
             np.testing.assert_allclose(grads32[name], g, rtol=0, atol=1e-3 * scale, err_msg=name)
+
+
+# The kernels as they were before they were rewritten with `out=` and
+# in-place operators; the rewrites evaluate the same operations in the
+# same order, so they must give the same bits.
+
+def ref_layernorm_fwd(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + network.LN_EPS)
+    xhat = xc * inv
+    return g * xhat + b, (xhat, inv, g)
+
+
+def ref_layernorm_bwd(dy, cache):
+    xhat, inv, g = cache
+    dg = (dy * xhat).sum(axis=(0, 1))
+    db = dy.sum(axis=(0, 1))
+    dxhat = dy * g
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv * (dxhat - m1 - xhat * m2)
+    return dx, dg, db
+
+
+def ref_linear_fwd(x, w, b):
+    return x @ w + b, (x, w)
+
+
+def ref_linear_bwd(dy, cache):
+    x, w = cache
+    dx = dy @ w.T
+    dw = x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+    db = dy.sum(axis=(0, 1))
+    return dx, dw, db
+
+
+GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def ref_gelu_fwd(x):
+    u = GELU_C * (x + 0.044715 * x * x * x)
+    t = np.tanh(u)
+    return 0.5 * x * (1.0 + t), (x, t)
+
+
+def ref_gelu_bwd(dy, cache):
+    x, t = cache
+    du = GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
+    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+
+
+def ref_dropout_fwd(x, rate, train_mode, rng):
+    if not train_mode or rate == 0.0:
+        return x, None
+    keep = rng.random(x.shape, dtype=x.dtype) >= rate
+    scale = 1.0 / (1.0 - rate)
+    return x * keep * scale, (keep, scale)
+
+
+def ref_dropout_bwd(dy, cache):
+    if cache is None:
+        return dy
+    keep, scale = cache
+    return dy * keep * scale
+
+
+def ref_softmax(x):
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_attention_bwd(dout, cache, grads, prefix):
+    """The attention backward with its old `dscores` and dropout; the
+    projections go through the current `_linear_bwd`."""
+    cq, ck, cv, qs, ks, vs, att, att_d, catt_drop, co, cout_drop, shape = cache
+    b, t, d, h, dh = shape
+    dout = ref_dropout_bwd(dout, cout_drop)
+    dmerged, grads[prefix + "wo"], grads[prefix + "bo"] = network._linear_bwd(dout, co)
+    dctx = dmerged.reshape(b, t, h, dh).transpose(0, 2, 1, 3)
+    datt_d = dctx @ vs.transpose(0, 1, 3, 2)
+    dvs = att_d.transpose(0, 1, 3, 2) @ dctx
+    datt = ref_dropout_bwd(datt_d, catt_drop)
+    dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
+    dscores /= math.sqrt(dh)
+    dqs = dscores @ ks
+    dks = dscores.transpose(0, 1, 3, 2) @ qs
+
+    def merge(y):
+        return y.transpose(0, 2, 1, 3).reshape(b, t, d)
+
+    dq, grads[prefix + "wq"], grads[prefix + "bq"] = network._linear_bwd(merge(dqs), cq)
+    dk, grads[prefix + "wk"], grads[prefix + "bk"] = network._linear_bwd(merge(dks), ck)
+    dv, grads[prefix + "wv"], grads[prefix + "bv"] = network._linear_bwd(merge(dvs), cv)
+    return dq + dk + dv
+
+
+def snapshot(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.copy()
+    if isinstance(obj, (tuple, list)):
+        return type(obj)(snapshot(o) for o in obj)
+    if isinstance(obj, dict):
+        return {k: snapshot(v) for k, v in obj.items()}
+    return obj
+
+
+def assert_identical(got, want):
+    """Same structure, and every array the same dtype, shape and bits."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_identical(g, w)
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for k in want:
+            assert_identical(got[k], want[k])
+    else:
+        assert got == want
+
+
+DTYPES = [np.float32, np.float64]
+
+
+class TestKernels:
+    """Each in-place kernel against its old expression, bit for bit, with
+    its inputs and the forward cache left as they were."""
+
+    def normal(self, rng, dtype, *shape, scale=1.0):
+        return rng.normal(0.0, scale, shape).astype(dtype)
+
+    def check(self, new, ref, *args):
+        before = snapshot(args)
+        got = new(*args)
+        assert_identical(args, before)
+        assert_identical(got, ref(*args))
+        return got
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_layernorm(self, rng, dtype):
+        x = self.normal(rng, dtype, 3, 7, 16, scale=3.0)
+        g = self.normal(rng, dtype, 16) + dtype(1.0)
+        b = self.normal(rng, dtype, 16)
+        _, cache = self.check(network._layernorm_fwd, ref_layernorm_fwd, x, g, b)
+        self.check(network._layernorm_bwd, ref_layernorm_bwd, self.normal(rng, dtype, 3, 7, 16), cache)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_gelu(self, rng, dtype):
+        x = self.normal(rng, dtype, 3, 7, 32, scale=3.0)
+        _, cache = self.check(network._gelu_fwd, ref_gelu_fwd, x)
+        self.check(network._gelu_bwd, ref_gelu_bwd, self.normal(rng, dtype, 3, 7, 32), cache)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("rate, train_mode", [(0.3, True), (0.3, False), (0.0, True)])
+    def test_dropout(self, rng, dtype, rate, train_mode):
+        x = self.normal(rng, dtype, 3, 7, 16)
+        got, cache = network._dropout_fwd(x, rate, train_mode, np.random.default_rng(1))
+        want, ref_cache = ref_dropout_fwd(x.copy(), rate, train_mode, np.random.default_rng(1))
+        assert_identical((got, cache), (want, ref_cache))
+        self.check(network._dropout_bwd, ref_dropout_bwd, self.normal(rng, dtype, 3, 7, 16), cache)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_softmax(self, rng, dtype):
+        scores = self.normal(rng, dtype, 2, 3, 6, 6, scale=4.0)
+        scores += network._causal_mask(6, 0).astype(dtype)
+        self.check(network._softmax, ref_softmax, scores)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_attention_backward(self, rng, dtype, rate):
+        cfg = ModelConfig(**{**TINY.to_dict(), "dropout_rate": rate})
+        params = {k: v.astype(dtype) for k, v in init_params(cfg, seed=2).items()}
+        x = self.normal(rng, dtype, 3, 7, cfg.d_model)
+        out, cache = network._attention_fwd(x, params, "h0.attn.", cfg, rate, True, np.random.default_rng(4), None)
+        dout = self.normal(rng, dtype, *out.shape)
+        got_grads, want_grads = {}, {}
+        self.check(
+            lambda *a: (network._attention_bwd(*a, got_grads, "h0.attn."), got_grads),
+            lambda *a: (ref_attention_bwd(*a, want_grads, "h0.attn."), want_grads),
+            dout, cache,
+        )
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(3, 7, 16, 32), (16, 27, 64, 256), (64, 1, 64, 64)])
+    def test_linear_agrees_with_the_stacked_matmul(self, rng, dtype, shape):
+        # one 2-D matmul over the flattened rows and numpy's stack of
+        # per-row-block matmuls may take different BLAS kernels (a decode
+        # step's [1, d] blocks are matrix-vector products), so each output
+        # is held to the rounding of a d-term dot product
+        b, t, d, n = shape
+        x, dy = self.normal(rng, dtype, b, t, d), self.normal(rng, dtype, b, t, n)
+        w, bias = self.normal(rng, dtype, d, n), self.normal(rng, dtype, n)
+        before = snapshot((x, w, bias, dy))
+        y, cache = network._linear_fwd(x, w, bias)
+        grads = network._linear_bwd(dy, cache)
+        assert_identical((x, w, bias, dy), before)
+        want_y, want_cache = ref_linear_fwd(x, w, bias)
+        want_grads = ref_linear_bwd(dy, want_cache)
+        tol = 8 * np.finfo(dtype).eps * math.sqrt(max(d, n, b * t))
+        for got, want in zip((y, *grads), (want_y, *want_grads)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("tie, rate", [(True, 0.0), (False, 0.2)])
+    def test_backward_leaves_the_forward_cache_alone(self, rng, dtype, tie, rate):
+        cfg = ModelConfig(**{**TINY.to_dict(), "dropout_rate": rate, "tie_embeddings": tie})
+        params = {k: v.astype(dtype) for k, v in init_params(cfg, seed=1).items()}
+        inputs, targets, mask = tiny_batch(rng, cfg=cfg)
+        logits, cache = forward(params, cfg, inputs, train_mode=True, rng=np.random.default_rng(2))
+        _, dlogits = cross_entropy(logits, targets, mask.astype(dtype))
+        kept_params, kept_cache, kept_dlogits = snapshot(params), snapshot(cache), dlogits.copy()
+        first = backward(params, cfg, cache, dlogits)
+        assert_identical((params, cache, dlogits), (kept_params, kept_cache, kept_dlogits))
+        assert_identical(backward(params, cfg, cache, dlogits), first)
 
 
 class TestNonFinite:

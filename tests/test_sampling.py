@@ -43,6 +43,81 @@ class TestConfig:
         with pytest.raises(ValueError):
             SampleConfig(n_samples=1, max_len=10, temperature=-0.5)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+    def test_temperature_must_be_finite(self, temperature):
+        with pytest.raises(ValueError, match="finite"):
+            SampleConfig(n_samples=1, max_len=10, temperature=temperature)
+
+
+def reference_draw(logits, temperature, rng):
+    """The per-row draw the sampler made before it drew all rows at once."""
+    if temperature == 0.0:
+        return int(np.argmax(logits))
+    z = logits / temperature
+    z = z - z.max()
+    p = np.exp(z)
+    p /= p.sum()
+    u = rng.random()
+    idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
+    return min(idx, len(p) - 1)
+
+
+def row_rngs(seed, n):
+    return [np.random.default_rng([seed, i]) for i in range(n)]
+
+
+class TestDraw:
+    def test_rows_match_the_per_row_draw_at_temperatures_0_and_1(self, rng):
+        # float64 exp, sum and cumsum along the last axis give each row the
+        # values they give it alone, so the draw is the same bit for bit
+        for n, v in ((1, 5), (7, 11), (64, 101), (33, 801)):
+            logits = rng.normal(0.0, 3.0, size=(n, v))
+            before = logits.copy()
+            for temperature in (0.0, 1.0):
+                got = sampling_module._draw(logits, temperature, row_rngs(4, n))
+                want = [reference_draw(row, temperature, r) for row, r in zip(logits, row_rngs(4, n))]
+                assert got.tolist() == want
+            np.testing.assert_array_equal(logits, before)
+
+    def test_other_temperatures_agree_with_the_per_row_draw(self, rng):
+        # the row max is subtracted before dividing, so z may move in its
+        # last bit; no draw of this size lands on such a boundary
+        logits = rng.normal(0.0, 3.0, size=(64, 101))
+        for temperature in (0.3, 0.7, 1.5, 4.0):
+            got = sampling_module._draw(logits, temperature, row_rngs(5, 64))
+            want = [reference_draw(row, temperature, r) for row, r in zip(logits, row_rngs(5, 64))]
+            assert got.tolist() == want
+
+    def test_ties_and_u_on_a_cdf_boundary(self):
+        class FixedU:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        # four equal logits: the CDF is exactly 0.25, 0.5, 0.75, 1.0, and a u
+        # equal to a boundary belongs to the next id, as searchsorted(side="right")
+        logits = np.zeros((6, 4))
+        us = [0.0, 0.25, 0.5, 0.75, 0.2499999999999999, 0.9999999999999999]
+        want_ids = [0, 1, 2, 3, 0, 3]
+        got = sampling_module._draw(logits, 1.0, [FixedU(u) for u in us])
+        assert got.tolist() == want_ids
+        assert [reference_draw(row, 1.0, FixedU(u)) for row, u in zip(logits, us)] == want_ids
+        # greedy takes the first of tied maxima
+        tied = np.array([[0.0, 2.0, 2.0, 1.0], [3.0, 3.0, 3.0, 3.0]])
+        assert sampling_module._draw(tied, 0.0, [FixedU(0.5)] * 2).tolist() == [1, 0]
+        assert [reference_draw(row, 0.0, FixedU(0.5)) for row in tied] == [1, 0]
+
+    def test_tiny_temperature_draws_among_the_maxima(self):
+        # 1e-320 is subnormal: dividing the logits by it first overflowed to
+        # inf - inf = nan, and every draw returned id 0
+        logits = np.array([[0.5, 2.0, -1.0, 1.9], [4.0, 0.0, 4.0, -3.0]])
+        rngs = row_rngs(0, 2)
+        for _ in range(20):
+            got = sampling_module._draw(logits, 1e-320, rngs).tolist()
+            assert got[0] == 1 and got[1] in (0, 2)
+
 
 class TestSample:
     def test_shape_of_output(self, setup):
@@ -102,6 +177,13 @@ class TestSample:
         for s in cold:
             assert s.ids == greedy[0].ids
 
+    def test_subnormal_temperature_is_greedy(self, setup):
+        params, cfg, vocab = setup
+        greedy = sample(params, cfg, vocab, SampleConfig(n_samples=1, max_len=12, temperature=0.0, seed=6))
+        cold = sample(params, cfg, vocab, SampleConfig(n_samples=5, max_len=12, temperature=1e-320, seed=6))
+        for s in cold:
+            assert s.ids == greedy[0].ids
+
     def test_max_len_beyond_context_rejected(self, setup):
         params, cfg, vocab = setup
         with pytest.raises(ValueError, match="max_seq_len"):
@@ -116,7 +198,7 @@ class TestSample:
 
 def reference_sample(params, model_cfg, vocab, cfg):
     """The full-prefix sampler: one whole forward over every active row's
-    prefix per new token, with the same chunks, rngs and draws."""
+    prefix per new token, with the same chunks and rngs, drawing row by row."""
     out = [None] * cfg.n_samples
     for start in range(0, cfg.n_samples, sampling_module.CHUNK):
         indices = range(start, min(start + sampling_module.CHUNK, cfg.n_samples))
@@ -128,7 +210,7 @@ def reference_sample(params, model_cfg, vocab, cfg):
             logits, _ = forward(params, model_cfg, prefix, train_mode=False)
             still = []
             for row, i in enumerate(active):
-                seqs[i].append(sampling_module._draw(logits[row, -1], cfg.temperature, rngs[i]))
+                seqs[i].append(reference_draw(logits[row, -1], cfg.temperature, rngs[i]))
                 if seqs[i][-1] == vocab.eos_id:
                     out[i] = TokenSequence(ids=seqs[i], truncated=False)
                 elif len(seqs[i]) >= cfg.max_len:

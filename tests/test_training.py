@@ -96,7 +96,42 @@ class TestLrSchedule:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+class ReferenceAdam:
+    """Adam as it was before its updates were made in place."""
+
+    def __init__(self, params):
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads, lr):
+        self.t += 1
+        c1 = 1.0 - training.ADAM_BETA1**self.t
+        c2 = 1.0 - training.ADAM_BETA2**self.t
+        for k, g in grads.items():
+            self.m[k] = training.ADAM_BETA1 * self.m[k] + (1.0 - training.ADAM_BETA1) * g
+            self.v[k] = training.ADAM_BETA2 * self.v[k] + (1.0 - training.ADAM_BETA2) * g * g
+            params[k] -= lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + training.ADAM_EPS)
+
+
 class TestAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_update_matches_the_reference_bit_for_bit(self, rng, dtype):
+        shapes = {"w": (16, 24), "b": (24,), "e": (11, 16)}
+        start = {k: rng.normal(0.0, 0.02, s).astype(dtype) for k, s in shapes.items()}
+        got, want = {k: v.copy() for k, v in start.items()}, {k: v.copy() for k, v in start.items()}
+        opt, ref = Adam(got), ReferenceAdam(want)
+        for step in range(5):
+            grads = {k: rng.normal(0.0, 10.0 ** -step, s).astype(dtype) for k, s in shapes.items()}
+            kept = {k: g.copy() for k, g in grads.items()}
+            opt.step(got, grads, lr=1e-3 * (1 + step))
+            ref.step(want, grads, lr=1e-3 * (1 + step))
+            for k in shapes:
+                np.testing.assert_array_equal(grads[k], kept[k])
+                for a, b in ((got[k], want[k]), (opt.m[k], ref.m[k]), (opt.v[k], ref.v[k])):
+                    assert a.dtype == b.dtype == dtype
+                    assert np.array_equal(a, b), k
+
     def test_minimizes_a_quadratic(self):
         params = {"x": np.array([5.0, -3.0])}
         opt = Adam(params)
