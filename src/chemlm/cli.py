@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ArtifactError, ChemlmError
 from .formats import EXTENSIONS, FileDocument, parse_document, prune_pocket, write_structure
-from .geometry import centroid, kabsch_rmsd, pairwise_distances
+from .geometry import centroid, pairwise_distances
 from .manifest import (
     file_sha256,
     hash_outputs,
@@ -596,7 +596,6 @@ def build_report_parser():
     p = _Parser(prog="chemlm report")
     p.add_argument("--reports", required=True, nargs="+", help="report.json files")
     p.add_argument("--structures", help="evaluate output structures/ directory")
-    p.add_argument("--reference", help="reference conformer directory for RMSD CSV")
     return p
 
 
@@ -641,24 +640,6 @@ def cmd_report(args, out_dir, phases):
                 )
             extras["n_structures"] = len(structures)
 
-    if args.reference:
-        if not args.structures:
-            raise CliError("--reference needs --structures")
-        with _phase(phases, "rmsd"):
-            ref = {n: s for n, s, _ in _read_structure_files(args.reference) if s is not None}
-            rows = []
-            for name, s, _ in _read_structure_files(args.structures):
-                if s is None or name not in ref:
-                    continue
-                pos_a = _positions_of(s)
-                pos_b = _positions_of(ref[name])
-                if pos_a is None or pos_b is None:
-                    rows.append([name, "", "fractional coordinates"])
-                elif len(pos_a) != len(pos_b):
-                    rows.append([name, "", "atom count mismatch"])
-                else:
-                    rows.append([name, repr(kabsch_rmsd(pos_a, pos_b)), ""])
-            _write_csv(os.path.join(out_dir, "rmsd.csv"), ["file", "rmsd", "note"], rows)
     return extras
 
 
@@ -688,7 +669,7 @@ to default --out to $CHEMLM_OUTPUT_ROOT/<command>.
 """
 
 _PATH_ARGS = {"out", "config", "input", "corpus", "checkpoint", "vocab",
-              "samples", "train", "reports", "structures", "reference"}
+              "samples", "train", "reports", "structures"}
 
 
 def _resolve_out(args, command) -> str:

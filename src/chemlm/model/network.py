@@ -6,8 +6,10 @@ and the output projection. Forward and backward compute in the dtype of
 the parameters: float64 from `init_params` and checkpoints (gradient
 checks, sampling), float32 in training. Forward keeps a cache that
 backward consumes, and the gradients are exact (they are checked against
-central finite differences in the tests). Given a `kv` dict of cached
-keys and values, forward decodes incrementally.
+central finite differences in the tests). Given a `kv` dict, forward
+decodes incrementally: each layer's keys and values go into buffers
+preallocated at the full context length, written in place, so a decode
+step copies only its own new positions.
 
 Linear layers and the logits are one 2-D matmul over the flattened
 [batch * seq, d] rows: numpy runs `@` on a 3-D operand as one matmul per
@@ -191,9 +193,15 @@ def _attention_fwd(x, params, prefix, cfg, rate, train_mode, rng, kv):
     qs, ks, vs = split(q), split(k), split(v)
     if kv is not None:
         if prefix in kv:
-            ks = np.concatenate((kv[prefix][0], ks), axis=2)
-            vs = np.concatenate((kv[prefix][1], vs), axis=2)
-        kv[prefix] = (ks, vs)
+            kbuf, vbuf, past = kv[prefix]
+        else:
+            kbuf = np.empty((b, h, cfg.max_seq_len, dh), dtype=ks.dtype)
+            vbuf = np.empty_like(kbuf)
+            past = 0
+        kbuf[:, :, past:past + t] = ks
+        vbuf[:, :, past:past + t] = vs
+        ks, vs = kbuf[:, :, :past + t], vbuf[:, :, :past + t]
+        kv[prefix] = (kbuf, vbuf, past + t)
     scores = qs @ ks.transpose(0, 1, 3, 2)
     scores /= math.sqrt(dh)
     if t > 1:
@@ -247,14 +255,16 @@ def forward(params, cfg: ModelConfig, ids, train_mode: bool = False, rng=None, *
     """Logits [batch, seq, vocab] plus the cache backward needs.
 
     In train mode dropout draws from `rng`; eval mode is deterministic.
-    `kv` maps each layer's attention prefix ("h0.attn.", ...) to the keys and values
-    [batch, heads, L, d_head] of the L positions before `ids`; forward appends theirs.
+    `kv` maps each layer's attention prefix ("h0.attn.", ...) to its key and value
+    buffers [batch, heads, max_seq_len, d_head] and the number L of positions
+    before `ids` they hold. Forward fills an empty `kv` with new buffers, writes
+    the keys and values of `ids` at [L, L + t) in place and attends over [:L + t].
     """
     ids = np.asarray(ids)
     if ids.ndim == 1:
         ids = ids[None, :]
     b, t = ids.shape
-    past = kv["h0.attn."][0].shape[2] if kv else 0
+    past = kv["h0.attn."][2] if kv else 0
     if past + t > cfg.max_seq_len:
         raise ValueError(f"sequence length {past + t} exceeds max_seq_len {cfg.max_seq_len}")
     if train_mode and cfg.dropout_rate > 0.0 and rng is None:

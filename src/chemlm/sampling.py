@@ -4,9 +4,12 @@ Each sequence starts at BOS and draws the next id from
 softmax(logits / temperature) until EOS or the length cap; temperature
 zero means greedy argmax. Every sequence owns an rng seeded by
 [seed, index], so results are independent of how sequences are grouped
-into forward-pass chunks. Each step feeds one token per sequence,
-reuses the earlier positions' keys and values from forward's `kv` cache,
-and draws the next ids of all active sequences in one array op.
+into forward-pass chunks. A chunk's sequences grow in step, one token
+each per forward call, into one [chunk, max_len] id array. Each step
+reuses the earlier positions' keys and values from forward's `kv` cache
+and draws the next ids of all active sequences in one array op. When
+sequences finish, the kept rows' filled prefix moves up inside the
+cache's own buffers, which then keep their first rows.
 """
 
 from __future__ import annotations
@@ -77,27 +80,31 @@ def sample(
         )
     out = [None] * cfg.n_samples
     for start in range(0, cfg.n_samples, CHUNK):
-        indices = range(start, min(start + CHUNK, cfg.n_samples))
-        rngs = {i: np.random.default_rng([cfg.seed, i]) for i in indices}
-        seqs = {i: [vocab.bos_id] for i in indices}
-        active = list(indices)
+        stop = min(start + CHUNK, cfg.n_samples)
+        rngs = [np.random.default_rng([cfg.seed, i]) for i in range(start, stop)]
+        tokens = np.full((stop - start, cfg.max_len), vocab.bos_id, dtype=np.int64)
+        rows = np.arange(stop - start)  # the chunk's rows still drawing, as the cache holds them
         kv = {}
-        while active:
-            newest = np.array([seqs[i][-1:] for i in active], dtype=np.int64)
-            logits, _ = forward(params, model_cfg, newest, train_mode=False, kv=kv)
-            drawn = _draw(logits[:, -1], cfg.temperature, [rngs[i] for i in active]).tolist()
-            keep = []
-            for row, (i, nxt) in enumerate(zip(active, drawn)):
-                seqs[i].append(nxt)
-                if nxt == vocab.eos_id:
-                    out[i] = TokenSequence(ids=seqs[i], truncated=False)
-                elif len(seqs[i]) >= cfg.max_len:
-                    out[i] = TokenSequence(ids=seqs[i], truncated=True)
-                else:
-                    keep.append(row)
-            if len(keep) < len(active):
-                kv = {name: (k[keep], v[keep]) for name, (k, v) in kv.items()}
-                active = [active[row] for row in keep]
+        for n in range(1, cfg.max_len):
+            logits, _ = forward(params, model_cfg, tokens[rows, n - 1:n], train_mode=False, kv=kv)
+            drawn = _draw(logits[:, -1], cfg.temperature, rngs)
+            tokens[rows, n] = drawn
+            eos = drawn == vocab.eos_id
+            done = eos | (n + 1 == cfg.max_len)
+            for j in np.flatnonzero(done).tolist():
+                ids = tokens[rows[j], :n + 1].tolist()
+                out[start + rows[j]] = TokenSequence(ids=ids, truncated=not eos[j])
+            keep = np.flatnonzero(~done)
+            if not len(keep):
+                break
+            if len(keep) < len(rows):
+                m = len(keep)
+                for name, (k, v, _) in kv.items():
+                    k[:m, :, :n] = k[keep, :, :n]
+                    v[:m, :, :n] = v[keep, :, :n]
+                    kv[name] = (k[:m], v[:m], n)
+                rows = rows[keep]
+                rngs = [rngs[j] for j in keep.tolist()]
     return out
 
 

@@ -448,6 +448,18 @@ class TestExitCodes:
                         "--out", os.path.join(tmp_path, "out")])
         assert code == EXIT_USER
 
+    def test_report_reference_is_an_unknown_option(self, pipeline, tmp_path, capsys):
+        out = os.path.join(tmp_path, "out")
+        code = run_cli([
+            "report", "--reports", os.path.join(pipeline["eval_self"], "report.json"),
+            "--structures", os.path.join(pipeline["eval_self"], "structures"),
+            "--reference", os.path.join(pipeline["eval_self"], "structures"),
+            "--out", out,
+        ])
+        assert code == EXIT_USER
+        assert "unrecognized arguments: --reference" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "rmsd.csv"))
+
     def test_missing_samples_csv(self, pipeline, tmp_path, capsys):
         code = run_cli([
             "evaluate", "--samples", os.path.join(tmp_path, "nope.csv"),

@@ -145,6 +145,49 @@ class TestForward:
         with pytest.raises(ValueError, match="max_seq_len"):
             forward(params, TINY, rng.integers(0, TINY.vocab_size, size=(1, 2)), kv=kv)
 
+    def test_kv_cache_is_written_in_place(self, rng):
+        # the first call allocates each layer's buffers at the full context;
+        # every later step writes into them, so no step copies the cache
+        ids = rng.integers(0, TINY.vocab_size, size=(2, TINY.max_seq_len))
+        for dtype, atol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            params = {k: v.astype(dtype) for k, v in init_params(TINY, seed=0).items()}
+            _, full = forward(params, TINY, ids, train_mode=False)
+            kv = {}
+            forward(params, TINY, ids[:, :3], train_mode=False, kv=kv)
+            first = {name: (k, v) for name, (k, v, _) in kv.items()}
+            for k, v in first.values():
+                assert k.shape == v.shape == (2, TINY.n_heads, TINY.max_seq_len, TINY.d_head)
+                assert k.dtype == v.dtype == dtype
+            for n in range(4, TINY.max_seq_len + 1):
+                forward(params, TINY, ids[:, n - 1:n], train_mode=False, kv=kv)
+                for i in range(TINY.n_layers):
+                    k, v, filled = kv[f"h{i}.attn."]
+                    assert filled == n
+                    assert np.shares_memory(k, first[f"h{i}.attn."][0])
+                    assert np.shares_memory(v, first[f"h{i}.attn."][1])
+                    # the filled prefix holds the keys and values a full forward computes
+                    full_ks, full_vs = full[2][i][1][4:6]
+                    np.testing.assert_allclose(k[:, :, :n], full_ks[:, :, :n], rtol=0, atol=atol)
+                    np.testing.assert_allclose(v[:, :, :n], full_vs[:, :, :n], rtol=0, atol=atol)
+
+    def test_refused_call_leaves_the_kv_cache_unchanged(self, rng):
+        params = init_params(TINY, seed=0)
+        ids = rng.integers(0, TINY.vocab_size, size=(1, TINY.max_seq_len))
+        kv = {}
+        forward(params, TINY, ids[:, :-2], train_mode=False, kv=kv)
+        before = {name: (k.copy(), v.copy(), n) for name, (k, v, n) in kv.items()}
+        with pytest.raises(ValueError, match="max_seq_len"):
+            forward(params, TINY, rng.integers(0, TINY.vocab_size, size=(1, 3)), kv=kv)
+        for name, (k, v, n) in kv.items():
+            k0, v0, n0 = before[name]
+            assert n == n0 == TINY.max_seq_len - 2
+            assert np.array_equal(k[:, :, :n], k0[:, :, :n])
+            assert np.array_equal(v[:, :, :n], v0[:, :, :n])
+        # and the cache still continues the sequence
+        tail, _ = forward(params, TINY, ids[:, -2:], train_mode=False, kv=kv)
+        full, _ = forward(params, TINY, ids, train_mode=False)
+        np.testing.assert_allclose(tail, full[:, -2:], rtol=0, atol=1e-12)
+
     def test_dropout_needs_rng(self, rng):
         cfg = ModelConfig(**{**TINY.to_dict(), "dropout_rate": 0.1})
         params = init_params(cfg, seed=0)

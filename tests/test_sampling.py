@@ -253,6 +253,52 @@ class TestAgainstFullPrefix:
         if temperature:
             assert len({len(s.ids) for s in want}) > 2
 
+    # a larger EOS bias makes rows of one chunk end at many different steps,
+    # so the cache is compacted several times inside each chunk; at
+    # temperature 0 every row of a chunk is the same sequence and they end together
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_compaction_mid_chunk(self, kind_model, monkeypatch, temperature):
+        params, cfg, vocab = kind_model
+        params = {**params, "lnf.b": np.random.default_rng(12).normal(0.0, 1.0, cfg.d_model)}
+        params["tok_emb"] = params["tok_emb"].copy()
+        params["tok_emb"][vocab.eos_id] += 0.1 * params["lnf.b"]
+        monkeypatch.setattr(sampling_module, "CHUNK", 8)
+        steps = []  # per decode step: layer 0's buffers and every layer's filled prefix
+
+        def spy(*args, kv, **kwargs):
+            out = forward(*args, kv=kv, **kwargs)
+            k0, v0, n = kv["h0.attn."]
+            filled = [(k[:, :, :n].copy(), v[:, :, :n].copy()) for k, v, _ in kv.values()]
+            steps.append((k0, v0, filled, n))
+            return out
+
+        monkeypatch.setattr(sampling_module, "forward", spy)
+        c = SampleConfig(n_samples=16, max_len=cfg.max_seq_len, temperature=temperature, seed=5)
+        got = sample(params, cfg, vocab, c)
+        want = reference_sample(params, cfg, vocab, c)
+        assert [s.ids for s in got] == [s.ids for s in want]
+        assert [s.truncated for s in got] == [s.truncated for s in want]
+
+        starts = [j for j, step in enumerate(steps) if step[3] == 1]
+        assert len(starts) == 2 and starts[0] == 0
+        for chunk, (a, b) in enumerate(zip(starts, starts[1:] + [len(steps)])):
+            k0, v0, _, _ = steps[a]
+            rows = []
+            for k, v, filled, n in steps[a:b]:
+                # each chunk's steps write into the buffers its first step allocated
+                assert np.shares_memory(k, k0) and np.shares_memory(v, v0)
+                # and their filled prefix holds, row for row, the keys and values
+                # one full forward over the still active sequences computes
+                active = [i for i in range(8 * chunk, 8 * chunk + 8) if len(want[i].ids) > n]
+                _, cache = forward(params, cfg, [want[i].ids[:n] for i in active], train_mode=False)
+                for (fk, fv), block in zip(filled, cache[2]):
+                    np.testing.assert_allclose(fk, block[1][4], rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(fv, block[1][5], rtol=0, atol=1e-12)
+                rows.append(len(active))
+            assert rows[0] == 8
+            compactions = sum(r < prev for prev, r in zip(rows, rows[1:]))
+            assert compactions >= (2 if temperature else 0)
+
 
 class TestFromCheckpoint:
     def test_hash_checked(self, setup):
