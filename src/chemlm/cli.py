@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -153,17 +154,20 @@ def _read_structure_files(directory):
 
 
 def _load_bundle(bundle_dir):
-    """(structures, vocab) from a prepare output directory."""
+    """(vocab, token sequences) from a prepare bundle's vocab.txt and corpus.txt."""
     vocab_path = os.path.join(bundle_dir, "vocab.txt")
     if not os.path.isfile(vocab_path):
         raise CliError(f"no vocab.txt in bundle {bundle_dir}")
     vocab = Vocabulary.load(vocab_path)
-    structures_dir = os.path.join(bundle_dir, "structures")
-    triples = _read_structure_files(structures_dir)
-    bad = [(n, e) for n, s, e in triples if s is None]
-    if bad:
-        raise CliError(f"unparseable bundle file {bad[0][0]}: {bad[0][1]}")
-    return [s for _, s, _ in triples], vocab
+    corpus_path = os.path.join(bundle_dir, "corpus.txt")
+    try:
+        with open(corpus_path, encoding="utf-8") as fh:
+            sequences = [TokenSequence(tuple(map(int, line.split()))) for line in fh]
+    except ValueError as exc:  # a non-integer id, or UnicodeDecodeError
+        raise ArtifactError(f"malformed {corpus_path}: {exc}") from exc
+    if not sequences:
+        raise ArtifactError(f"no sequences in {corpus_path}")
+    return vocab, sequences
 
 
 # ---------------------------------------------------------------- synth
@@ -315,13 +319,12 @@ def build_train_parser():
 
 def cmd_train(args, out_dir, phases):
     with _phase(phases, "load"):
-        corpus, vocab = _load_bundle(args.corpus)
-        with open(os.path.join(args.corpus, "corpus.txt"), encoding="utf-8") as fh:
-            longest = max(len(line.split()) for line in fh)  # prepare wrote encode(s).ids
-    if args.crystal_shift and corpus[0].kind != "crystal":
-        raise CliError(f"--crystal-shift only applies to crystals, not a {corpus[0].kind} bundle")
+        vocab, sequences = _load_bundle(args.corpus)
+    if args.crystal_shift and vocab.structure_kind != "crystal":
+        raise CliError("--crystal-shift only applies to crystals, "
+                       f"not a {vocab.structure_kind} bundle")
 
-    max_seq_len = args.max_seq_len or longest
+    max_seq_len = args.max_seq_len or max(len(s) for s in sequences)
     model_cfg = ModelConfig(
         n_layers=args.layers,
         d_model=args.d_model,
@@ -346,7 +349,7 @@ def cmd_train(args, out_dir, phases):
     )
 
     with _phase(phases, "train"):
-        result = train(corpus, vocab, model_cfg, train_cfg, out_dir=out_dir)
+        result = train(sequences, vocab, model_cfg, train_cfg, out_dir=out_dir)
 
     steps = enumerate(zip(result.losses, result.lrs), start=1)
     _write_csv(
@@ -462,10 +465,20 @@ def build_evaluate_parser():
 
 
 def cmd_evaluate(args, out_dir, phases):
-    if args.overlap_threshold <= 0:
-        raise CliError(f"overlap threshold must be positive, got {args.overlap_threshold}")
+    if not 0 < args.overlap_threshold < math.inf:
+        raise CliError("overlap threshold must be positive and finite, "
+                       f"got {args.overlap_threshold}")
     with _phase(phases, "load"):
-        train_structures, vocab = _load_bundle(args.train)
+        vocab, sequences = _load_bundle(args.train)
+        triples = _read_structure_files(os.path.join(args.train, "structures"))
+        # each prepare rewrites its own files, so another count is left over
+        if len(triples) != len(sequences):
+            raise ArtifactError(f"stale bundle {args.train}: {len(triples)} structure files "
+                                f"for {len(sequences)} corpus.txt sequences")
+        bad = [(n, e) for n, s, e in triples if s is None]
+        if bad:
+            raise CliError(f"unparseable bundle file {bad[0][0]}: {bad[0][1]}")
+        train_structures = [s for _, s, _ in triples]
 
     with _phase(phases, "evaluate"):
         if os.path.isdir(args.samples):

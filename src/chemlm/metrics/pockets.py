@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 from ..errors import ConfigError
@@ -42,8 +43,8 @@ def pocket_overlap_check(
     pocket: Pocket, threshold: float = DEFAULT_OVERLAP_THRESHOLD
 ) -> Verdict:
     """Fail iff atoms of different residues come closer than `threshold`."""
-    if threshold <= 0:
-        raise ConfigError(f"overlap threshold must be positive, got {threshold}")
+    if not 0 < threshold < math.inf:
+        raise ConfigError(f"overlap threshold must be positive and finite, got {threshold}")
     d = pairwise_distances(pocket.coords())
     atoms = pocket.atoms
     for i in range(len(atoms)):

@@ -1,6 +1,6 @@
-"""Training loop: Adam on next-token cross-entropy with a linear
-learning-rate decay, length-bucketed batches, optional per-epoch
-rotation augmentation, and periodic checkpoints.
+"""Training loop over token sequences: Adam on next-token cross-entropy
+with a linear learning-rate decay, length-bucketed batches, optional
+per-epoch rotation augmentation, and periodic checkpoints.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .augment import augment_structure
-from .errors import ConfigError, TrainingDiverged
+from .errors import ArtifactError, ConfigError, TrainingDiverged
 from .model import ModelConfig, init_params, loss_and_grads, save_checkpoint
-from .tokenize import Vocabulary, encode
+from .tokenize import Vocabulary, decode, encode
 
 LR_END_DEFAULT = 9e-6
 
@@ -42,6 +42,9 @@ class TrainConfig:
     checkpoint_interval: int = 0
 
     def __post_init__(self):
+        for name in ("lr_start", "lr_end", "grad_clip"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if not (self.lr_start >= self.lr_end > 0):
@@ -138,20 +141,22 @@ def _epoch_batches(n: int, lengths, batch_size: int, rng: np.random.Generator):
 
 
 def train(
-    corpus,
+    sequences,
     vocab: Vocabulary,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     out_dir: Optional[str] = None,
     log: Optional[Callable[[int, float, float, float], None]] = None,
 ) -> TrainResult:
-    """Runs the full optimization and returns final params plus the
-    per-step loss trajectory. Writes checkpoints under `out_dir` every
-    `checkpoint_interval` steps and always at the end; a non-finite
-    loss or gradient aborts with the last good checkpoint. After each
-    step, `log` gets (step, loss, lr, gradient norm before clipping).
+    """Runs the full optimization on `sequences`, the TokenSequences that
+    `encode` returns and `corpus.txt` holds (augmentation decodes each
+    once), and returns final params plus the per-step loss trajectory.
+    Writes checkpoints under `out_dir` every `checkpoint_interval` steps
+    and always at the end; a non-finite loss or gradient aborts with the
+    last good checkpoint. After each step, `log` gets (step, loss, lr,
+    gradient norm before clipping).
     """
-    if not corpus:
+    if not sequences:
         raise ValueError("empty training corpus")
     if model_cfg.vocab_size != len(vocab.tokens):
         raise ValueError(
@@ -166,7 +171,12 @@ def train(
     augment_rng = np.random.default_rng(augment_seed)
     dropout_rng = np.random.default_rng(dropout_seed)
 
-    base_sequences = [encode(s, vocab).ids for s in corpus]
+    base_sequences = [s.ids for s in sequences]
+    for n, ids in enumerate(base_sequences, start=1):
+        if len(ids) < 2:
+            raise ArtifactError(f"sequence {n} is {len(ids)} ids long; training needs at least 2")
+        if not 0 <= min(ids) <= max(ids) < len(vocab):
+            raise ArtifactError(f"sequence {n} has an id outside the vocabulary [0, {len(vocab)})")
     lengths = [len(s) for s in base_sequences]
     longest = max(lengths)
     if longest - 1 > model_cfg.max_seq_len:
@@ -174,6 +184,7 @@ def train(
             f"longest encoded sequence ({longest} tokens) exceeds model context "
             f"({model_cfg.max_seq_len} + 1)"
         )
+    structures = [decode(s, vocab) for s in sequences] if train_cfg.augment else None
 
     optimizer = Adam(params)
     result = TrainResult(params=params, model_config=model_cfg)
@@ -196,7 +207,7 @@ def train(
 
     step = 0
     while step < train_cfg.total_steps:
-        batches = _epoch_batches(len(corpus), lengths, train_cfg.batch_size, shuffle_rng)
+        batches = _epoch_batches(len(lengths), lengths, train_cfg.batch_size, shuffle_rng)
         for batch_idx in batches:
             if step >= train_cfg.total_steps:
                 break
@@ -204,7 +215,7 @@ def train(
                 seqs = []
                 for i in batch_idx:
                     aug = augment_structure(
-                        corpus[i],
+                        structures[i],
                         vocab,
                         augment_rng,
                         attempts=train_cfg.augment_attempts,

@@ -164,7 +164,7 @@ def test_criterion_03_overfit():
     )
     problems = []
     with tempfile.TemporaryDirectory() as td:
-        result = train(corpus, vocab, model_cfg, train_cfg, out_dir=td)
+        result = train([encode(s, vocab) for s in corpus], vocab, model_cfg, train_cfg, out_dir=td)
         best = min(result.losses)
         if best >= 0.1:
             problems.append(f"best training loss {best:.4f} never dropped below 0.1")
@@ -197,7 +197,7 @@ def test_criterion_04_distribution():
     )
     problems = []
     with tempfile.TemporaryDirectory() as td:
-        result = train(corpus, vocab, model_cfg, train_cfg, out_dir=td)
+        result = train([encode(s, vocab) for s in corpus], vocab, model_cfg, train_cfg, out_dir=td)
         ck = load_checkpoint(result.checkpoint_path)
         sequences = sample_from_checkpoint(
             ck, vocab,

@@ -9,9 +9,12 @@ from chemlm.augment import (
     rotate_about_center,
     shift_origin,
 )
+from chemlm.formats import FileDocument, parse_document, write_structure
 from chemlm.geometry import centroid, pairwise_distances
-from chemlm.structures import Atom, Crystal, Lattice, Molecule, Site
-from chemlm.tokenize import Scheme, build_vocab, content_tokens
+from chemlm.rounding import round_coords
+from chemlm.structures import Atom, Crystal, Lattice, Molecule, Pocket, PocketAtom, Site
+from chemlm.synth import synth_corpus
+from chemlm.tokenize import ATOM_COORD, CHAR, Scheme, build_vocab, content_tokens, decode, encode
 
 from conftest import random_molecule, random_structure
 
@@ -197,3 +200,58 @@ class TestAugmentStructure:
         a = augment_structure(m, vocab, np.random.default_rng(4))
         b = augment_structure(m, vocab, np.random.default_rng(4))
         assert a == b
+
+
+class TestAugmentDecodedSequence:
+    """Training augments the structure decoded from a bundle's token ids,
+    not the bundle's file: under twin generators both give the same ids."""
+
+    def augmented_ids(self, structures, vocab):
+        """Per structure: whether its decoded form equals the parsed file, and
+        the re-encoded ids of three augmentations of each form."""
+        out = []
+        for s in structures:
+            text = write_structure(s, vocab.scheme.precision)
+            parsed = parse_document(FileDocument(s.kind, text))
+            decoded = decode(encode(parsed, vocab), vocab)
+            ids = [
+                [
+                    encode(augment_structure(form, vocab, np.random.default_rng(seed),
+                                             crystal_shift=True), vocab).ids
+                    for seed in range(3)
+                ]
+                for form in (parsed, decoded)
+            ]
+            out.append((decoded == parsed, ids[0], ids[1]))
+        return out
+
+    @pytest.mark.parametrize("scheme", [ATOM_COORD, CHAR])
+    @pytest.mark.parametrize("kind", ["molecule", "perovskite", "pocket"])
+    def test_file_and_decoded_sequence_augment_alike(self, kind, scheme):
+        precision = 1 if kind == "pocket" else 2
+        corpus = [round_coords(s, precision) for s in synth_corpus(kind, 3, seed=5)]
+        # a shifted copy widens a crystal vocabulary to the whole unit cell
+        wide = [shift_origin(c, (0.49, 0.49, 0.49)) for c in corpus if isinstance(c, Crystal)]
+        vocab = build_vocab(corpus + wide, Scheme(scheme, precision),
+                            dense_coordinate_range=scheme == ATOM_COORD)
+        moved = 0
+        for s, (same, from_file, from_ids) in zip(corpus, self.augmented_ids(corpus, vocab)):
+            assert same
+            assert from_ids == from_file
+            moved += sum(ids != encode(s, vocab).ids for ids in from_file)
+        assert moved  # the augmentations really changed coordinates
+
+    def test_incomplete_residue_pocket(self, rng):
+        # GLY 1 lacks a C and the O, so decoding, which cuts residues by
+        # the composition table, moves GLY 2's first C into residue 1
+        layout = [("GLY", "N", 1), ("GLY", "C", 1), ("GLY", "C", 2), ("GLY", "C", 2),
+                  ("GLY", "N", 2), ("GLY", "O", 2), ("ALA", "N", 3), ("ALA", "C", 3),
+                  ("ALA", "C", 3), ("ALA", "C", 3), ("ALA", "O", 3)]
+        points = np.round(rng.uniform(-4.0, 4.0, size=(len(layout), 3)), 1)
+        pocket = Pocket(tuple(PocketAtom(code, el, idx, *map(float, p))
+                              for (code, el, idx), p in zip(layout, points)))
+        vocab = build_vocab([pocket], Scheme(ATOM_COORD, 1), dense_coordinate_range=True)
+        ((same, from_file, from_ids),) = self.augmented_ids([pocket], vocab)
+        assert not same
+        assert from_ids == from_file
+        assert any(ids != encode(pocket, vocab).ids for ids in from_file)

@@ -298,6 +298,8 @@ class TestExitCodes:
         (["--max-seq-len", "3"], "exceeds model context"),
         (["--d-ff", "-3"], "d_ff"),
         (["--checkpoint-interval", "-1"], "checkpoint_interval"),
+        (["--grad-clip", "nan"], "grad_clip must be finite"),
+        (["--lr-start", "inf", "--lr-end", "1e-5"], "lr_start must be finite"),
     ])
     def test_bad_model_config_is_user_error(self, pipeline, tmp_path, capsys, flags, message):
         out = os.path.join(tmp_path, "out")
@@ -384,10 +386,13 @@ class TestExitCodes:
          "--residues only applies to --kind pocket"),
         (["train", "--corpus", "{bundle}", "--steps", "1", "--crystal-shift", "on"],
          "--crystal-shift only applies to crystals"),
+        (["evaluate", "--samples", "{pockets}", "--train", "{pocket_bundle}",
+          "--overlap-threshold", "nan"], "overlap threshold must be positive"),
     ], ids=["prune-lo-0", "prune-lo-above-hi", "char-dense-coords", "dense-coords-too-wide",
             "overlap-threshold-0", "overlap-threshold-negative-molecule",
             "samples-bad-id", "samples-short-row", "synth-residues-negative",
-            "synth-residues-molecule", "train-crystal-shift-molecule"])
+            "synth-residues-molecule", "train-crystal-shift-molecule",
+            "overlap-threshold-nan"])
     def test_bad_setting_or_row_is_user_error(
         self, pipeline, pockets, tmp_path, capsys, argv, message
     ):
@@ -403,6 +408,28 @@ class TestExitCodes:
                 fh.write(f"index,truncated,ids\n{row}\n")
         out = os.path.join(tmp_path, "out")
         assert run_cli([a.format(**paths) for a in argv] + ["--out", out]) == EXIT_USER
+        assert "internal error" not in capsys.readouterr().err
+        assert message in manifest_of(out)["error"]
+
+    @pytest.mark.parametrize("corpus, message", [
+        (lambda text, n: b"", "no sequences in"),
+        (lambda text, n: text + b"0 x 1\n", "invalid literal for int()"),
+        (lambda text, n: b"\xff" + text, "can't decode byte 0xff"),
+        (lambda text, n: text + b"0 -1 1\n", "sequence 7 has an id outside the vocabulary"),
+        (lambda text, n: text + b"0 %d 1\n" % n, "sequence 7 has an id outside the vocabulary"),
+        (lambda text, n: text + b"0\n", "sequence 7 is 1 ids long"),
+    ], ids=["empty", "non-integer", "not-utf8", "negative-id", "id-past-vocab", "one-id"])
+    def test_malformed_corpus_is_user_error(self, pipeline, tmp_path, capsys, corpus, message):
+        bundle = os.path.join(tmp_path, "bundle")
+        shutil.copytree(pipeline["prepare"], bundle)
+        path = os.path.join(bundle, "corpus.txt")
+        with open(path, "rb") as fh:
+            text = fh.read()
+        n_tokens = len(Vocabulary.load(pipeline["vocab"]).tokens)
+        with open(path, "wb") as fh:
+            fh.write(corpus(text, n_tokens))
+        out = os.path.join(tmp_path, "out")
+        assert run_cli(["train", "--corpus", bundle, "--steps", "1", "--out", out]) == EXIT_USER
         assert "internal error" not in capsys.readouterr().err
         assert message in manifest_of(out)["error"]
 
@@ -488,6 +515,56 @@ class TestAugmentation:
             "--seed", "2", "--out", dirs["train"],
         ]) == EXIT_OK
         assert "error" not in manifest_of(dirs["train"])
+
+
+class TestBundle:
+    """`train` reads a bundle's vocab.txt and corpus.txt only; `evaluate`
+    also parses structures/ and refuses one left over from an earlier run."""
+
+    @pytest.fixture
+    def bundles(self, pipeline, tmp_path):
+        """A fresh bundle of 3 of the 6 molecules, the same 3 prepared into a
+        6-molecule bundle (stale structures/), and the fresh one without
+        structures/."""
+        three = os.path.join(tmp_path, "three")
+        os.makedirs(three)
+        synth = os.path.join(pipeline["synth"], "structures")
+        for name in sorted(os.listdir(synth))[:3]:
+            shutil.copy(os.path.join(synth, name), three)
+        paths = {name: os.path.join(tmp_path, name) for name in ("fresh", "stale", "bare")}
+        for src, out in ((three, "fresh"), (synth, "stale"), (three, "stale"), (three, "bare")):
+            assert run_cli([
+                "prepare", "--input", src, "--scheme", "atom_coord", "--precision", "2",
+                "--out", paths[out],
+            ]) == EXIT_OK
+        assert len(os.listdir(os.path.join(paths["stale"], "structures"))) == 6
+        shutil.rmtree(os.path.join(paths["bare"], "structures"))
+        return paths
+
+    def test_train_uses_corpus_txt_alone(self, bundles, tmp_path):
+        written = {}
+        for name, bundle in bundles.items():
+            out = tmp_path / f"train_{name}"
+            assert run_cli([
+                "train", "--corpus", bundle, "--steps", "3", "--batch-size", "2",
+                "--layers", "1", "--d-model", "16", "--heads", "2", "--augment", "on",
+                "--seed", "4", "--out", str(out),
+            ]) == EXIT_OK
+            names = sorted(n for n in os.listdir(out)
+                           if n.startswith("checkpoint_") or n == "losses.csv")
+            assert names == ["checkpoint_0000003.bin", "losses.csv"]
+            written[name] = {n: (out / n).read_bytes() for n in names}
+        assert written["stale"] == written["fresh"]
+        assert written["bare"] == written["fresh"]
+
+    def test_evaluate_refuses_a_stale_bundle(self, bundles, tmp_path, capsys):
+        out = os.path.join(tmp_path, "out")
+        samples = os.path.join(bundles["fresh"], "structures")
+        argv = ["evaluate", "--samples", samples, "--out", out, "--train"]
+        assert run_cli(argv + [bundles["fresh"]]) == EXIT_OK
+        assert run_cli(argv + [bundles["stale"]]) == EXIT_USER
+        assert "internal error" not in capsys.readouterr().err
+        assert "6 structure files for 3 corpus.txt sequences" in manifest_of(out)["error"]
 
 
 class TestInputValidation:

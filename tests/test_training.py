@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -34,6 +35,7 @@ def tiny_corpus():
 
 
 def setup_run(total_steps=8, **overrides):
+    """(encoded tiny corpus, vocab, model config, train config)."""
     corpus = tiny_corpus()
     vocab = build_vocab(corpus, Scheme("atom_coord", 2))
     model_cfg = ModelConfig(
@@ -52,7 +54,7 @@ def setup_run(total_steps=8, **overrides):
         seed=overrides.pop("seed", 11),
         **overrides,
     )
-    return corpus, vocab, model_cfg, train_cfg
+    return [encode(s, vocab) for s in corpus], vocab, model_cfg, train_cfg
 
 
 class TestConfig:
@@ -71,7 +73,8 @@ class TestConfig:
             TrainConfig(batch_size=1, lr_start=1e-3, total_steps=0, seed=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=1, lr_start=1e-3, total_steps=10, seed=0, grad_clip=-1)
-
+        with pytest.raises(ValueError, match="grad_clip must be finite"):
+            TrainConfig(batch_size=1, lr_start=1e-3, total_steps=10, seed=0, grad_clip=math.inf)
 
 class TestLrSchedule:
     def cfg(self, total=100):
@@ -188,23 +191,23 @@ class TestPadBatch:
 
 class TestTrain:
     def test_same_seed_identical_trajectories(self):
-        corpus, vocab, model_cfg, train_cfg = setup_run()
-        a = train(corpus, vocab, model_cfg, train_cfg)
-        b = train(corpus, vocab, model_cfg, train_cfg)
+        sequences, vocab, model_cfg, train_cfg = setup_run()
+        a = train(sequences, vocab, model_cfg, train_cfg)
+        b = train(sequences, vocab, model_cfg, train_cfg)
         assert a.losses == b.losses
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
 
     def test_different_seed_differs(self):
-        corpus, vocab, model_cfg, cfg_a = setup_run(seed=11)
+        sequences, vocab, model_cfg, cfg_a = setup_run(seed=11)
         _, _, _, cfg_b = setup_run(seed=12)
-        a = train(corpus, vocab, model_cfg, cfg_a)
-        b = train(corpus, vocab, model_cfg, cfg_b)
+        a = train(sequences, vocab, model_cfg, cfg_a)
+        b = train(sequences, vocab, model_cfg, cfg_b)
         assert a.losses != b.losses
 
     def test_loss_decreases_on_overfit(self):
-        corpus, vocab, model_cfg, train_cfg = setup_run(total_steps=60)
-        result = train(corpus, vocab, model_cfg, train_cfg)
+        sequences, vocab, model_cfg, train_cfg = setup_run(total_steps=60)
+        result = train(sequences, vocab, model_cfg, train_cfg)
         window = 20
         averages = [
             sum(result.losses[i : i + window]) / window
@@ -213,9 +216,9 @@ class TestTrain:
         assert averages[-1] < averages[0]
 
     def test_logged_lr_matches_schedule(self):
-        corpus, vocab, model_cfg, train_cfg = setup_run()
+        sequences, vocab, model_cfg, train_cfg = setup_run()
         seen = []
-        train(corpus, vocab, model_cfg, train_cfg,
+        train(sequences, vocab, model_cfg, train_cfg,
               log=lambda s, loss, lr, grad_norm: seen.append((s, lr)))
         for step, lr in seen:
             assert lr == pytest.approx(lr_schedule(step - 1, train_cfg))
@@ -223,9 +226,9 @@ class TestTrain:
     def test_logged_grad_norm_is_the_unclipped_norm(self):
         # a clip far below every norm: the log must still see the norm
         # clip_global_norm measured, not the clipped one
-        corpus, vocab, model_cfg, train_cfg = setup_run(total_steps=3, grad_clip=1e-6)
+        sequences, vocab, model_cfg, train_cfg = setup_run(total_steps=3, grad_clip=1e-6)
         seen = []
-        train(corpus, vocab, model_cfg, train_cfg,
+        train(sequences, vocab, model_cfg, train_cfg,
               log=lambda s, loss, lr, grad_norm: seen.append(grad_norm))
         assert len(seen) == 3
         assert all(isinstance(g, float) and 1e-3 < g < 1e6 for g in seen)
@@ -233,11 +236,11 @@ class TestTrain:
     def test_extra_padding_does_not_change_loss(self):
         # a batch where one sequence is longer forces PAD on the others;
         # the first-step loss must match the unpadded single-sequence sum
-        corpus, vocab, model_cfg, _ = setup_run()
+        sequences, vocab, model_cfg, _ = setup_run()
         from chemlm.model import cross_entropy, forward, init_params
 
         params = init_params(model_cfg, seed=0)
-        seqs = [encode(s, vocab).ids for s in corpus[:2]]
+        seqs = [s.ids for s in sequences[:2]]
 
         inputs, targets, mask = pad_batch(seqs, vocab.pad_id)
         batched, _ = cross_entropy(
@@ -258,22 +261,22 @@ class TestTrain:
         # Adam updates are scale-normalized, so training (in float32) only
         # overflows at an absurd learning rate; that is exactly the abort
         # path we want
-        corpus, vocab, model_cfg, _ = setup_run()
+        sequences, vocab, model_cfg, _ = setup_run()
         hot = TrainConfig(
             batch_size=2, lr_start=1e160, total_steps=50, seed=11,
             lr_end=1e159, checkpoint_interval=1,
         )
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as ei:
-            train(corpus, vocab, model_cfg, hot, out_dir=str(tmp_path))
+            train(sequences, vocab, model_cfg, hot, out_dir=str(tmp_path))
         assert ei.value.step >= 0
         assert ei.value.checkpoint_path is not None
         assert os.path.exists(ei.value.checkpoint_path)
 
     def test_checkpoints_written(self, tmp_path):
-        corpus, vocab, model_cfg, train_cfg = setup_run(
+        sequences, vocab, model_cfg, train_cfg = setup_run(
             total_steps=6, checkpoint_interval=2
         )
-        result = train(corpus, vocab, model_cfg, train_cfg, out_dir=str(tmp_path))
+        result = train(sequences, vocab, model_cfg, train_cfg, out_dir=str(tmp_path))
         names = sorted(os.listdir(tmp_path))
         assert names == [
             "checkpoint_0000002.bin",
@@ -291,8 +294,8 @@ class TestTrain:
                 optimizers.append(self)
 
         monkeypatch.setattr(training, "Adam", RecordingAdam)
-        corpus, vocab, model_cfg, train_cfg = setup_run(total_steps=4, dropout_rate=0.1)
-        result = train(corpus, vocab, model_cfg, train_cfg, out_dir=str(tmp_path))
+        sequences, vocab, model_cfg, train_cfg = setup_run(total_steps=4, dropout_rate=0.1)
+        result = train(sequences, vocab, model_cfg, train_cfg, out_dir=str(tmp_path))
         ck = load_checkpoint(result.checkpoint_path)
         assert ck.step == 4
         assert ck.vocab_hash == vocab.content_hash()
@@ -306,26 +309,27 @@ class TestTrain:
             np.testing.assert_array_equal(ck.params[k].astype(np.float32), result.params[k], strict=True)
 
     def test_vocab_size_mismatch_rejected(self):
-        corpus, vocab, model_cfg, train_cfg = setup_run()
+        sequences, vocab, model_cfg, train_cfg = setup_run()
         wrong = ModelConfig(**{**model_cfg.to_dict(), "vocab_size": len(vocab.tokens) + 1})
         with pytest.raises(ValueError, match="vocab"):
-            train(corpus, vocab, wrong, train_cfg)
+            train(sequences, vocab, wrong, train_cfg)
 
     def test_context_too_short_rejected(self):
-        corpus, vocab, model_cfg, train_cfg = setup_run()
+        sequences, vocab, model_cfg, train_cfg = setup_run()
         small = ModelConfig(**{**model_cfg.to_dict(), "max_seq_len": 4})
         with pytest.raises(ValueError, match="exceeds"):
-            train(corpus, vocab, small, train_cfg)
+            train(sequences, vocab, small, train_cfg)
 
     def test_augmented_training_runs_and_is_deterministic(self):
-        corpus, vocab, model_cfg, _ = setup_run()
-        vocab = build_vocab(corpus, Scheme("atom_coord", 2), dense_coordinate_range=True)
+        _, _, model_cfg, _ = setup_run()
+        vocab = build_vocab(tiny_corpus(), Scheme("atom_coord", 2), dense_coordinate_range=True)
+        sequences = [encode(s, vocab) for s in tiny_corpus()]
         model_cfg = ModelConfig(**{**model_cfg.to_dict(), "vocab_size": len(vocab.tokens)})
         cfg = TrainConfig(
             batch_size=2, lr_start=1e-3, total_steps=6, seed=3, augment=True
         )
-        a = train(corpus, vocab, model_cfg, cfg)
-        b = train(corpus, vocab, model_cfg, cfg)
+        a = train(sequences, vocab, model_cfg, cfg)
+        b = train(sequences, vocab, model_cfg, cfg)
         assert a.losses == b.losses
 
     def test_empty_corpus_rejected(self):
