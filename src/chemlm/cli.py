@@ -23,7 +23,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ArtifactError, ChemlmError
+from .errors import ArtifactError, ChemlmError, DecodeError
 from .formats import EXTENSIONS, FileDocument, parse_document, prune_pocket, write_structure
 from .geometry import centroid, pairwise_distances
 from .manifest import (
@@ -39,7 +39,7 @@ from .model import ModelConfig, load_checkpoint
 from .rounding import round_coords
 from .sampling import SampleConfig, sample_from_checkpoint, truncation_rate
 from .synth import synth_corpus
-from .tokenize import ATOM_COORD, CHAR, Scheme, TokenSequence, Vocabulary, build_vocab, encode
+from .tokenize import Scheme, TokenSequence, Vocabulary, build_vocab, decode, encode
 from .training import TrainConfig, train
 
 OUTPUT_ROOT_ENV = "CHEMLM_OUTPUT_ROOT"
@@ -116,11 +116,6 @@ def _write_structures(directory, named, precision):
             fh.write(write_structure(s, precision))
 
 
-def _scheme_from(args) -> Scheme:
-    kind = ATOM_COORD if args.scheme == "atom_coord" else CHAR
-    return Scheme(kind=kind, precision=args.precision)
-
-
 def _read_structure_files(directory):
     """Sorted (name, structure-or-None, error) triples for one directory.
 
@@ -167,6 +162,10 @@ def _load_bundle(bundle_dir):
         raise ArtifactError(f"malformed {corpus_path}: {exc}") from exc
     if not sequences:
         raise ArtifactError(f"no sequences in {corpus_path}")
+    for line_no, seq in enumerate(sequences, start=1):
+        if len(seq.ids) < 2:
+            raise ArtifactError(f"{corpus_path}: line {line_no} holds {len(seq.ids)} ids; "
+                                "a sequence needs at least 2")
     return vocab, sequences
 
 
@@ -223,6 +222,8 @@ def build_prepare_parser():
 
 
 def cmd_prepare(args, out_dir, phases):
+    if args.prune and not 1 <= args.prune_lo <= args.prune_hi:
+        raise CliError(f"bad target range [{args.prune_lo}, {args.prune_hi}]")
     with _phase(phases, "parse"):
         triples = _read_structure_files(args.input)
         failures = [(n, e) for n, s, e in triples if s is None]
@@ -249,7 +250,7 @@ def cmd_prepare(args, out_dir, phases):
             prepared.append((name, round_coords(s, args.precision)))
 
     with _phase(phases, "encode"):
-        scheme = _scheme_from(args)
+        scheme = Scheme(kind=args.scheme, precision=args.precision)
         structures = [s for _, s in prepared]
         vocab = build_vocab(structures, scheme, dense_coordinate_range=args.dense_coords)
         vocab.save(os.path.join(out_dir, "vocab.txt"))
@@ -363,7 +364,7 @@ def cmd_train(args, out_dir, phases):
         "model_config": model_cfg.to_dict(),
         "train_config": train_config,
         "vocab_hash": vocab.content_hash(),
-        "corpus_hash": tree_hash(args.corpus),
+        "corpus_hash": file_sha256(os.path.join(args.corpus, "corpus.txt")),
         "final_loss": result.losses[-1],
         "checkpoint": os.path.basename(result.checkpoint_path),
     }
@@ -470,19 +471,21 @@ def cmd_evaluate(args, out_dir, phases):
                        f"got {args.overlap_threshold}")
     with _phase(phases, "load"):
         vocab, sequences = _load_bundle(args.train)
-        triples = _read_structure_files(os.path.join(args.train, "structures"))
-        # each prepare rewrites its own files, so another count is left over
-        if len(triples) != len(sequences):
-            raise ArtifactError(f"stale bundle {args.train}: {len(triples)} structure files "
-                                f"for {len(sequences)} corpus.txt sequences")
-        bad = [(n, e) for n, s, e in triples if s is None]
-        if bad:
-            raise CliError(f"unparseable bundle file {bad[0][0]}: {bad[0][1]}")
-        train_structures = [s for _, s, _ in triples]
+        train_structures = []
+        for line_no, seq in enumerate(sequences, start=1):
+            try:
+                train_structures.append(decode(seq, vocab))
+            except DecodeError as exc:
+                raise ArtifactError(f"{os.path.join(args.train, 'corpus.txt')}: line {line_no} "
+                                    f"does not decode: {exc}") from exc
 
     with _phase(phases, "evaluate"):
         if os.path.isdir(args.samples):
             triples = _read_structure_files(args.samples)
+            ext = os.path.splitext(triples[0][0])[1].lower()
+            if ext != EXTENSIONS[vocab.structure_kind]:
+                raise ArtifactError(f"wrong structure kind: {args.samples} holds {ext} files, "
+                                    f"the --train bundle {vocab.structure_kind}s")
             structures = [s for _, s, _ in triples]
             failures = {
                 i: f"unparseable file {name}: {e}"
@@ -539,7 +542,7 @@ def cmd_evaluate(args, out_dir, phases):
         "n_decode_failed": r.n_decode_failed,
         "n_valid": r.n_valid,
         "valid_pct": r.valid_pct,
-        "train_hash": tree_hash(args.train),
+        "train_hash": file_sha256(os.path.join(args.train, "corpus.txt")),
     }
 
 
@@ -599,12 +602,6 @@ def _histogram_csv(path, values, bins=20):
     )
 
 
-def _positions_of(structure):
-    if structure.kind == "crystal":
-        return None  # fractional coordinates, no direct Cartesian histogram
-    return structure.coords()
-
-
 def build_report_parser():
     p = _Parser(prog="chemlm report")
     p.add_argument("--reports", required=True, nargs="+", help="report.json files")
@@ -644,9 +641,9 @@ def cmd_report(args, out_dir, phases):
                     )
                 rows = []
                 for name, s, _ in triples:
-                    pos = None if s is None else _positions_of(s)
-                    if pos is not None and len(pos) >= 2:
-                        off = pairwise_distances(pos)[np.triu_indices(len(pos), k=1)]
+                    # a crystal's coordinates are fractional: no Cartesian distances
+                    if s is not None and s.kind != "crystal" and len(s) >= 2:
+                        off = pairwise_distances(s.coords())[np.triu_indices(len(s), k=1)]
                         rows.append([name, repr(float(off.min())), repr(float(off.max()))])
                 _write_csv(
                     os.path.join(out_dir, "neighbors.csv"), ["file", "nearest", "farthest"], rows

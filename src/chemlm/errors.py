@@ -56,12 +56,12 @@ class DecodeError(ChemlmError, ValueError):
 
 
 class TrainingDiverged(ChemlmError, RuntimeError):
-    """Training produced a non-finite loss; the last good checkpoint survives."""
+    """A loss, gradient or parameter went non-finite; the last good checkpoint survives."""
 
     def __init__(self, step: int, checkpoint_path=None):
         where = f"step {step}"
         if checkpoint_path is not None:
             where += f" (last good checkpoint: {checkpoint_path})"
-        super().__init__(f"non-finite loss at {where}")
+        super().__init__(f"training diverged at {where}")
         self.step = step
         self.checkpoint_path = checkpoint_path

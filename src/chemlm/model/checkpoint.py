@@ -60,7 +60,8 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig, vocab_hash: str, rng_s
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a malformed, truncated or overlong file is an ArtifactError."""
+    """Read a checkpoint; a malformed, truncated or overlong file, or one
+    holding a non-finite value, is an ArtifactError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -77,7 +78,10 @@ def load_checkpoint(path) -> Checkpoint:
                 raw = fh.read(n_items * 8)
                 if len(raw) != n_items * 8:
                     raise ValueError(f"truncated in tensor {entry['name']}")
-                params[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                tensor = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                if not np.isfinite(tensor).all():
+                    raise ValueError(f"non-finite values in tensor {entry['name']}")
+                params[entry["name"]] = tensor
             if fh.read(1):
                 raise ValueError("trailing bytes after the last tensor")
             return Checkpoint(

@@ -108,11 +108,9 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
 @dataclass
 class TrainResult:
     params: dict
-    model_config: ModelConfig
     losses: list = field(default_factory=list)
     lrs: list = field(default_factory=list)
     checkpoint_path: Optional[str] = None
-    step: int = 0
 
 
 def pad_batch(sequences, pad_id: int):
@@ -153,7 +151,8 @@ def train(
     once), and returns final params plus the per-step loss trajectory.
     Writes checkpoints under `out_dir` every `checkpoint_interval` steps
     and always at the end; a non-finite loss or gradient aborts with the
-    last good checkpoint. After each step, `log` gets (step, loss, lr,
+    last good checkpoint, and so do non-finite parameters where a
+    checkpoint is due. After each step, `log` gets (step, loss, lr,
     gradient norm before clipping).
     """
     if not sequences:
@@ -187,7 +186,7 @@ def train(
     structures = [decode(s, vocab) for s in sequences] if train_cfg.augment else None
 
     optimizer = Adam(params)
-    result = TrainResult(params=params, model_config=model_cfg)
+    result = TrainResult(params=params)
     vocab_hash = vocab.content_hash()
 
     def rng_snapshot():
@@ -198,12 +197,14 @@ def train(
         }
 
     def write_checkpoint(step):
-        if out_dir is None:
-            return None
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, f"checkpoint_{step:07d}.bin")
-        save_checkpoint(path, params, model_cfg, vocab_hash, rng_snapshot(), step)
-        return path
+        if not all(np.isfinite(v).all() for v in params.values()):
+            # the update of 0-based step `step - 1` overflowed
+            raise TrainingDiverged(step - 1, result.checkpoint_path)
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            path = os.path.join(out_dir, f"checkpoint_{step:07d}.bin")
+            save_checkpoint(path, params, model_cfg, vocab_hash, rng_snapshot(), step)
+            result.checkpoint_path = path
 
     step = 0
     while step < train_cfg.total_steps:
@@ -244,12 +245,7 @@ def train(
             if log is not None:
                 log(step, float(loss), lr, grad_norm)
             if train_cfg.checkpoint_interval > 0 and step % train_cfg.checkpoint_interval == 0:
-                path = write_checkpoint(step)
-                if path is not None:
-                    result.checkpoint_path = path
+                write_checkpoint(step)
 
-    result.step = step
-    path = write_checkpoint(step)
-    if path is not None:
-        result.checkpoint_path = path
+    write_checkpoint(step)
     return result

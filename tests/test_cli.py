@@ -3,8 +3,10 @@ and manifest bookkeeping at smoke-test scale."""
 
 import csv
 import json
+import math
 import os
 import shutil
+import struct
 
 import pytest
 
@@ -19,7 +21,7 @@ from chemlm.cli import (
     render_table,
 )
 from chemlm.formats import parse_xyz
-from chemlm.manifest import read_manifest, tree_hash
+from chemlm.manifest import file_sha256, read_manifest, tree_hash
 from chemlm.metrics import MetricsReport
 from chemlm.rounding import round_coords
 from chemlm.tokenize import Vocabulary, decode, encode
@@ -85,6 +87,16 @@ def pipeline(tmp_path_factory):
     dirs["checkpoint"] = ck
     dirs["vocab"] = vocab
     return dirs
+
+
+@pytest.fixture(scope="module")
+def perovskites(tmp_path_factory):
+    """A directory of two perovskite CIF files."""
+    out = str(tmp_path_factory.mktemp("perovskites"))
+    assert run_cli([
+        "synth", "--kind", "perovskite", "--n", "2", "--seed", "1", "--out", out,
+    ]) == EXIT_OK
+    return os.path.join(out, "structures")
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +312,7 @@ class TestExitCodes:
         (["--checkpoint-interval", "-1"], "checkpoint_interval"),
         (["--grad-clip", "nan"], "grad_clip must be finite"),
         (["--lr-start", "inf", "--lr-end", "1e-5"], "lr_start must be finite"),
+        (["--lr-start", "1e300", "--lr-end", "1e-5"], "training diverged at step 0"),
     ])
     def test_bad_model_config_is_user_error(self, pipeline, tmp_path, capsys, flags, message):
         out = os.path.join(tmp_path, "out")
@@ -352,19 +365,17 @@ class TestExitCodes:
         error = self.sample_error(pipeline["vocab"], pipeline["vocab"], tmp_path, capsys)
         assert "bad magic" in error
 
-    def test_truncated_checkpoint_is_user_error(self, pipeline, tmp_path, capsys):
-        truncated = os.path.join(tmp_path, "truncated.bin")
-        with open(pipeline["checkpoint"], "rb") as src, open(truncated, "wb") as dst:
-            dst.write(src.read(40))  # magic, header length, part of the header
-        error = self.sample_error(truncated, pipeline["vocab"], tmp_path, capsys)
-        assert "malformed checkpoint" in error
-
-    def test_checkpoint_with_trailing_bytes_is_user_error(self, pipeline, tmp_path, capsys):
-        padded = os.path.join(tmp_path, "padded.bin")
-        with open(pipeline["checkpoint"], "rb") as src, open(padded, "wb") as dst:
-            dst.write(src.read() + b"\0" * 7)
-        error = self.sample_error(padded, pipeline["vocab"], tmp_path, capsys)
-        assert "trailing bytes" in error
+    @pytest.mark.parametrize("damage, message", [
+        (lambda data: data[:40], "malformed checkpoint"),  # magic, length, part of the header
+        (lambda data: data + b"\0" * 7, "trailing bytes"),
+        (lambda data: data[:-8] + struct.pack("<d", math.inf), "non-finite values in tensor"),
+    ], ids=["truncated", "trailing-bytes", "non-finite"])
+    def test_damaged_checkpoint_is_user_error(self, pipeline, tmp_path, capsys, damage, message):
+        damaged = os.path.join(tmp_path, "damaged.bin")
+        with open(pipeline["checkpoint"], "rb") as src, open(damaged, "wb") as dst:
+            dst.write(damage(src.read()))
+        error = self.sample_error(damaged, pipeline["vocab"], tmp_path, capsys)
+        assert message in error
 
     @pytest.mark.parametrize("argv, message", [
         (["prepare", "--input", "{pockets}", "--scheme", "atom_coord", "--precision", "1",
@@ -388,15 +399,20 @@ class TestExitCodes:
          "--crystal-shift only applies to crystals"),
         (["evaluate", "--samples", "{pockets}", "--train", "{pocket_bundle}",
           "--overlap-threshold", "nan"], "overlap threshold must be positive"),
+        (["prepare", "--input", "{perovskites}", "--scheme", "atom_coord", "--precision", "2",
+          "--prune-lo", "-5"], "bad target range [-5, 250]"),
+        (["evaluate", "--samples", "{perovskites}", "--train", "{bundle}"],
+         "wrong structure kind: {perovskites} holds .cif files"),
     ], ids=["prune-lo-0", "prune-lo-above-hi", "char-dense-coords", "dense-coords-too-wide",
             "overlap-threshold-0", "overlap-threshold-negative-molecule",
             "samples-bad-id", "samples-short-row", "synth-residues-negative",
             "synth-residues-molecule", "train-crystal-shift-molecule",
-            "overlap-threshold-nan"])
+            "overlap-threshold-nan", "prune-lo-negative-crystal", "samples-of-another-kind"])
     def test_bad_setting_or_row_is_user_error(
-        self, pipeline, pockets, tmp_path, capsys, argv, message
+        self, pipeline, pockets, perovskites, tmp_path, capsys, argv, message
     ):
         paths = {
+            "perovskites": perovskites,
             "molecules": os.path.join(pipeline["synth"], "structures"),
             "bundle": pipeline["prepare"],
             "pockets": pockets[0],
@@ -409,7 +425,7 @@ class TestExitCodes:
         out = os.path.join(tmp_path, "out")
         assert run_cli([a.format(**paths) for a in argv] + ["--out", out]) == EXIT_USER
         assert "internal error" not in capsys.readouterr().err
-        assert message in manifest_of(out)["error"]
+        assert message.format(**paths) in manifest_of(out)["error"]
 
     @pytest.mark.parametrize("corpus, message", [
         (lambda text, n: b"", "no sequences in"),
@@ -417,8 +433,10 @@ class TestExitCodes:
         (lambda text, n: b"\xff" + text, "can't decode byte 0xff"),
         (lambda text, n: text + b"0 -1 1\n", "sequence 7 has an id outside the vocabulary"),
         (lambda text, n: text + b"0 %d 1\n" % n, "sequence 7 has an id outside the vocabulary"),
-        (lambda text, n: text + b"0\n", "sequence 7 is 1 ids long"),
-    ], ids=["empty", "non-integer", "not-utf8", "negative-id", "id-past-vocab", "one-id"])
+        (lambda text, n: text + b"0\n", "corpus.txt: line 7 holds 1 ids"),
+        (lambda text, n: b"\n\n", "corpus.txt: line 1 holds 0 ids"),
+    ], ids=["empty", "non-integer", "not-utf8", "negative-id", "id-past-vocab", "one-id",
+            "blank-lines"])
     def test_malformed_corpus_is_user_error(self, pipeline, tmp_path, capsys, corpus, message):
         bundle = os.path.join(tmp_path, "bundle")
         shutil.copytree(pipeline["prepare"], bundle)
@@ -432,6 +450,13 @@ class TestExitCodes:
         assert run_cli(["train", "--corpus", bundle, "--steps", "1", "--out", out]) == EXIT_USER
         assert "internal error" not in capsys.readouterr().err
         assert message in manifest_of(out)["error"]
+        # evaluate reads the same corpus.txt, and names it
+        samples = os.path.join(pipeline["synth"], "structures")
+        assert run_cli([
+            "evaluate", "--samples", samples, "--train", bundle, "--out", out,
+        ]) == EXIT_USER
+        assert "internal error" not in capsys.readouterr().err
+        assert path in manifest_of(out)["error"]
 
     def test_samples_of_another_vocabulary_are_user_error(self, pipeline, tmp_path, capsys):
         other = os.path.join(tmp_path, "other")
@@ -518,8 +543,8 @@ class TestAugmentation:
 
 
 class TestBundle:
-    """`train` reads a bundle's vocab.txt and corpus.txt only; `evaluate`
-    also parses structures/ and refuses one left over from an earlier run."""
+    """`train` and `evaluate` read a bundle's vocab.txt and corpus.txt only;
+    structures/ is there to read, and for `report`."""
 
     @pytest.fixture
     def bundles(self, pipeline, tmp_path):
@@ -557,14 +582,60 @@ class TestBundle:
         assert written["stale"] == written["fresh"]
         assert written["bare"] == written["fresh"]
 
-    def test_evaluate_refuses_a_stale_bundle(self, bundles, tmp_path, capsys):
-        out = os.path.join(tmp_path, "out")
+    def test_evaluate_uses_corpus_txt_alone(self, bundles, tmp_path):
         samples = os.path.join(bundles["fresh"], "structures")
-        argv = ["evaluate", "--samples", samples, "--out", out, "--train"]
-        assert run_cli(argv + [bundles["fresh"]]) == EXIT_OK
-        assert run_cli(argv + [bundles["stale"]]) == EXIT_USER
-        assert "internal error" not in capsys.readouterr().err
-        assert "6 structure files for 3 corpus.txt sequences" in manifest_of(out)["error"]
+        written, train_hashes = {}, set()
+        for name, bundle in bundles.items():
+            out = tmp_path / f"eval_{name}"
+            assert run_cli([
+                "evaluate", "--samples", samples, "--train", bundle, "--out", str(out),
+            ]) == EXIT_OK
+            # every output but the manifest and timing sidecar
+            written[name] = manifest_of(out)["outputs"]
+            train_hashes.add(manifest_of(out)["train_hash"])
+        assert {"report.json", "failures.csv", "values_mw.csv",
+                "structures/000000.xyz"} <= set(written["fresh"])
+        assert written["stale"] == written["fresh"]
+        assert written["bare"] == written["fresh"]
+        assert train_hashes == {file_sha256(os.path.join(bundles["fresh"], "corpus.txt"))}
+
+    def test_pocket_fixed_set_scores_as_its_own_training_set(self, tmp_path):
+        # The first pocket's residue 1 holds two complete GLY compositions.
+        # Decoding its atom_coord sequence splits it into two residues, so the
+        # parsed file and the decoded corpus differ; evaluate must score the
+        # corpus it decodes, which makes the bundle's own sequences the
+        # training set exactly: nothing novel, every distance 0.
+        pockets = {
+            "a.pdb": [("GLY", 1, "C C N O C C N O"), ("ALA", 2, "C C C N O")],
+            "b.pdb": [("GLY", 1, "C C N O"), ("ALA", 2, "C C C N O")],
+        }
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for name, residues in pockets.items():
+            lines = []
+            for code, index, elements in residues:
+                for element in elements.split():
+                    x = 1.5 * len(lines)
+                    lines.append(f"ATOM {len(lines) + 1} {element} {code} {index} {x:.1f} 0.0 0.0")
+            (raw / name).write_text("\n".join(lines + ["END"]) + "\n", encoding="utf-8")
+        bundle, out = str(tmp_path / "bundle"), str(tmp_path / "eval")
+        assert run_cli([
+            "prepare", "--input", str(raw), "--scheme", "atom_coord", "--precision", "1",
+            "--prune", "off", "--out", bundle,
+        ]) == EXIT_OK
+        samples = tmp_path / "samples.csv"
+        with open(os.path.join(bundle, "corpus.txt"), encoding="utf-8") as fh:
+            rows = [f"{i},0,{line.strip()}" for i, line in enumerate(fh)]
+        samples.write_text("\n".join(["index,truncated,ids"] + rows) + "\n", encoding="utf-8")
+        assert run_cli([
+            "evaluate", "--samples", str(samples), "--train", bundle, "--out", out,
+        ]) == EXIT_OK
+        with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+            report = MetricsReport.from_json(fh.read())
+        assert report.n_valid == 2
+        assert report.novel_pct == 0.0
+        assert "n_residues" in report.emd
+        assert set(report.emd.values()) == {0.0}
 
 
 class TestInputValidation:

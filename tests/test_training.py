@@ -260,17 +260,25 @@ class TestTrain:
     def test_divergence_aborts_with_context(self, tmp_path):
         # Adam updates are scale-normalized, so training (in float32) only
         # overflows at an absurd learning rate; that is exactly the abort
-        # path we want
+        # path we want. At 1e20 the first update stays finite and the
+        # second forward overflows; at 1e160 the first update does, and no
+        # checkpoint is written.
         sequences, vocab, model_cfg, _ = setup_run()
-        hot = TrainConfig(
-            batch_size=2, lr_start=1e160, total_steps=50, seed=11,
-            lr_end=1e159, checkpoint_interval=1,
-        )
-        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as ei:
-            train(sequences, vocab, model_cfg, hot, out_dir=str(tmp_path))
-        assert ei.value.step >= 0
-        assert ei.value.checkpoint_path is not None
-        assert os.path.exists(ei.value.checkpoint_path)
+        for lr, checkpoints in ((1e20, 1), (1e160, 0)):
+            out = tmp_path / repr(lr)
+            out.mkdir()
+            hot = TrainConfig(
+                batch_size=2, lr_start=lr, total_steps=50, seed=11,
+                lr_end=lr / 10, checkpoint_interval=1,
+            )
+            with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as ei:
+                train(sequences, vocab, model_cfg, hot, out_dir=str(out))
+            assert ei.value.step >= 0
+            assert len(os.listdir(out)) == checkpoints
+            if checkpoints:
+                assert load_checkpoint(ei.value.checkpoint_path).step == 1
+            else:
+                assert ei.value.checkpoint_path is None
 
     def test_checkpoints_written(self, tmp_path):
         sequences, vocab, model_cfg, train_cfg = setup_run(
