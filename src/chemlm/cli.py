@@ -75,6 +75,17 @@ def _onoff(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected on|off, got {value!r}")
 
 
+def _seed(value: str) -> int:
+    """A seed flag's value; numpy's generators take non-negative seeds only."""
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
+    return seed
+
+
 def load_config_file(path) -> list:
     """key=value lines -> ["--key", "value", ...] argparse prefix."""
     args = []
@@ -175,7 +186,7 @@ def build_synth_parser():
     p = _Parser(prog="chemlm synth")
     p.add_argument("--kind", required=True, choices=["molecule", "perovskite", "pocket"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--precision", type=int, default=3, choices=[1, 2, 3])
     p.add_argument("--residues", type=int, default=0,
                    help="pocket kind only: fixed residue count (0 = random 6-10)")
@@ -302,7 +313,7 @@ def build_train_parser():
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--lr-start", type=float, default=1e-3)
     p.add_argument("--lr-end", type=float, default=9e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--augment", type=_onoff, default=False)
     p.add_argument("--augment-attempts", type=int, default=8)
     p.add_argument("--crystal-shift", type=_onoff, default=False)
@@ -379,7 +390,7 @@ def build_sample_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--max-len", type=int, default=0, help="0 = model context length")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     return p
 
 
@@ -460,7 +471,7 @@ def build_evaluate_parser():
     p.add_argument("--samples", required=True,
                    help="samples.csv from `sample`, or a directory of structure files")
     p.add_argument("--train", required=True, help="prepare output directory (training corpus)")
-    p.add_argument("--eval-seed", type=int, default=0)
+    p.add_argument("--eval-seed", type=_seed, default=0)
     p.add_argument("--overlap-threshold", type=float, default=1.1)
     return p
 

@@ -7,6 +7,7 @@ algorithm, and small helpers like centroids and molecular weight.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -123,3 +124,15 @@ def pairwise_distances(positions) -> np.ndarray:
     x = np.asarray(positions, dtype=float)
     diff = x[:, None, :] - x[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
+
+
+@functools.lru_cache(maxsize=64)
+def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (i, j) index arrays of the pairs i < j among n points.
+
+    Cached per n and shared between callers, so the arrays are read-only.
+    """
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j

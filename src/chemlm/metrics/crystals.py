@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 
 import numpy as np
 
 from ..elements import data_rows
-from ..geometry import lattice_matrix, min_image_distance
+from ..geometry import lattice_matrix, min_image_distance, upper_pairs
 from ..structures import Crystal
 from .verdict import Verdict
 
@@ -22,6 +23,13 @@ OXIDATION_STATES: dict[str, tuple[int, ...]] = {
 }
 
 
+#: The 26 nonzero lattice offsets in {-1,0,1}^3.
+_SELF_IMAGE_OFFSETS = np.array(
+    [o for o in itertools.product((-1, 0, 1), repeat=3) if o != (0, 0, 0)],
+    dtype=float,
+)
+
+
 def shortest_self_image_distance(crystal: Crystal) -> float:
     """Distance from any site to its nearest own periodic image.
 
@@ -29,11 +37,7 @@ def shortest_self_image_distance(crystal: Crystal) -> float:
     with offsets in {-1,0,1}^3.
     """
     m = lattice_matrix(crystal.lattice)
-    offsets = np.array(
-        [o for o in itertools.product((-1, 0, 1), repeat=3) if o != (0, 0, 0)],
-        dtype=float,
-    )
-    return float(np.min(np.linalg.norm(offsets @ m, axis=1)))
+    return float(np.min(np.linalg.norm(_SELF_IMAGE_OFFSETS @ m, axis=1)))
 
 
 #: Site pairs measured per array op; bounds the (pairs, 125, 3) temporaries.
@@ -51,7 +55,7 @@ def crystal_structural_validity(crystal: Crystal, threshold: float = MIN_ATOM_DI
             f"self-image distance {self_image:.3f} A not larger than {threshold} A"
         )
     coords = np.array(crystal.coords())
-    first, second = np.triu_indices(len(coords), 1)
+    first, second = upper_pairs(len(coords))
     for start in range(0, len(first), _PAIRS_PER_BLOCK):
         i = first[start : start + _PAIRS_PER_BLOCK]
         j = second[start : start + _PAIRS_PER_BLOCK]
@@ -69,9 +73,14 @@ def charge_neutrality(composition: dict) -> Verdict:
     """Valid iff one oxidation state per element can balance the total charge.
 
     Exhaustive search over per-element state choices with min/max bound
-    pruning; compositions here have few distinct elements.
+    pruning; compositions here have few distinct elements. Verdicts are
+    memoized per sorted composition, since a sample set repeats a few.
     """
-    items = sorted(composition.items())
+    return _charge_neutrality(tuple(sorted(composition.items())))
+
+
+@functools.lru_cache(maxsize=4096)
+def _charge_neutrality(items: tuple) -> Verdict:
     for symbol, count in items:
         if symbol not in OXIDATION_STATES:
             return Verdict.fail(f"no oxidation states for element {symbol}")

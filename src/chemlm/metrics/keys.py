@@ -20,7 +20,7 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def molecule_key(molecule: Molecule) -> str:
+def molecule_key(molecule: Molecule, perceived=None) -> str:
     """Colour-refinement (1-WL) hash of the element-labeled bond graph.
 
     Round 0 colours each atom by the rank of its symbol among the sorted
@@ -30,9 +30,10 @@ def molecule_key(molecule: Molecule) -> str:
     class: the partition is stable, so later rounds would only rename
     it. Ranks mean nothing outside one molecule, so one sha256 covers
     every round's sorted table plus the final (colour, count) pairs.
+    `perceived` is the molecule's (bonds, clashes) when already known.
     """
     symbols = molecule.symbols()
-    bonds, _ = perceive_bonds(molecule)
+    bonds, _ = perceived or perceive_bonds(molecule)
     neighbours = [[] for _ in symbols]
     for i, j in bonds:
         neighbours[i].append(j)
@@ -73,11 +74,13 @@ def pocket_key(pocket: Pocket) -> str:
     return "pkt:" + residue_ordering(pocket)
 
 
-_KEYS = {"molecule": molecule_key, "crystal": crystal_key, "pocket": pocket_key}
-
-
-def canonical_key(structure: Structure) -> str:
-    return _KEYS[structure.kind](structure)
+def canonical_key(structure: Structure, perceived=None) -> str:
+    """The structure's key; `perceived` is a molecule's (bonds, clashes) when already known."""
+    if structure.kind == "molecule":
+        return molecule_key(structure, perceived)
+    if structure.kind == "crystal":
+        return crystal_key(structure)
+    return pocket_key(structure)
 
 
 def unique_novel(sample_keys, train_keys) -> tuple[float, float]:

@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import DecodeError
 from ..geometry import crystal_density, molecular_weight
 from ..tokenize import Vocabulary, decode
-from .bonds import molecule_validity
+from .bonds import molecule_validity, perceive_bonds_batch
 from .crystals import (
     charge_neutrality,
     crystal_composition,
@@ -90,15 +90,16 @@ def property_functions(kind: str) -> dict:
     return {"n_residues": lambda p: float(p.n_residues())}
 
 
-def validity(structure, overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD):
+def validity(structure, overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD, perceived=None):
     """(valid, reason, per-check flags) for one structure of any kind.
 
-    Molecules are judged by bond perception alone and carry no flags.
+    Molecules are judged by bond perception alone and carry no flags;
+    `perceived` is a molecule's (bonds, clashes) when already known.
     Crystals must pass the structural and the composition check, pockets
     the residue and the overlap check; the reason is the first failure's.
     """
     if structure.kind == "molecule":
-        v = molecule_validity(structure)
+        v = molecule_validity(structure, perceived)
         return v.valid, v.reason or "", {}
     if structure.kind == "crystal":
         struct_v = crystal_structural_validity(structure)
@@ -165,10 +166,20 @@ def evaluate_structures(
     kind = train_structures[0].kind
     props = property_functions(kind)
 
+    # a molecule's bonds serve both its validity and its key, so every
+    # sample and training molecule is perceived once, in one batch
+    decoded = [s for s in structures if s is not None and s.kind == kind]
+    if kind == "molecule":
+        perceived = perceive_bonds_batch(decoded + train_structures)
+    else:
+        perceived = [None] * (len(decoded) + len(train_structures))
+    sample_perceived = iter(perceived[: len(decoded)])
+    train_perceived = perceived[len(decoded) :]
+
     rows = []
     valid_structures = []
+    valid_perceived = []
     flag_totals: dict[str, int] = {}
-    n_decoded = 0
     for index, structure in enumerate(structures):
         if structure is None:
             reason = decode_failures.get(index, "decode failed")
@@ -177,13 +188,14 @@ def evaluate_structures(
         if structure.kind != kind:
             rows.append(StructureRow(index, INVALID, "wrong structure kind"))
             continue
-        n_decoded += 1
-        ok, reason, flags = validity(structure, overlap_threshold)
+        bonds = next(sample_perceived)
+        ok, reason, flags = validity(structure, overlap_threshold, bonds)
         for name, passed in flags.items():
             flag_totals[name] = flag_totals.get(name, 0) + (1 if passed else 0)
         if ok:
             rows.append(StructureRow(index, VALID))
             valid_structures.append(structure)
+            valid_perceived.append(bonds)
         else:
             rows.append(StructureRow(index, INVALID, reason))
 
@@ -194,8 +206,8 @@ def evaluate_structures(
 
     unique_pct = novel_pct = None
     if n_valid:
-        train_keys = [canonical_key(s) for s in train_structures]
-        sample_keys = [canonical_key(s) for s in valid_structures]
+        train_keys = [canonical_key(s, b) for s, b in zip(train_structures, train_perceived)]
+        sample_keys = [canonical_key(s, b) for s, b in zip(valid_structures, valid_perceived)]
         unique_pct, novel_pct = unique_novel(sample_keys, train_keys)
 
     sample_values = {
@@ -220,8 +232,8 @@ def evaluate_structures(
             emd_oracle[name] = emd_1d(first, second)
 
     extra = {
-        name: count / n_decoded * 100.0 for name, count in sorted(flag_totals.items())
-    } if n_decoded else {}
+        name: count / len(decoded) * 100.0 for name, count in sorted(flag_totals.items())
+    } if decoded else {}
 
     report = MetricsReport(
         structure_kind=kind,

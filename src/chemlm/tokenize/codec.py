@@ -16,15 +16,13 @@ with its 1-based content position.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from ..elements import MULTI_LETTER_SYMBOLS, is_element
+from ..elements import MULTI_LETTER_SYMBOLS
 from ..errors import ConfigError, DecodeError, ParseError
 from ..formats import FileDocument, parse_document, write_structure
 from ..rounding import fmt_fixed, round_coords
 from ..structures import (
-    CANONICAL_RESIDUES,
     RESIDUE_ATOMS,
     Atom,
     Crystal,
@@ -52,10 +50,6 @@ class TokenSequence:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-def _coordinate_re(precision: int) -> re.Pattern:
-    return re.compile(rf"-?\d+\.\d{{{precision}}}")
 
 
 def segment_chars(text: str) -> list[str]:
@@ -158,37 +152,36 @@ def encode(structure: Structure, vocab: Vocabulary) -> TokenSequence:
     return TokenSequence(tuple(ids))
 
 
-def _content_strings(seq: TokenSequence, vocab: Vocabulary) -> list[str]:
-    """Validate the special-token bracketing and return content strings."""
+def _content_ids(seq: TokenSequence, vocab: Vocabulary) -> tuple[int, ...]:
+    """Validate the special-token bracketing and return the content ids."""
     ids = seq.ids
     if not ids or ids[0] != vocab.bos_id:
         raise DecodeError("missing_bos", 0, "sequence does not begin with BOS")
-    tokens: list[str] = []
-    seen_eos = False
-    for pos, token_id in enumerate(ids[1:], start=1):
-        if seen_eos:
-            if token_id == vocab.pad_id:
-                continue
-            raise DecodeError("content_after_eos", pos, "token after EOS")
-        if token_id == vocab.eos_id:
-            seen_eos = True
-            continue
+    try:
+        end = ids.index(vocab.eos_id, 1)
+    except ValueError:  # no EOS: a truncated sequence is all content
+        end = len(ids)
+    content = ids[1:end]
+    # ids 0-2 are the specials, so content ids lie in [3, len(vocab))
+    if content and not (3 <= min(content) and max(content) < len(vocab)):
+        pos, token_id = next((p, t) for p, t in enumerate(content, 1) if not 3 <= t < len(vocab))
         if token_id == vocab.pad_id:
             raise DecodeError("pad_in_content", pos, "PAD inside the content")
         if token_id == vocab.bos_id:
             raise DecodeError("unexpected_special", pos, "BOS repeated inside the content")
-        if not 0 <= token_id < len(vocab):
-            raise DecodeError("unknown_id", pos, f"id {token_id} outside the vocabulary")
-        tokens.append(vocab.token_of(token_id))
-    return tokens
+        raise DecodeError("unknown_id", pos, f"id {token_id} outside the vocabulary")
+    for pos in range(end + 1, len(ids)):
+        if ids[pos] != vocab.pad_id:
+            raise DecodeError("content_after_eos", pos, "token after EOS")
+    return content
 
 
 def decode(seq: TokenSequence, vocab: Vocabulary) -> Structure:
     """Ids back to a structure; raises DecodeError on any grammar violation."""
-    tokens = _content_strings(seq, vocab)
+    content = _content_ids(seq, vocab)
     if vocab.scheme.kind == CHAR:
-        return _decode_char(tokens, vocab)
-    return _decode_atom_coord(tokens, vocab)
+        return _decode_char([vocab.tokens[i] for i in content], vocab)
+    return _decode_atom_coord(content, vocab)
 
 
 def _decode_char(tokens: list[str], vocab: Vocabulary) -> Structure:
@@ -212,17 +205,16 @@ def _token_position_of_line(tokens: list[str], line_no: int) -> int:
     return max(1, len(tokens))
 
 
-def _decode_atom_coord(tokens: list[str], vocab: Vocabulary) -> Structure:
-    scheme = vocab.scheme
-    coord_re = _coordinate_re(scheme.precision)
+def _decode_atom_coord(content: tuple[int, ...], vocab: Vocabulary) -> Structure:
+    """Read the 4-token atom groups (after a crystal's lattice) by table lookup."""
     kind = vocab.structure_kind
-
     pos = 1
     lattice = None
     if kind == "crystal":
-        lattice, pos = _read_lattice(tokens)
+        lattice = _read_lattice(content, vocab)
+        pos = 7
 
-    body = tokens[pos - 1 :]
+    body = content[pos - 1 :]
     if not body:
         raise DecodeError("empty_structure", pos, "no atoms in the sequence")
     if len(body) % 4 != 0:
@@ -233,72 +225,69 @@ def _decode_atom_coord(tokens: list[str], vocab: Vocabulary) -> Structure:
             f"{len(body)} tokens do not form whole 4-token atom groups",
         )
 
-    atoms = []
-    for g in range(0, len(body), 4):
-        head = body[g]
-        head_pos = pos + g
-        if coord_re.fullmatch(head):
-            raise DecodeError(
-                "atom_expected", head_pos, f"coordinate token {head!r} where an atom token was expected"
-            )
-        if kind == "pocket":
-            atoms.append((_parse_indicator(head, head_pos), _read_group_coords(body, g, pos, coord_re)))
-        else:
-            if not is_element(head):
-                raise DecodeError("atom_expected", head_pos, f"{head!r} is not an element token")
-            atoms.append((head, _read_group_coords(body, g, pos, coord_re)))
+    coord = vocab.coord_values
+    heads = [vocab.atom_values[i] for i in body[0::4]]
+    xs = [coord[i] for i in body[1::4]]
+    ys = [coord[i] for i in body[2::4]]
+    zs = [coord[i] for i in body[3::4]]
+    if None in heads or None in xs or None in ys or None in zs:
+        raise _first_group_error(body, pos, vocab)
 
     if kind == "molecule":
-        return Molecule(tuple(Atom(sym, *xyz) for sym, xyz in atoms))
+        return Molecule(tuple(map(Atom, heads, xs, ys, zs)))
     if kind == "crystal":
-        return Crystal(lattice, tuple(Site(sym, *xyz) for sym, xyz in atoms))
-    return _assemble_pocket(atoms)
+        return Crystal(lattice, tuple(map(Site, heads, xs, ys, zs)))
+    return _assemble_pocket(heads, xs, ys, zs)
 
 
-def _read_group_coords(body, g, pos, coord_re):
-    coords = []
-    for k in range(1, 4):
-        tok = body[g + k]
-        if not coord_re.fullmatch(tok):
-            raise DecodeError(
-                "coordinate_expected",
-                pos + g + k,
-                f"{tok!r} is not a coordinate token at this precision",
-            )
-        coords.append(float(tok))
-    return tuple(coords)
+def _first_group_error(body, pos: int, vocab: Vocabulary) -> DecodeError:
+    """The error of the first token of `body` (at content position `pos`)
+    that breaks the element-or-indicator, x, y, z group grammar."""
+    for k, token_id in enumerate(body):
+        tok = vocab.tokens[token_id]
+        if k % 4 != 0:
+            if vocab.coord_values[token_id] is None:
+                return DecodeError(
+                    "coordinate_expected",
+                    pos + k,
+                    f"{tok!r} is not a coordinate token at this precision",
+                )
+        elif vocab.atom_values[token_id] is None:
+            if vocab.coord_values[token_id] is not None:
+                return DecodeError(
+                    "atom_expected",
+                    pos + k,
+                    f"coordinate token {tok!r} where an atom token was expected",
+                )
+            if vocab.structure_kind == "pocket":
+                return DecodeError(
+                    "unknown_indicator", pos + k, f"{tok!r} is not a residue-atom indicator"
+                )
+            return DecodeError("atom_expected", pos + k, f"{tok!r} is not an element token")
+    raise AssertionError("no grammar violation in the atom groups")
 
 
-def _read_lattice(tokens):
-    """The six leading lattice parameter tokens; returns (lattice, next position)."""
-    if len(tokens) < 6:
+def _read_lattice(content, vocab: Vocabulary) -> Lattice:
+    """The lattice from the six leading lattice parameter tokens."""
+    if len(content) < 6:
         raise DecodeError(
-            "truncated_lattice", len(tokens) + 1, "fewer than 6 lattice parameter tokens"
+            "truncated_lattice", len(content) + 1, "fewer than 6 lattice parameter tokens"
         )
-    values = []
-    for i in range(6):
-        tok = tokens[i]
-        if re.fullmatch(r"-?\d+\.\d+", tok) is None:
-            raise DecodeError(
-                "lattice_expected", i + 1, f"{tok!r} is not a lattice parameter token"
-            )
-        values.append(float(tok))
+    values = [vocab.lattice_values[i] for i in content[:6]]
+    if None in values:
+        i = values.index(None)
+        raise DecodeError(
+            "lattice_expected",
+            i + 1,
+            f"{vocab.tokens[content[i]]!r} is not a lattice parameter token",
+        )
     try:
-        return Lattice(*values), 7
+        return Lattice(*values)
     except Exception as exc:
         raise DecodeError("invalid_lattice", 6, str(exc)) from exc
 
 
-def _parse_indicator(token: str, position: int) -> tuple[str, str]:
-    residue, dash, element = token.partition("-")
-    if not dash or residue not in CANONICAL_RESIDUES or not is_element(element):
-        raise DecodeError(
-            "unknown_indicator", position, f"{token!r} is not a residue-atom indicator"
-        )
-    return residue, element
-
-
-def _assemble_pocket(atoms) -> Pocket:
+def _assemble_pocket(indicators, xs, ys, zs) -> Pocket:
     """Rebuild residue boundaries from an indicator/coordinate stream.
 
     A new residue starts when the residue code changes or when adding the
@@ -309,7 +298,7 @@ def _assemble_pocket(atoms) -> Pocket:
     index = 0
     code = None
     counts: dict[str, int] = {}
-    for (residue, element), (x, y, z) in atoms:
+    for (residue, element), x, y, z in zip(indicators, xs, ys, zs):
         target = RESIDUE_ATOMS[residue]
         boundary = (
             residue != code

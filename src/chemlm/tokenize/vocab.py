@@ -10,10 +10,12 @@ checkpoints and manifests.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 
+from ..elements import is_element
 from ..errors import ArtifactError, EncodeError
-from ..structures import KINDS
+from ..structures import CANONICAL_RESIDUES, KINDS
 from .scheme import Scheme
 
 BOS_TOKEN = "<BOS>"
@@ -30,6 +32,24 @@ _LATTICE_MODE = "whole_token"
 #: visible one-per-line entry.
 _SPACE_ESCAPE = "<SP>"
 
+#: A lattice parameter token: a fixed-point number of any precision.
+_LATTICE_RE = re.compile(r"-?\d+\.\d+")
+
+
+def _value(pattern: re.Pattern, token: str):
+    return float(token) if pattern.fullmatch(token) else None
+
+
+def _element(token: str):
+    return token if is_element(token) else None
+
+
+def _indicator(token: str):
+    residue, dash, element = token.partition("-")
+    if dash and residue in CANONICAL_RESIDUES and is_element(element):
+        return residue, element
+    return None
+
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -37,6 +57,15 @@ class Vocabulary:
     scheme: Scheme
     structure_kind: str
     _ids: dict = field(default_factory=dict, compare=False, repr=False)
+    #: Per-id tables that decoding reads instead of matching token text.
+    #: `coord_values[i]` is the float of a coordinate token at the
+    #: scheme's precision; `atom_values[i]` is the element symbol of an
+    #: element token, or for a pocket vocabulary the (residue, element)
+    #: pair of a residue-atom indicator; `lattice_values[i]` is the float
+    #: of a lattice parameter token. Every other entry is None.
+    coord_values: tuple = field(default=(), init=False, compare=False, repr=False)
+    atom_values: tuple = field(default=(), init=False, compare=False, repr=False)
+    lattice_values: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.structure_kind not in KINDS:
@@ -51,6 +80,11 @@ class Vocabulary:
                 raise ValueError(f"special token {tok!r} repeated as content")
             ids[tok] = i
         object.__setattr__(self, "_ids", ids)
+        coord_re = re.compile(rf"-?\d+\.\d{{{self.scheme.precision}}}")
+        atom = _indicator if self.structure_kind == "pocket" else _element
+        object.__setattr__(self, "coord_values", tuple(_value(coord_re, t) for t in self.tokens))
+        object.__setattr__(self, "atom_values", tuple(map(atom, self.tokens)))
+        object.__setattr__(self, "lattice_values", tuple(_value(_LATTICE_RE, t) for t in self.tokens))
 
     @property
     def bos_id(self) -> int:

@@ -228,17 +228,21 @@ def train(
                 seqs = [base_sequences[i] for i in batch_idx]
             inputs, targets, mask = pad_batch(seqs, vocab.pad_id)
             lr = lr_schedule(step, train_cfg)
-            try:
-                loss, grads = loss_and_grads(
-                    params, model_cfg, inputs, targets, mask,
-                    train_mode=True, rng=dropout_rng,
-                )
-            except FloatingPointError as exc:
-                raise TrainingDiverged(step, result.checkpoint_path) from exc
-            if not math.isfinite(loss):
-                raise TrainingDiverged(step, result.checkpoint_path)
-            grad_norm = clip_global_norm(grads, train_cfg.grad_clip)
-            optimizer.step(params, grads, lr)
+            # an overflow here is caught as a non-finite loss, gradient or
+            # parameter, by the checks below and in write_checkpoint, so
+            # numpy need not warn about it too
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    loss, grads = loss_and_grads(
+                        params, model_cfg, inputs, targets, mask,
+                        train_mode=True, rng=dropout_rng,
+                    )
+                except FloatingPointError as exc:
+                    raise TrainingDiverged(step, result.checkpoint_path) from exc
+                if not math.isfinite(loss):
+                    raise TrainingDiverged(step, result.checkpoint_path)
+                grad_norm = clip_global_norm(grads, train_cfg.grad_clip)
+                optimizer.step(params, grads, lr)
             result.losses.append(float(loss))
             result.lrs.append(lr)
             step += 1

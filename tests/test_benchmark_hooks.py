@@ -5,12 +5,14 @@ than only in the long benchmark self-test."""
 
 import os
 
+import pytest
+
 import chemlm.cli
 import chemlm.metrics.report
 import chemlm.sampling
 from chemlm.model import ModelConfig, init_params
 from chemlm.synth import synth_corpus
-from chemlm.tokenize import Scheme, build_vocab
+from chemlm.tokenize import Scheme, build_vocab, encode
 
 BENCHMARKS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "benchmarks")
 
@@ -47,3 +49,21 @@ def test_sampler_forward_counts_one_position_per_token(monkeypatch):
     assert generated > len(seqs)
     assert tracer.counts["model.sample_positions"] == generated
     assert tracer.counts["model.logits_bytes"] == 0
+
+
+@pytest.mark.parametrize("kind", ["molecule", "perovskite"])
+def test_evaluate_enters_the_decode_validity_and_key_spans(monkeypatch, kind):
+    # the tracer sees decoding, validity and keys only while evaluate
+    # still calls them through chemlm.metrics.report's attributes
+    monkeypatch.syspath_prepend(BENCHMARKS)
+    from tracing import Tracer
+
+    corpus = synth_corpus(kind, 4, seed=0)
+    vocab = build_vocab(corpus, Scheme("atom_coord", 2))
+    sequences = [encode(s, vocab) for s in corpus]
+    tracer = Tracer()
+    with tracer.installed():
+        result = chemlm.metrics.report.evaluate_sequences(sequences, vocab, corpus)
+    assert result.report.n_valid > 0
+    for span in ("tokenize.decode", "metrics.validity", "metrics.keys"):
+        assert tracer.calls[span] > 0, span

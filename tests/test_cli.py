@@ -322,6 +322,24 @@ class TestExitCodes:
         assert "internal error" not in capsys.readouterr().err
         assert message in manifest_of(out)["error"]
 
+    @pytest.mark.parametrize("command", ["synth", "train", "sample", "evaluate"])
+    def test_negative_seed_is_user_error(self, pipeline, tmp_path, capsys, command):
+        # numpy refuses a negative seed with a ValueError, which exited 2
+        flag = "--eval-seed" if command == "evaluate" else "--seed"
+        argv = {
+            "synth": ["synth", "--kind", "molecule", "--n", "1"],
+            "train": ["train", "--corpus", pipeline["prepare"], "--steps", "1"],
+            "sample": ["sample", "--checkpoint", pipeline["checkpoint"],
+                       "--vocab", pipeline["vocab"], "--n", "1"],
+            "evaluate": ["evaluate", "--samples", os.path.join(pipeline["sample"], "samples.csv"),
+                         "--train", pipeline["prepare"]],
+        }[command]
+        code = run_cli([*argv, flag, "-1", "--out", os.path.join(tmp_path, "out")])
+        assert code == EXIT_USER
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a non-negative integer, got '-1'" in err
+        assert "internal error" not in err
+
     def test_max_len_beyond_context_is_user_error(self, pipeline, tmp_path, capsys):
         out = os.path.join(tmp_path, "out")
         assert run_cli([

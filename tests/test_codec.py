@@ -4,8 +4,10 @@ from chemlm.errors import DecodeError
 from chemlm.rounding import round_coords
 from chemlm.structures import Atom, Crystal, Lattice, Molecule, Site
 from chemlm.tokenize import (
+    SPECIALS,
     Scheme,
     TokenSequence,
+    Vocabulary,
     build_vocab,
     char_tokens,
     content_tokens,
@@ -15,6 +17,7 @@ from chemlm.tokenize import (
 )
 
 from conftest import random_structure
+from reference_codec import reference_decode
 
 
 def roundtrip(structure, scheme):
@@ -231,6 +234,9 @@ class TestCrystalDecodeErrors:
         with pytest.raises(DecodeError) as ei:
             decode(TokenSequence(tuple(ids)), v)
         assert ei.value.kind == "invalid_lattice"
+        with pytest.raises(DecodeError) as ref:
+            reference_decode(TokenSequence(tuple(ids)), v)
+        assert (ref.value.position, str(ref.value)) == (ei.value.position, str(ei.value))
 
 
 class TestPocketAssembly:
@@ -245,12 +251,17 @@ class TestPocketAssembly:
             ]
 
     def test_unknown_indicator(self):
-        from chemlm.tokenize.codec import _parse_indicator
-
-        with pytest.raises(DecodeError) as ei:
-            _parse_indicator("GLY", 1)
-        assert ei.value.kind == "unknown_indicator"
-        with pytest.raises(DecodeError):
-            _parse_indicator("BAD-C", 1)
-        with pytest.raises(DecodeError):
-            _parse_indicator("GLY-Xx", 1)
+        # a pocket vocabulary holding tokens that only look like indicators
+        bad = ("GLY", "BAD-C", "GLY-Xx")
+        vocab = Vocabulary(SPECIALS + bad + ("1.00",), Scheme("atom_coord", 2), "pocket")
+        coord = vocab.id_of("1.00")
+        for tok in bad:
+            seq = TokenSequence((vocab.bos_id, vocab.id_of(tok), coord, coord, coord, vocab.eos_id))
+            with pytest.raises(DecodeError) as ei:
+                decode(seq, vocab)
+            assert ei.value.kind == "unknown_indicator"
+            assert ei.value.position == 1
+            assert str(ei.value).startswith(f"{tok!r} is not a residue-atom indicator")
+            with pytest.raises(DecodeError) as ref:
+                reference_decode(seq, vocab)
+            assert str(ref.value) == str(ei.value)

@@ -2,9 +2,13 @@ import hashlib
 import math
 import os
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from conftest import random_crystal, random_molecule
+from conftest import MOLECULE_ELEMENTS, random_crystal, random_molecule
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemlm.cli import main
 from chemlm.elements import get_element, is_element
@@ -17,6 +21,7 @@ from chemlm.metrics.bonds import (
     VALENCES,
     molecule_validity,
     perceive_bonds,
+    perceive_bonds_batch,
 )
 from chemlm.metrics.crystals import (
     OXIDATION_STATES,
@@ -150,6 +155,34 @@ class TestKeyReference:
         rng = np.random.default_rng(5)
         for m in synth_molecules + [random_molecule(rng) for _ in range(300)]:
             assert perceive_bonds(m) == reference_perceive_bonds(m)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        shapes=st.lists(
+            st.tuples(st.sampled_from(["random", "single", "clash"]), st.integers(0, 2**32 - 1)),
+            min_size=1, max_size=12,
+        ),
+        block=st.sampled_from([1, 5, 1 << 16]),
+    )
+    def test_batched_bonds_match_the_pairwise_loop(self, shapes, block):
+        # molecules of mixed atom counts, one atom and clashing ones among
+        # them, in blocks smaller than one molecule's pairs and larger
+        molecules = []
+        for shape, seed in shapes:
+            rng = np.random.default_rng(seed)
+            if shape == "single":
+                el = str(rng.choice(MOLECULE_ELEMENTS))
+                molecules.append(Molecule([Atom(el, *rng.uniform(-9.0, 9.0, size=3))]))
+                continue
+            m = random_molecule(rng)
+            if shape == "clash":
+                a = m.atoms[int(rng.integers(len(m)))]
+                near = Atom("H", a.x + rng.uniform(-0.2, 0.2), a.y, a.z)
+                m = Molecule(m.atoms + (near,))
+            molecules.append(m)
+        with mock.patch("chemlm.metrics.bonds._PAIRS_PER_BLOCK", block):
+            batched = perceive_bonds_batch(molecules)
+        assert batched == [reference_perceive_bonds(m) for m in molecules]
 
     def test_two_clashes_in_row_major_order(self):
         m = Molecule(
@@ -581,6 +614,24 @@ class TestEvaluate:
         seqs = [encode(train[0], vocab), encode(train[1], vocab)]
         result = evaluate_sequences(seqs, vocab, train)
         assert result.report.n_valid == 2
+
+    def test_molecules_scored_as_one_by_one(self, synth_molecules):
+        # the batch perceives every molecule's bonds once, for its
+        # validity and its key alike; mixed atom counts, valid and not
+        rng = np.random.default_rng(3)
+        samples = synth_molecules[:40] + [random_molecule(rng) for _ in range(40)]
+        train = synth_molecules[40:120]
+        result = evaluate_structures(samples, train)
+        expected = [validity(m) for m in samples]
+        assert [(row.bucket == "valid", row.reason) for row in result.rows] == [
+            (ok, reason) for ok, reason, _ in expected
+        ]
+        valid = [m for m, (ok, _, _) in zip(samples, expected) if ok]
+        assert 0 < len(valid) < len(samples)
+        unique, novel = unique_novel(
+            [canonical_key(m) for m in valid], [canonical_key(m) for m in train]
+        )
+        assert (result.report.unique_pct, result.report.novel_pct) == (unique, novel)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,9 @@
 
 Round trip: decoding an encoding gives back the structure rounded to the
 scheme precision. Robustness: decoding any id list either returns a
-structure or raises DecodeError. Formatting: `fmt_fixed` is exact to
+structure or raises DecodeError, and the table decoder agrees with the
+per-token reference decoder on it (the same structure, or the same
+error kind, position and message). Formatting: `fmt_fixed` is exact to
 half a unit in the last place, a fixed point, and equal to quantizing
 every value with Decimal, fast path or not. Pockets: renumbering
 residues is idempotent. Molecule keys: an atom permutation plus a rigid
@@ -15,6 +17,7 @@ from decimal import Decimal
 
 import numpy as np
 from conftest import random_molecule
+from reference_codec import reference_decode
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -64,12 +67,21 @@ def test_decode_inverts_encode(kind, seed, scheme_kind, precision):
     assert decode(encode(s, vocab), vocab) == round_coords(s, precision)
 
 
-def assert_decodes_or_raises_decode_error(ids, vocab):
+def decode_outcome(decoder, ids, vocab):
+    """(kind, repr) of the decoded structure, a repr that shows every float
+    to the bit, or the DecodeError's (kind, position, message)."""
     try:
-        out = decode(TokenSequence(tuple(ids)), vocab)
-    except DecodeError:
-        return
-    assert out.kind == vocab.structure_kind
+        s = decoder(TokenSequence(tuple(ids)), vocab)
+    except DecodeError as exc:
+        return exc.kind, exc.position, str(exc)
+    return s.kind, repr(s)
+
+
+def assert_decodes_or_raises_decode_error(ids, vocab):
+    outcome = decode_outcome(decode, ids, vocab)
+    assert outcome == decode_outcome(reference_decode, ids, vocab)
+    if len(outcome) == 2:
+        assert outcome[0] == vocab.structure_kind
 
 
 @SETTINGS
@@ -107,6 +119,63 @@ def test_decoding_an_edited_encoding_raises_only_decode_error(kind, scheme_kind,
             ids.insert(pos, new_id)
         elif len(ids) > 2:
             del ids[pos]
+    assert_decodes_or_raises_decode_error(ids, vocab)
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    scheme_kind=st.sampled_from(SCHEMES),
+    precision=st.integers(1, 3),
+)
+def test_table_decode_matches_reference_on_encodings(kind, seed, scheme_kind, precision):
+    s = synth(kind, seed)
+    vocab = build_vocab([s], Scheme(scheme_kind, precision))
+    ids = encode(s, vocab).ids
+    assert decode_outcome(decode, ids, vocab) == decode_outcome(reference_decode, ids, vocab)
+
+
+MUTATIONS = ("special", "out_of_range", "swap_head", "swap", "truncate", "replace", "retoken")
+
+
+@SETTINGS
+@given(
+    kind=st.sampled_from(KINDS),
+    scheme_kind=st.sampled_from(SCHEMES),
+    data=st.data(),
+)
+def test_table_decode_matches_reference_on_mutations(kind, scheme_kind, data):
+    corpus, vocab = bundle(kind, scheme_kind)
+    ids = list(encode(corpus[data.draw(st.integers(0, len(corpus) - 1))], vocab).ids)
+    # a crystal's atom groups follow its six lattice tokens
+    first_group = 7 if kind == "perovskite" else 1
+    for _ in range(data.draw(st.integers(1, 2))):
+        mutation = data.draw(st.sampled_from(MUTATIONS))
+        # position 0 holds BOS; `missing_bos` needs no more examples
+        pos = data.draw(st.integers(1, max(1, len(ids))))
+        if mutation == "special":
+            ids.insert(pos, data.draw(st.sampled_from([vocab.bos_id, vocab.eos_id, vocab.pad_id])))
+        elif mutation == "out_of_range":
+            ids.insert(pos, data.draw(st.sampled_from([-3, -1, len(vocab), len(vocab) + 2])))
+        elif mutation == "swap_head" and len(ids) >= first_group + 5:
+            # an atom token trades places with one of its own coordinates
+            head = first_group + 4 * data.draw(st.integers(0, (len(ids) - first_group - 5) // 4))
+            k = head + data.draw(st.integers(1, 3))
+            ids[head], ids[k] = ids[k], ids[head]
+        elif mutation == "swap" and len(ids) >= 3:
+            a, b = data.draw(st.lists(st.integers(1, len(ids) - 1), min_size=2, max_size=2))
+            ids[a], ids[b] = ids[b], ids[a]
+        elif mutation == "truncate":
+            # cuts a crystal's lattice short when pos < 7
+            ids = ids[:pos]
+        elif mutation == "replace" and pos < len(ids):
+            ids[pos] = data.draw(st.integers(-2, len(vocab) + 2))
+        elif mutation == "retoken" and scheme_kind == ATOM_COORD and pos < len(ids):
+            # an atom token where a coordinate or lattice token belongs, or
+            # a coordinate token of any value, a lattice's among them
+            table = data.draw(st.sampled_from([vocab.atom_values, vocab.coord_values]))
+            ids[pos] = data.draw(st.sampled_from([i for i, v in enumerate(table) if v is not None]))
     assert_decodes_or_raises_decode_error(ids, vocab)
 
 

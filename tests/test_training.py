@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,18 @@ class TestTrain:
                 assert load_checkpoint(ei.value.checkpoint_path).step == 1
             else:
                 assert ei.value.checkpoint_path is None
+
+    @pytest.mark.parametrize("lr, steps", [(1e300, 1), (1e20, 5)])
+    def test_divergence_emits_no_warning(self, lr, steps):
+        # the overflow is reported once, as TrainingDiverged; numpy's
+        # RuntimeWarnings (Adam's update at 1e300, the second backward at
+        # 1e20) would be errors here
+        sequences, vocab, model_cfg, _ = setup_run()
+        hot = TrainConfig(batch_size=2, lr_start=lr, lr_end=1e-5, total_steps=steps, seed=11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged):
+                train(sequences, vocab, model_cfg, hot)
 
     def test_checkpoints_written(self, tmp_path):
         sequences, vocab, model_cfg, train_cfg = setup_run(
