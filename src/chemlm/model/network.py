@@ -21,6 +21,7 @@ as the plain expressions they replace, so they give the same bits.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -63,11 +64,17 @@ def init_params(cfg: ModelConfig, seed: int) -> dict:
     return params
 
 
+# The means below are a sum and an in-place divide by d: what ndarray.mean
+# computes, bit for bit, without its per-call Python overhead.
+
 def _layernorm_fwd(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True)
+    mu /= d
     xc = x - mu
     sq = xc * xc
-    var = sq.mean(axis=-1, keepdims=True)
+    var = sq.sum(axis=-1, keepdims=True)
+    var /= d
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc
     xhat *= inv
@@ -81,10 +88,13 @@ def _layernorm_bwd(dy, cache):
     tmp = dy * xhat
     dg = tmp.sum(axis=(0, 1))
     db = dy.sum(axis=(0, 1))
+    d = dy.shape[-1]
     dx = dy * g
-    m1 = dx.mean(axis=-1, keepdims=True)
+    m1 = dx.sum(axis=-1, keepdims=True)
+    m1 /= d
     np.multiply(dx, xhat, out=tmp)
-    m2 = tmp.mean(axis=-1, keepdims=True)
+    m2 = tmp.sum(axis=-1, keepdims=True)
+    m2 /= d
     dx -= m1
     np.multiply(xhat, m2, out=tmp)
     dx -= tmp
@@ -144,10 +154,39 @@ def _gelu_bwd(dy, cache):
     return dx
 
 
+def _keep_mask(shape, dtype, rate, rng):
+    """`rng.random(shape, dtype=dtype) >= rate`, with the same bits and the
+    same generator state afterwards.
+
+    A float32 draw is (u >> 8) * 2**-24 for the next 32-bit half u of the
+    bit generator's 64-bit words, low half first, and it is compared with
+    float32(rate). So for float32 the mask is read from raw words as
+    u >> 8 >= ceil(float32(rate) * 2**24), which skips the floats. The last
+    two draws go through `rng.random`, which leaves the generator's buffered
+    half as it would be. Odd sizes, an already buffered half, generators
+    without one, float64 and big-endian machines take `rng.random`.
+    """
+    size = math.prod(shape)
+    if (
+        dtype != np.float32
+        or size < 2
+        or size % 2
+        or sys.byteorder != "little"
+        or rng.bit_generator.state.get("has_uint32", 1)
+    ):
+        return rng.random(shape, dtype=dtype) >= rate
+    halves = rng.bit_generator.random_raw(size // 2 - 1).view(np.uint32)
+    halves >>= 8
+    keep = np.empty(size, dtype=bool)
+    np.greater_equal(halves, math.ceil(float(np.float32(rate)) * 2**24), out=keep[:-2])
+    keep[-2:] = rng.random(2, dtype=np.float32) >= rate
+    return keep.reshape(shape)
+
+
 def _dropout_fwd(x, rate, train_mode, rng):
     if not train_mode or rate == 0.0:
         return x, None
-    keep = rng.random(x.shape, dtype=x.dtype) >= rate
+    keep = _keep_mask(x.shape, x.dtype, rate, rng)
     scale = 1.0 / (1.0 - rate)
     y = x * keep
     y *= scale
@@ -173,11 +212,17 @@ def _softmax(x):
 _MASK_CACHE = {}
 
 
-def _causal_mask(t: int, past: int) -> np.ndarray:
-    """[t, past + t]: query i may see keys up to past + i."""
-    if (t, past) not in _MASK_CACHE:
-        _MASK_CACHE[t, past] = np.triu(np.full((t, past + t), NEG_INF), k=past + 1)
-    return _MASK_CACHE[t, past]
+def _causal_mask(t: int, past: int, dtype) -> np.ndarray:
+    """[t, past + t] in `dtype`: query i may see keys up to past + i.
+
+    Scores add the mask of their own dtype: a float64 mask would make the
+    add run in float64. The masked scores differ in their last bits, but
+    their exp is 0 either way, so the attention weights are the same.
+    """
+    key = (t, past, np.dtype(dtype))
+    if key not in _MASK_CACHE:
+        _MASK_CACHE[key] = np.triu(np.full((t, past + t), NEG_INF, dtype=dtype), k=past + 1)
+    return _MASK_CACHE[key]
 
 
 def _attention_fwd(x, params, prefix, cfg, rate, train_mode, rng, kv):
@@ -205,7 +250,7 @@ def _attention_fwd(x, params, prefix, cfg, rate, train_mode, rng, kv):
     scores = qs @ ks.transpose(0, 1, 3, 2)
     scores /= math.sqrt(dh)
     if t > 1:
-        scores += _causal_mask(t, ks.shape[2] - t)
+        scores += _causal_mask(t, ks.shape[2] - t, scores.dtype)
     att = _softmax(scores)
     att_d, catt_drop = _dropout_fwd(att, rate, train_mode, rng)
     ctx = att_d @ vs

@@ -4,12 +4,14 @@ Each sequence starts at BOS and draws the next id from
 softmax(logits / temperature) until EOS or the length cap; temperature
 zero means greedy argmax. Every sequence owns an rng seeded by
 [seed, index], so results are independent of how sequences are grouped
-into forward-pass chunks. A chunk's sequences grow in step, one token
-each per forward call, into one [chunk, max_len] id array. Each step
-reuses the earlier positions' keys and values from forward's `kv` cache
-and draws the next ids of all active sequences in one array op. When
-sequences finish, the kept rows' filled prefix moves up inside the
-cache's own buffers, which then keep their first rows.
+into forward-pass chunks: its n-th token draws that rng's n-th uniform,
+and a chunk draws all its rows' uniforms when it starts. A chunk's
+sequences grow in step, one token each per forward call, into one
+[chunk, max_len] id array. Each step reuses the earlier positions' keys
+and values from forward's `kv` cache and draws the next ids of all
+active sequences in one array op. When sequences finish, the kept rows'
+filled prefix moves up inside the cache's own buffers, which then keep
+their first rows.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ class SampleConfig:
             raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
 
 
-def _draw(logits: np.ndarray, temperature: float, rngs) -> np.ndarray:
-    """Next id of each row of `logits` [n, vocab]; row i draws u from rngs[i].
+def _draw(logits: np.ndarray, temperature: float, u: np.ndarray) -> np.ndarray:
+    """Next id of each row of `logits` [n, vocab]; row i draws with the uniform u[i].
 
     The inverse-CDF draw: the first id whose cumulative probability
     exceeds u, which counts the ids whose cumulative probability is <= u.
@@ -58,7 +60,6 @@ def _draw(logits: np.ndarray, temperature: float, rngs) -> np.ndarray:
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     cdf = np.cumsum(p, axis=-1)
-    u = np.array([rng.random() for rng in rngs])
     idx = (cdf <= u[:, None]).sum(axis=-1)
     return np.minimum(idx, logits.shape[-1] - 1)
 
@@ -81,13 +82,15 @@ def sample(
     out = [None] * cfg.n_samples
     for start in range(0, cfg.n_samples, CHUNK):
         stop = min(start + CHUNK, cfg.n_samples)
-        rngs = [np.random.default_rng([cfg.seed, i]) for i in range(start, stop)]
+        uniforms = np.array([
+            np.random.default_rng([cfg.seed, i]).random(cfg.max_len - 1) for i in range(start, stop)
+        ])
         tokens = np.full((stop - start, cfg.max_len), vocab.bos_id, dtype=np.int64)
         rows = np.arange(stop - start)  # the chunk's rows still drawing, as the cache holds them
         kv = {}
         for n in range(1, cfg.max_len):
             logits, _ = forward(params, model_cfg, tokens[rows, n - 1:n], train_mode=False, kv=kv)
-            drawn = _draw(logits[:, -1], cfg.temperature, rngs)
+            drawn = _draw(logits[:, -1], cfg.temperature, uniforms[rows, n - 1])
             tokens[rows, n] = drawn
             eos = drawn == vocab.eos_id
             done = eos | (n + 1 == cfg.max_len)
@@ -104,7 +107,6 @@ def sample(
                     v[:m, :, :n] = v[keep, :, :n]
                     kv[name] = (k[:m], v[:m], n)
                 rows = rows[keep]
-                rngs = [rngs[j] for j in keep.tolist()]
     return out
 
 

@@ -5,6 +5,7 @@ per-epoch rotation augmentation, and periodic checkpoints.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from dataclasses import dataclass, field
@@ -26,6 +27,10 @@ TRAIN_DTYPE = np.float32
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+#: The glibc mallopt (option, value) pairs `keep_freed_pages` sets:
+#: M_MMAP_THRESHOLD (-3) to 32 MiB, then M_TRIM_THRESHOLD (-1) to 1 GiB.
+ALLOCATOR_OPTIONS = ((-3, 32 << 20), (-1, 1 << 30))
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,36 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
     return total
 
 
+def _libc():
+    """The running program's C symbols, or None where they cannot be opened."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+
+
+def keep_freed_pages() -> bool:
+    """Has glibc's malloc keep the memory a train step frees for the next step.
+
+    Every step allocates and frees the same multi-MB temporaries. By
+    default glibc maps such blocks with mmap and unmaps them when they are
+    freed, and it trims the top of its heap, so the next step faults the
+    same pages in again, zeroed. Serving blocks up to 32 MiB from the heap
+    and trimming it only past 1 GiB keeps the pages. Both options are
+    needed: setting either one turns off glibc's dynamic mmap threshold,
+    and the trim threshold alone faults more than neither. The setting is
+    process-wide. Returns whether both calls took. Where there is no
+    mallopt (no glibc) nothing changes, and a call that returns 0 changed
+    nothing.
+    """
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all(mallopt(option, value) != 0 for option, value in ALLOCATOR_OPTIONS)
+
+
 @dataclass
 class TrainResult:
     params: dict
@@ -153,7 +188,8 @@ def train(
     and always at the end; a non-finite loss or gradient aborts with the
     last good checkpoint, and so do non-finite parameters where a
     checkpoint is due. After each step, `log` gets (step, loss, lr,
-    gradient norm before clipping).
+    gradient norm before clipping). Sets the process's malloc options
+    through `keep_freed_pages`.
     """
     if not sequences:
         raise ValueError("empty training corpus")
@@ -184,6 +220,7 @@ def train(
             f"({model_cfg.max_seq_len} + 1)"
         )
     structures = [decode(s, vocab) for s in sequences] if train_cfg.augment else None
+    keep_freed_pages()
 
     optimizer = Adam(params)
     result = TrainResult(params=params)

@@ -8,7 +8,10 @@ import os
 import shutil
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemlm.cli import (
     EXIT_INTERNAL,
@@ -23,6 +26,7 @@ from chemlm.cli import (
 from chemlm.formats import parse_xyz
 from chemlm.manifest import file_sha256, read_manifest, tree_hash
 from chemlm.metrics import MetricsReport
+from chemlm.model import load_checkpoint
 from chemlm.rounding import round_coords
 from chemlm.tokenize import Vocabulary, decode, encode
 
@@ -835,3 +839,86 @@ class TestRenderTable:
         table = render_table(["run"], [report])
         assert "1.235" in table
         assert "66.667" in table
+
+
+# Values at the edges of what a numeric flag can be given: non-finite,
+# zero, negative, the smallest subnormal and a huge value.
+EXTREMES = ("nan", "inf", "-inf", "0", "-1", "5e-324", "1e308")
+
+TRAIN_NUMERIC_FLAGS = (
+    "--steps", "--batch-size", "--lr-start", "--lr-end", "--seed", "--augment-attempts",
+    "--grad-clip", "--checkpoint-interval", "--layers", "--d-model", "--heads", "--d-ff",
+    "--max-seq-len", "--dropout",
+)
+SAMPLE_NUMERIC_FLAGS = ("--n", "--temperature", "--max-len", "--seed")
+
+
+def written_floats(out_dir):
+    """Every number the files under `out_dir` hold: JSON numbers (NaN and
+    Infinity included), checkpoint tensors, and the fields of the text files."""
+    values = []
+    for name in sorted(os.listdir(out_dir)):
+        path = os.path.join(out_dir, name)
+        if name.endswith(".bin"):
+            # load_checkpoint refuses a non-finite tensor on its own
+            values.extend(float(np.abs(v).max()) for v in load_checkpoint(path).params.values())
+        elif name.endswith(".json"):
+            def walk(node):
+                if isinstance(node, dict):
+                    node = list(node.values())
+                if isinstance(node, list):
+                    for item in node:
+                        walk(item)
+                elif isinstance(node, float):
+                    values.append(node)
+            with open(path, encoding="utf-8") as fh:
+                walk(json.load(fh))
+        else:
+            with open(path, encoding="utf-8") as fh:
+                for field in fh.read().replace(",", " ").split():
+                    try:
+                        values.append(float(field))
+                    except ValueError:
+                        pass
+    return values
+
+
+class TestNumericFlagsProperty:
+    """Any extreme value of any numeric flag is a success or a user error,
+    never an internal one, and a success writes only finite numbers."""
+
+    def check(self, pipeline, out, command, flags):
+        argv = {
+            "train": ["train", "--corpus", pipeline["prepare"], "--steps", "1",
+                      "--batch-size", "2", "--layers", "1", "--d-model", "8", "--heads", "2"],
+            "sample": ["sample", "--checkpoint", pipeline["checkpoint"],
+                       "--vocab", pipeline["vocab"], "--n", "2", "--max-len", "8"],
+        }[command]
+        for flag, value in flags.items():
+            argv += [flag, value]
+        code = run_cli([*argv, "--out", out])
+        assert code in (EXIT_OK, EXIT_USER), argv
+        if code == EXIT_OK:
+            floats = written_floats(out)
+            assert floats and all(math.isfinite(v) for v in floats), argv
+        return code
+
+    def test_each_flag_alone(self, pipeline, tmp_path):
+        for command, flags in (("train", TRAIN_NUMERIC_FLAGS), ("sample", SAMPLE_NUMERIC_FLAGS)):
+            assert self.check(pipeline, str(tmp_path / command), command, {}) == EXIT_OK
+            for flag in flags:
+                for value in EXTREMES:
+                    out = str(tmp_path / f"{command}{flag}={value}")
+                    self.check(pipeline, out, command, {flag: value})
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(flags=st.dictionaries(st.sampled_from(TRAIN_NUMERIC_FLAGS), st.sampled_from(EXTREMES),
+                                 min_size=2, max_size=3))
+    def test_train_flags_together(self, pipeline, tmp_path_factory, flags):
+        self.check(pipeline, str(tmp_path_factory.mktemp("train")), "train", flags)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(flags=st.dictionaries(st.sampled_from(SAMPLE_NUMERIC_FLAGS), st.sampled_from(EXTREMES),
+                                 min_size=2, max_size=3))
+    def test_sample_flags_together(self, pipeline, tmp_path_factory, flags):
+        self.check(pipeline, str(tmp_path_factory.mktemp("sample")), "sample", flags)

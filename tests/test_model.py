@@ -588,11 +588,14 @@ class TestKernels:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_layernorm(self, rng, dtype):
-        x = self.normal(rng, dtype, 3, 7, 16, scale=3.0)
-        g = self.normal(rng, dtype, 16) + dtype(1.0)
-        b = self.normal(rng, dtype, 16)
-        _, cache = self.check(network._layernorm_fwd, ref_layernorm_fwd, x, g, b)
-        self.check(network._layernorm_bwd, ref_layernorm_bwd, self.normal(rng, dtype, 3, 7, 16), cache)
+        # a train step's shape, and a decode step's [chunk, 1, d_model]
+        for b_, t, d in ((3, 7, 16), (64, 1, 64)):
+            x = self.normal(rng, dtype, b_, t, d, scale=3.0)
+            g = self.normal(rng, dtype, d) + dtype(1.0)
+            b = self.normal(rng, dtype, d)
+            _, cache = self.check(network._layernorm_fwd, ref_layernorm_fwd, x, g, b)
+            dy = self.normal(rng, dtype, b_, t, d)
+            self.check(network._layernorm_bwd, ref_layernorm_bwd, dy, cache)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_gelu(self, rng, dtype):
@@ -610,9 +613,61 @@ class TestKernels:
         self.check(network._dropout_bwd, ref_dropout_bwd, self.normal(rng, dtype, 3, 7, 16), cache)
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("buffered", [False, True])
+    # 0.5 + 2**-26 rounds to 0.5 in float32, which the draws compare with
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.5 + 2**-26])
+    def test_keep_mask_is_the_float_draw(self, dtype, buffered, rate):
+        # a float32 mask read from raw words: same mask, same generator state
+        # afterwards, down to the buffered 32-bit half a checkpoint records
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        if buffered:  # an odd float32 draw leaves a 32-bit half buffered
+            got_rng.random(dtype=np.float32)
+            want_rng.random(dtype=np.float32)
+        for size in (0, 1, 2, 3, 4, 5, 96, 97, 4096):
+            shape = (size // 2, 2) if size % 2 == 0 else (size,)
+            got = network._keep_mask(shape, np.dtype(dtype), rate, got_rng)
+            want = want_rng.random(shape, dtype=dtype) >= rate
+            assert got.dtype == bool
+            np.testing.assert_array_equal(got, want, strict=True)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, size
+
+    def test_keep_mask_keeps_a_draw_equal_to_float32_rate(self):
+        # a rate just above a float32 draw rounds down onto it, and numpy's
+        # float32 comparison keeps that draw
+        draws = np.random.default_rng(5).random(1000, dtype=np.float32)
+        value = float(draws[draws >= 0.5][0])
+        rate = value + 2**-30
+        assert np.float32(rate) == value != rate
+        got = network._keep_mask((1000,), np.dtype(np.float32), rate, np.random.default_rng(5))
+        np.testing.assert_array_equal(got, draws >= rate)
+        assert got[draws == value].all()
+
+    def test_float32_scores_add_a_float32_mask(self, rng, monkeypatch):
+        cfg = ModelConfig(**{**TINY.to_dict(), "dropout_rate": 0.0})
+        params = {k: v.astype(np.float32) for k, v in init_params(cfg, seed=2).items()}
+        x = self.normal(rng, np.float32, 3, 7, cfg.d_model)
+        added = []
+        mask = network._causal_mask
+
+        def recording_mask(t, past, dtype):
+            added.append(np.dtype(dtype))
+            return mask(t, past, dtype)
+
+        monkeypatch.setattr(network, "_causal_mask", recording_mask)
+        _, cache = network._attention_fwd(x, params, "h0.attn.", cfg, 0.0, False, None, None)
+        assert added == [np.float32] and mask(7, 0, np.float32).dtype == np.float32
+        # the float64 mask as the scores added it before: the masked scores
+        # differ in their last bits, but their exp is 0 either way
+        monkeypatch.setattr(network, "_causal_mask", lambda t, past, _: mask(t, past, np.float64))
+        _, want = network._attention_fwd(x, params, "h0.attn.", cfg, 0.0, False, None, None)
+        att, want_att = cache[6], want[6]
+        assert att.dtype == np.float32
+        np.testing.assert_array_equal(att, want_att, strict=True)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     def test_softmax(self, rng, dtype):
         scores = self.normal(rng, dtype, 2, 3, 6, 6, scale=4.0)
-        scores += network._causal_mask(6, 0).astype(dtype)
+        scores += network._causal_mask(6, 0, dtype)
         self.check(network._softmax, ref_softmax, scores)
 
     @pytest.mark.parametrize("dtype", DTYPES)

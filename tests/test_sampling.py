@@ -49,7 +49,7 @@ class TestConfig:
             SampleConfig(n_samples=1, max_len=10, temperature=temperature)
 
 
-def reference_draw(logits, temperature, rng):
+def reference_draw(logits, temperature, u):
     """The per-row draw the sampler made before it drew all rows at once."""
     if temperature == 0.0:
         return int(np.argmax(logits))
@@ -57,13 +57,13 @@ def reference_draw(logits, temperature, rng):
     z = z - z.max()
     p = np.exp(z)
     p /= p.sum()
-    u = rng.random()
     idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
     return min(idx, len(p) - 1)
 
 
-def row_rngs(seed, n):
-    return [np.random.default_rng([seed, i]) for i in range(n)]
+def row_uniforms(seed, n):
+    """Each row's first uniform from its own [seed, row] rng, as the sampler draws them."""
+    return np.array([np.random.default_rng([seed, i]).random() for i in range(n)])
 
 
 class TestDraw:
@@ -74,8 +74,9 @@ class TestDraw:
             logits = rng.normal(0.0, 3.0, size=(n, v))
             before = logits.copy()
             for temperature in (0.0, 1.0):
-                got = sampling_module._draw(logits, temperature, row_rngs(4, n))
-                want = [reference_draw(row, temperature, r) for row, r in zip(logits, row_rngs(4, n))]
+                u = row_uniforms(4, n)
+                got = sampling_module._draw(logits, temperature, u)
+                want = [reference_draw(row, temperature, ui) for row, ui in zip(logits, u)]
                 assert got.tolist() == want
             np.testing.assert_array_equal(logits, before)
 
@@ -84,38 +85,32 @@ class TestDraw:
         # last bit; no draw of this size lands on such a boundary
         logits = rng.normal(0.0, 3.0, size=(64, 101))
         for temperature in (0.3, 0.7, 1.5, 4.0):
-            got = sampling_module._draw(logits, temperature, row_rngs(5, 64))
-            want = [reference_draw(row, temperature, r) for row, r in zip(logits, row_rngs(5, 64))]
+            u = row_uniforms(5, 64)
+            got = sampling_module._draw(logits, temperature, u)
+            want = [reference_draw(row, temperature, ui) for row, ui in zip(logits, u)]
             assert got.tolist() == want
 
     def test_ties_and_u_on_a_cdf_boundary(self):
-        class FixedU:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self):
-                return self.u
-
         # four equal logits: the CDF is exactly 0.25, 0.5, 0.75, 1.0, and a u
         # equal to a boundary belongs to the next id, as searchsorted(side="right")
         logits = np.zeros((6, 4))
         us = [0.0, 0.25, 0.5, 0.75, 0.2499999999999999, 0.9999999999999999]
         want_ids = [0, 1, 2, 3, 0, 3]
-        got = sampling_module._draw(logits, 1.0, [FixedU(u) for u in us])
+        got = sampling_module._draw(logits, 1.0, np.array(us))
         assert got.tolist() == want_ids
-        assert [reference_draw(row, 1.0, FixedU(u)) for row, u in zip(logits, us)] == want_ids
+        assert [reference_draw(row, 1.0, u) for row, u in zip(logits, us)] == want_ids
         # greedy takes the first of tied maxima
         tied = np.array([[0.0, 2.0, 2.0, 1.0], [3.0, 3.0, 3.0, 3.0]])
-        assert sampling_module._draw(tied, 0.0, [FixedU(0.5)] * 2).tolist() == [1, 0]
-        assert [reference_draw(row, 0.0, FixedU(0.5)) for row in tied] == [1, 0]
+        assert sampling_module._draw(tied, 0.0, np.array([0.5, 0.5])).tolist() == [1, 0]
+        assert [reference_draw(row, 0.0, 0.5) for row in tied] == [1, 0]
 
     def test_tiny_temperature_draws_among_the_maxima(self):
         # 1e-320 is subnormal: dividing the logits by it first overflowed to
         # inf - inf = nan, and every draw returned id 0
         logits = np.array([[0.5, 2.0, -1.0, 1.9], [4.0, 0.0, 4.0, -3.0]])
-        rngs = row_rngs(0, 2)
+        rng = np.random.default_rng(0)
         for _ in range(20):
-            got = sampling_module._draw(logits, 1e-320, rngs).tolist()
+            got = sampling_module._draw(logits, 1e-320, rng.random(2)).tolist()
             assert got[0] == 1 and got[1] in (0, 2)
 
 
@@ -210,7 +205,7 @@ def reference_sample(params, model_cfg, vocab, cfg):
             logits, _ = forward(params, model_cfg, prefix, train_mode=False)
             still = []
             for row, i in enumerate(active):
-                seqs[i].append(reference_draw(logits[row, -1], cfg.temperature, rngs[i]))
+                seqs[i].append(reference_draw(logits[row, -1], cfg.temperature, rngs[i].random()))
                 if seqs[i][-1] == vocab.eos_id:
                     out[i] = TokenSequence(ids=seqs[i], truncated=False)
                 elif len(seqs[i]) >= cfg.max_len:

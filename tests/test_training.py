@@ -357,3 +357,54 @@ class TestTrain:
         _, vocab, model_cfg, train_cfg = setup_run()
         with pytest.raises(ValueError, match="empty"):
             train([], vocab, model_cfg, train_cfg)
+
+
+class FakeMallopt:
+    """A C function that records its (option, value) calls."""
+
+    def __init__(self, returns):
+        self.calls = []
+        self.returns = returns
+
+    def __call__(self, option, value):
+        self.calls.append((option, value))
+        return self.returns
+
+
+class FakeLibc:
+    def __init__(self, returns=1):
+        self.mallopt = FakeMallopt(returns)
+
+
+class TestAllocator:
+    def checkpoint_bytes(self, tmp_path, name):
+        sequences, vocab, model_cfg, train_cfg = setup_run(total_steps=3, dropout_rate=0.1)
+        result = train(sequences, vocab, model_cfg, train_cfg, out_dir=str(tmp_path / name))
+        with open(result.checkpoint_path, "rb") as fh:
+            return fh.read()
+
+    def test_train_sets_both_thresholds(self, tmp_path, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(training, "_libc", lambda: libc)
+        self.checkpoint_bytes(tmp_path, "run")
+        # mmap threshold 32 MiB, then trim threshold 1 GiB: setting either
+        # one turns off glibc's dynamic mmap threshold
+        assert libc.mallopt.calls == [(-3, 32 * 2**20), (-1, 2**30)]
+
+    def test_keep_freed_pages_reports_what_took(self, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(training, "_libc", lambda: libc)
+        assert training.keep_freed_pages() is True
+        refusing = FakeLibc(returns=0)
+        monkeypatch.setattr(training, "_libc", lambda: refusing)
+        assert training.keep_freed_pages() is False
+        assert refusing.mallopt.calls == [(-3, 32 * 2**20)]
+        for missing in (object(), None):
+            monkeypatch.setattr(training, "_libc", lambda missing=missing: missing)
+            assert training.keep_freed_pages() is False
+
+    def test_without_mallopt_the_checkpoint_is_unchanged(self, tmp_path, monkeypatch):
+        want = self.checkpoint_bytes(tmp_path, "real")
+        for name, libc in (("no_mallopt", object()), ("refused", FakeLibc(returns=0))):
+            monkeypatch.setattr(training, "_libc", lambda libc=libc: libc)
+            assert self.checkpoint_bytes(tmp_path, name) == want, name
