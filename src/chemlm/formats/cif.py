@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ..elements import is_element
 from ..errors import ParseError
-from ..rounding import fmt_fixed, round_coords
+from ..rounding import coords_text
 from ..structures import Crystal, Lattice, Site
 from .document import parse_number
 
@@ -91,15 +91,9 @@ def parse_cif(text: str) -> Crystal:
 
 
 def write_cif(crystal: Crystal, precision: int) -> str:
-    c = round_coords(crystal, precision)
-    out = []
-    for key, value in zip(CELL_KEYS, c.lattice.params()):
-        out.append(f"{key} {fmt_fixed(value, precision)}")
+    cell, triples = coords_text(crystal, precision)
+    out = [f"{key} {value}" for key, value in zip(CELL_KEYS, cell)]
     out.append("loop_")
     out.extend(SITE_TAGS)
-    for s in c.sites:
-        out.append(
-            f"{s.symbol} {fmt_fixed(s.fx, precision)}"
-            f" {fmt_fixed(s.fy, precision)} {fmt_fixed(s.fz, precision)}"
-        )
+    out.extend(f"{s.symbol} {x} {y} {z}" for s, (x, y, z) in zip(crystal.sites, triples))
     return "\n".join(out) + "\n"

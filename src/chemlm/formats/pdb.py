@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ..elements import is_element
 from ..errors import ParseError
-from ..rounding import fmt_fixed, round_coords
+from ..rounding import coords_text
 from ..structures import CANONICAL_RESIDUES, Pocket, PocketAtom
 from .document import parse_count, parse_number
 
@@ -72,13 +72,10 @@ def parse_pdb(text: str) -> Pocket:
 
 
 def write_pdb(pocket: Pocket, precision: int) -> str:
-    p = round_coords(pocket, precision)
-    out = []
-    for serial, a in enumerate(p.atoms, start=1):
-        out.append(
-            f"ATOM {serial} {a.element} {a.residue} {a.residue_index}"
-            f" {fmt_fixed(a.x, precision)} {fmt_fixed(a.y, precision)}"
-            f" {fmt_fixed(a.z, precision)}"
-        )
+    _, triples = coords_text(pocket, precision)
+    out = [
+        f"ATOM {serial} {a.element} {a.residue} {a.residue_index} {x} {y} {z}"
+        for serial, (a, (x, y, z)) in enumerate(zip(pocket.atoms, triples), start=1)
+    ]
     out.append("END")
     return "\n".join(out) + "\n"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ..elements import is_element
 from ..errors import ParseError
-from ..rounding import fmt_fixed, round_coords
+from ..rounding import coords_text
 from ..structures import Atom, Molecule
 from .document import parse_count, parse_number
 
@@ -49,11 +49,7 @@ def parse_xyz(text: str) -> Molecule:
 
 
 def write_xyz(molecule: Molecule, precision: int) -> str:
-    m = round_coords(molecule, precision)
-    out = [str(len(m.atoms)), ""]
-    for a in m.atoms:
-        out.append(
-            f"{a.symbol} {fmt_fixed(a.x, precision)}"
-            f" {fmt_fixed(a.y, precision)} {fmt_fixed(a.z, precision)}"
-        )
+    _, triples = coords_text(molecule, precision)
+    out = [str(len(molecule.atoms)), ""]
+    out.extend(f"{a.symbol} {x} {y} {z}" for a, (x, y, z) in zip(molecule.atoms, triples))
     return "\n".join(out) + "\n"

@@ -1,8 +1,8 @@
 """Geometric operations on structures.
 
 Covers the lattice algebra (cell volume, the cell matrix,
-minimum-image distances), rigid-body superposition via the Kabsch
-algorithm, and small helpers like centroids and molecular weight.
+minimum-image distances) and small helpers like centroids and
+molecular weight.
 """
 
 from __future__ import annotations
@@ -74,29 +74,6 @@ def min_image_distance(lattice: Lattice, frac_i, frac_j) -> float | np.ndarray:
     deltas = (fj + _IMAGE_OFFSETS - fi) @ m
     d = np.min(np.linalg.norm(deltas, axis=-1), axis=-1)
     return float(d) if d.ndim == 0 else d
-
-
-def kabsch_rmsd(coords_p, coords_q) -> float:
-    """Minimum RMSD between two equal-length point sets.
-
-    Both sets are centered, the optimal proper rotation is found from the
-    SVD of the covariance matrix (with the determinant sign correction
-    that excludes reflections), and the RMSD of the aligned residuals is
-    returned.
-    """
-    p = np.asarray(coords_p, dtype=float)
-    q = np.asarray(coords_q, dtype=float)
-    if p.shape != q.shape or p.ndim != 2 or p.shape[1] != 3:
-        raise ValueError(f"point sets must share shape (n, 3); got {p.shape} and {q.shape}")
-    p = p - p.mean(axis=0)
-    q = q - q.mean(axis=0)
-    h = p.T @ q
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    corr = np.diag([1.0, 1.0, d])
-    rot = vt.T @ corr @ u.T
-    diff = (rot @ p.T).T - q
-    return float(np.sqrt((diff * diff).sum() / p.shape[0]))
 
 
 def centroid(positions) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 
-from ..rounding import fmt_fixed
+from ..rounding import fmt_fixed, fmt_fraction
 from ..structures import Crystal, Molecule, Pocket, Structure
 from .bonds import perceive_bonds
 
@@ -58,9 +58,11 @@ def composition_formula(symbols) -> str:
 
 
 def crystal_key(crystal: Crystal) -> str:
+    """Composition, cell and sorted sites at 2 decimals; a fraction that
+    rounds to 1 reads 0, as the CIF writer prints it."""
     lattice = ",".join(fmt_fixed(v, 2) for v in crystal.lattice.params())
     sites = sorted(
-        f"{s.symbol}@{fmt_fixed(s.fx, 2)},{fmt_fixed(s.fy, 2)},{fmt_fixed(s.fz, 2)}"
+        s.symbol + "@" + ",".join(fmt_fraction(f, 2) for f in (s.fx, s.fy, s.fz))
         for s in crystal.sites
     )
     return "xtl:" + composition_formula(crystal.symbols()) + ";" + lattice + ";" + "|".join(sites)

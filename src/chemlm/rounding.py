@@ -6,10 +6,12 @@ Rounding is half away from zero on the decimal literal (1.005 at two
 decimals gives "1.01", -1.005 gives "-1.01"), not the float-bit banker's
 rounding of built-in round().
 
+Formatting a value and formatting its rounded value give the same text,
+so the writers and the tokenizer format what they are given through
+`coords_text`; `round_coords` builds a structure from that same text.
 Most values are already short literals such as 1.23. When repr(x) has no
-exponent and at most `precision` decimals, rounding it is the identity, so
-`fmt_fixed` only zero-pads it and `round_coords` hands such a structure
-back unchanged; only the other values pay for Decimal.
+exponent and at most `precision` decimals, `fmt_fixed` only zero-pads it;
+only the other values pay for Decimal.
 """
 
 from __future__ import annotations
@@ -51,49 +53,40 @@ def fmt_fixed(x: float, precision: int) -> str:
     return format(d, "f")
 
 
-def round_half_away(x: float, precision: int) -> float:
-    """Round `x` to `precision` decimals, half away from zero."""
-    return float(fmt_fixed(x, precision))
+def fmt_fraction(f: float, precision: int) -> str:
+    """`fmt_fixed` of a fractional coordinate in [0, 1), except that one
+    that rounds to 1 is written as 0, as a Site wraps 1.0 to 0.0."""
+    text = fmt_fixed(f, precision)
+    return "0" + text[1:] if text[0] == "1" else text
 
 
-def _is_rounded(values, precision: int) -> bool:
-    """True when every repr has no exponent and at most `precision` decimals.
+def coords_text(structure, precision: int) -> tuple[list[str], list[tuple[str, str, str]]]:
+    """A structure's numbers as text: a crystal's six cell parameters
+    (empty for other kinds), then one (x, y, z) triple per atom or site.
 
-    Rounding such a value gives back the same float, bit for bit. A
-    negative zero does not count: rounding turns it into 0.0.
+    A crystal's fractions go through `fmt_fraction`, and its rounded cell
+    must build a Lattice: one with an angle that rounds to 180 degrees
+    raises InvalidLatticeError.
     """
-    for v in values:
-        r = repr(float(v))
-        dot = r.find(".")
-        if dot < 0 or len(r) - dot - 1 > precision or "e" in r or r == "-0.0":
-            return False
-    return True
+    if isinstance(structure, Crystal):
+        params = structure.lattice.params()
+        cell = [fmt_fixed(v, precision) for v in params]
+        rounded = tuple(map(float, cell))
+        if rounded != params:  # the stored lattice is valid; a changed one may not be
+            Lattice(*rounded)
+        fmt = fmt_fraction
+    else:
+        cell = []
+        fmt = fmt_fixed
+    triples = [(fmt(x, precision), fmt(y, precision), fmt(z, precision))
+               for x, y, z in structure.coords()]
+    return cell, triples
 
 
 def round_coords(structure, precision: int):
-    """Return `structure` with all coordinates rounded.
-
-    For crystals both the six lattice parameters and the fractional
-    coordinates are rounded; a fractional coordinate that rounds to 1.0
-    wraps back to 0.0 so the [0, 1) invariant survives. A structure whose
-    values are all already rounded is returned as it is (the same
-    object); any other is rebuilt as a new one.
-    """
-    coords = structure.coords()
-    crystal = isinstance(structure, Crystal)
-    if _is_rounded((v for xyz in coords for v in xyz), precision) and (
-        not crystal or _is_rounded(structure.lattice.params(), precision)
-    ):
-        return structure
-    rounded = [
-        (
-            round_half_away(x, precision),
-            round_half_away(y, precision),
-            round_half_away(z, precision),
-        )
-        for x, y, z in coords
-    ]
-    if crystal:
-        lattice = Lattice(*(round_half_away(v, precision) for v in structure.lattice.params()))
-        structure = Crystal(lattice, structure.sites)
-    return structure.with_coords(rounded)
+    """A new `structure` holding the values of its `coords_text`: every
+    coordinate, and a crystal's cell, rounded to `precision` decimals."""
+    cell, triples = coords_text(structure, precision)
+    if cell:
+        structure = Crystal(Lattice(*map(float, cell)), structure.sites)
+    return structure.with_coords([(float(x), float(y), float(z)) for x, y, z in triples])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ..elements import MULTI_LETTER_SYMBOLS
 from ..errors import ConfigError, DecodeError, ParseError
 from ..formats import FileDocument, parse_document, write_structure
-from ..rounding import fmt_fixed, round_coords
+from ..rounding import coords_text, fmt_fixed, round_coords
 from ..structures import (
     RESIDUE_ATOMS,
     Atom,
@@ -81,13 +81,11 @@ def char_tokens(structure: Structure, precision: int) -> list[str]:
 
 def atom_coord_tokens(structure: Structure, scheme: Scheme) -> list[str]:
     """ATOM_COORD-scheme token strings (4 per atom, lattice first for crystals)."""
-    p = scheme.precision
-    s = round_coords(structure, p)
-    tokens: list[str] = []
-    if isinstance(s, Crystal):
-        tokens.extend(fmt_fixed(value, p) for value in s.lattice.params())
-    for label, (x, y, z) in zip(s.labels(), s.coords()):
-        tokens.extend((label, fmt_fixed(x, p), fmt_fixed(y, p), fmt_fixed(z, p)))
+    cell, triples = coords_text(structure, scheme.precision)
+    tokens = cell
+    for label, xyz in zip(structure.labels(), triples):
+        tokens.append(label)
+        tokens.extend(xyz)
     return tokens
 
 
@@ -128,19 +126,19 @@ def build_vocab(
     kind = corpus[0].kind
     if any(s.kind != kind for s in corpus):
         raise ValueError("corpus mixes structure kinds")
-    rounded = [round_coords(s, scheme.precision) for s in corpus]
     tokens: set[str] = set()
-    for s in rounded:
+    for s in corpus:
         tokens.update(content_tokens(s, scheme))
     if dense_coordinate_range:
         if scheme.kind != ATOM_COORD:
             raise ConfigError("dense coordinate range only applies to the atom_coord scheme")
+        rounded = [round_coords(s, scheme.precision) for s in corpus]
         tokens.update(_dense_coordinate_tokens(rounded, scheme.precision))
     return make_vocabulary(tokens, scheme, kind)
 
 
 def encode(structure: Structure, vocab: Vocabulary) -> TokenSequence:
-    """Structure to ids: BOS + content + EOS. Rounds to the vocab precision."""
+    """Structure to ids: BOS + content + EOS, coordinates at the vocab precision."""
     if structure.kind != vocab.structure_kind:
         raise ValueError(
             f"vocabulary is for {vocab.structure_kind} structures, got {structure.kind}"

@@ -110,11 +110,6 @@ class Vocabulary:
         except KeyError:
             raise EncodeError("token not in vocabulary", token=token) from None
 
-    def token_of(self, token_id: int) -> str:
-        if not 0 <= token_id < len(self.tokens):
-            raise IndexError(f"token id {token_id} outside vocabulary of {len(self.tokens)}")
-        return self.tokens[token_id]
-
     def content_hash(self) -> str:
         """sha256 over the persisted form; identifies the vocabulary."""
         return hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()

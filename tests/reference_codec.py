@@ -44,8 +44,15 @@ def _content_strings(seq, vocab):
             raise DecodeError("unexpected_special", pos, "BOS repeated inside the content")
         if not 0 <= token_id < len(vocab):
             raise DecodeError("unknown_id", pos, f"id {token_id} outside the vocabulary")
-        tokens.append(vocab.token_of(token_id))
+        tokens.append(token_of(vocab, token_id))
     return tokens
+
+
+def token_of(vocab, token_id):
+    """The token text of one id; an id outside the vocabulary raises IndexError."""
+    if not 0 <= token_id < len(vocab.tokens):
+        raise IndexError(f"token id {token_id} outside vocabulary of {len(vocab.tokens)}")
+    return vocab.tokens[token_id]
 
 
 def _decode_atom_coord(tokens, vocab):

@@ -25,7 +25,6 @@ from chemlm.formats import FileDocument, parse_document, write_structure
 from chemlm.geometry import (
     cell_volume,
     centroid,
-    kabsch_rmsd,
     min_image_distance,
     pairwise_distances,
 )
@@ -42,6 +41,7 @@ from chemlm.tokenize import ATOM_COORD, CHAR, Scheme, build_vocab, decode, encod
 from chemlm.training import TrainConfig, train
 
 from conftest import random_lattice
+from test_geometry import kabsch_rmsd
 
 
 def announce(line: str):

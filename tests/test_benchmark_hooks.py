@@ -67,3 +67,21 @@ def test_evaluate_enters_the_decode_validity_and_key_spans(monkeypatch, kind):
     assert result.report.n_valid > 0
     for span in ("tokenize.decode", "metrics.validity", "metrics.keys"):
         assert tracer.calls[span] > 0, span
+
+
+@pytest.mark.parametrize("scheme", ["atom_coord", "char"])
+def test_prepare_rounds_each_structure_once(monkeypatch, tmp_path, scheme):
+    # the writers and the tokenizer only format, so prepare's one
+    # round_coords per structure is the only rounding the tracer sees
+    monkeypatch.syspath_prepend(BENCHMARKS)
+    from tracing import Tracer
+
+    synth = str(tmp_path / "synth")
+    assert chemlm.cli.main(["synth", "--kind", "molecule", "--n", "5", "--seed", "2",
+                            "--out", synth]) == 0
+    tracer = Tracer()
+    with tracer.installed():
+        assert chemlm.cli.main(["prepare", "--input", os.path.join(synth, "structures"),
+                                "--scheme", scheme, "--precision", "2",
+                                "--out", str(tmp_path / "prepare")]) == 0
+    assert tracer.calls["rounding.round"] == 5

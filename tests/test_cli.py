@@ -851,14 +851,20 @@ TRAIN_NUMERIC_FLAGS = (
     "--max-seq-len", "--dropout",
 )
 SAMPLE_NUMERIC_FLAGS = ("--n", "--temperature", "--max-len", "--seed")
+OTHER_NUMERIC_FLAGS = {
+    "synth": ("--n", "--seed", "--precision", "--residues"),
+    "prepare": ("--precision", "--prune-lo", "--prune-hi"),
+    "evaluate": ("--eval-seed", "--overlap-threshold"),
+}
 
 
 def written_floats(out_dir):
     """Every number the files under `out_dir` hold: JSON numbers (NaN and
     Infinity included), checkpoint tensors, and the fields of the text files."""
     values = []
-    for name in sorted(os.listdir(out_dir)):
-        path = os.path.join(out_dir, name)
+    paths = sorted(os.path.join(d, name) for d, _, names in os.walk(out_dir) for name in names)
+    for path in paths:
+        name = os.path.basename(path)
         if name.endswith(".bin"):
             # load_checkpoint refuses a non-finite tensor on its own
             values.extend(float(np.abs(v).max()) for v in load_checkpoint(path).params.values())
@@ -889,10 +895,15 @@ class TestNumericFlagsProperty:
 
     def check(self, pipeline, out, command, flags):
         argv = {
+            "synth": ["synth", "--kind", "pocket", "--n", "2"],
+            "prepare": ["prepare", "--input", os.path.join(pipeline["synth"], "structures"),
+                        "--scheme", "atom_coord", "--precision", "2"],
             "train": ["train", "--corpus", pipeline["prepare"], "--steps", "1",
                       "--batch-size", "2", "--layers", "1", "--d-model", "8", "--heads", "2"],
             "sample": ["sample", "--checkpoint", pipeline["checkpoint"],
                        "--vocab", pipeline["vocab"], "--n", "2", "--max-len", "8"],
+            "evaluate": ["evaluate", "--samples", os.path.join(pipeline["sample"], "samples.csv"),
+                         "--train", pipeline["prepare"]],
         }[command]
         for flag, value in flags.items():
             argv += [flag, value]
@@ -904,7 +915,9 @@ class TestNumericFlagsProperty:
         return code
 
     def test_each_flag_alone(self, pipeline, tmp_path):
-        for command, flags in (("train", TRAIN_NUMERIC_FLAGS), ("sample", SAMPLE_NUMERIC_FLAGS)):
+        commands = {"train": TRAIN_NUMERIC_FLAGS, "sample": SAMPLE_NUMERIC_FLAGS,
+                    **OTHER_NUMERIC_FLAGS}
+        for command, flags in commands.items():
             assert self.check(pipeline, str(tmp_path / command), command, {}) == EXIT_OK
             for flag in flags:
                 for value in EXTREMES:
@@ -922,3 +935,10 @@ class TestNumericFlagsProperty:
                                  min_size=2, max_size=3))
     def test_sample_flags_together(self, pipeline, tmp_path_factory, flags):
         self.check(pipeline, str(tmp_path_factory.mktemp("sample")), "sample", flags)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data(), command=st.sampled_from(sorted(OTHER_NUMERIC_FLAGS)))
+    def test_other_commands_flags_together(self, pipeline, tmp_path_factory, data, command):
+        flags = data.draw(st.dictionaries(st.sampled_from(OTHER_NUMERIC_FLAGS[command]),
+                                          st.sampled_from(EXTREMES), min_size=2, max_size=3))
+        self.check(pipeline, str(tmp_path_factory.mktemp(command)), command, flags)

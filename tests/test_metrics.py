@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from chemlm.cli import main
 from chemlm.elements import get_element, is_element
-from chemlm.formats import parse_xyz
+from chemlm.formats import parse_xyz, write_cif
 from chemlm.geometry import min_image_distance, pairwise_distances
 from chemlm.metrics import evaluate_sequences, evaluate_structures
 from chemlm.metrics.bonds import (
@@ -508,6 +508,15 @@ class TestKeys:
         c = Crystal(Lattice(4.02, 4, 4, 90, 90, 90), [Site("Po", 0.25, 0, 0)])
         assert crystal_key(a) == crystal_key(b)
         assert crystal_key(a) != crystal_key(c)
+
+    def test_crystal_key_reads_a_fraction_as_the_cif_writer_prints_it(self):
+        # 0.999 rounds to 1.00, which a CIF file holds as 0.00
+        lat = Lattice(4, 4, 4, 90, 90, 90)
+        near_one = Crystal(lat, [Site("Po", 0.999, 0.5, 0.5)])
+        zero = Crystal(lat, [Site("Po", 0.0, 0.5, 0.5)])
+        assert write_cif(near_one, 2) == write_cif(zero, 2)
+        assert crystal_key(near_one) == crystal_key(zero)
+        assert crystal_key(near_one).endswith(";Po@0.00,0.50,0.50")
 
     def test_crystal_key_ignores_site_order(self):
         s1, s2 = Site("Na", 0, 0, 0), Site("Cl", 0.5, 0.5, 0.5)

@@ -6,30 +6,38 @@ structure or raises DecodeError, and the table decoder agrees with the
 per-token reference decoder on it (the same structure, or the same
 error kind, position and message). Formatting: `fmt_fixed` is exact to
 half a unit in the last place, a fixed point, and equal to quantizing
-every value with Decimal, fast path or not. Pockets: renumbering
+every value with Decimal, fast path or not. Rounding: a structure and
+its `round_coords` write and tokenize to the same text. Pockets: renumbering
 residues is idempotent. Molecule keys: an atom permutation plus a rigid
 motion keeps the key.
 """
 
 import decimal
 import functools
+import re
 from decimal import Decimal
 
 import numpy as np
+import pytest
 from conftest import random_molecule
 from reference_codec import reference_decode
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chemlm.elements import get_element
-from chemlm.errors import DecodeError
+from chemlm.errors import DecodeError, InvalidLatticeError
+from chemlm.formats import write_structure
 from chemlm.geometry import pairwise_distances
 from chemlm.metrics.bonds import BOND_SLACK, CLASH_FLOOR
 from chemlm.metrics.keys import molecule_key
 from chemlm.rounding import fmt_fixed, round_coords
-from chemlm.structures import CANONICAL_RESIDUES, Atom, Molecule, Pocket, PocketAtom
+from chemlm.structures import (
+    CANONICAL_RESIDUES, Atom, Crystal, Lattice, Molecule, Pocket, PocketAtom, Site,
+)
 from chemlm.synth import synth_molecule, synth_perovskite, synth_pocket
-from chemlm.tokenize import ATOM_COORD, CHAR, Scheme, TokenSequence, build_vocab, decode, encode
+from chemlm.tokenize import (
+    ATOM_COORD, CHAR, Scheme, TokenSequence, build_vocab, content_tokens, decode, encode,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -230,6 +238,67 @@ def test_fmt_fixed_fast_path_matches_decimal(case):
 @example(x=2.5, precision=0)
 def test_fmt_fixed_matches_decimal(x, precision):
     assert fmt_fixed(x, precision) == reference_fmt_fixed(x, precision)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def structures(draw):
+    """A structure of any kind whose coordinates (and cell) are any finite
+    floats, in a cell that may round to an invalid lattice."""
+    kind = draw(st.sampled_from(("molecule", "crystal", "pocket")))
+    points = draw(st.lists(st.tuples(FINITE, FINITE, FINITE), min_size=1, max_size=4))
+    if kind == "molecule":
+        return Molecule(tuple(Atom(draw(st.sampled_from(["C", "H", "Cl"])), *p) for p in points))
+    if kind == "pocket":
+        return Pocket(tuple(
+            PocketAtom(draw(st.sampled_from(sorted(CANONICAL_RESIDUES))),
+                       draw(st.sampled_from(["C", "N", "O", "S"])), k, *p)
+            for k, p in enumerate(points, start=1)
+        ))
+    lengths = [draw(st.floats(1e-4, 1e6)) for _ in range(3)]
+    alpha = draw(st.floats(0.0, 180.0, exclude_min=True, exclude_max=True))
+    beta, gamma = (draw(st.floats(80.0, 100.0)) for _ in range(2))
+    try:
+        lattice = Lattice(*lengths, alpha, beta, gamma)
+    except InvalidLatticeError:
+        assume(False)
+    fractions = st.floats(-2.0, 2.0)
+    sites = [Site(draw(st.sampled_from(["Na", "Cl", "Po"])), *draw(st.tuples(*[fractions] * 3)))
+             for _ in points]
+    return Crystal(lattice, tuple(sites))
+
+
+CUBE = Lattice(4.0, 4.0, 4.0, 90.0, 90.0, 90.0)
+
+
+@SETTINGS
+@given(s=structures(), precision=st.integers(1, 3))
+@example(s=Crystal(CUBE, (Site("Po", 0.996, 0.9995, -0.0), Site("Po", 1.005, 0.5, 0.0))),
+         precision=2)
+@example(s=Crystal(CUBE, (Site("Po", 0.996, 0.9995, -0.0),)), precision=3)
+@example(s=Crystal(Lattice(4.0, 4.0, 4.0, 179.996, 90.0, 90.0), (Site("Po", 0.0, 0.0, 0.0),)),
+         precision=2)
+@example(s=Molecule((Atom("C", 1.005, -0.0, 1e16),)), precision=2)
+@example(s=Pocket((PocketAtom("GLY", "C", 1, -0.0, 1.005, 1e16),)), precision=1)
+def test_formatting_a_rounded_structure_gives_the_same_text(s, precision):
+    # the writers and the tokenizer format what they are given, so the
+    # structure prepare rounds once must read the same as the raw one
+    schemes = [Scheme(kind, precision) for kind in SCHEMES]
+    try:
+        rounded = round_coords(s, precision)
+    except InvalidLatticeError as exc:
+        # a cell that rounds to no lattice raises from every formatter alike
+        for fmt in [lambda: write_structure(s, precision)] + [
+            functools.partial(content_tokens, s, scheme) for scheme in schemes
+        ]:
+            with pytest.raises(InvalidLatticeError, match=re.escape(str(exc))):
+                fmt()
+        return
+    assert write_structure(s, precision) == write_structure(rounded, precision)
+    for scheme in schemes:
+        assert content_tokens(s, scheme) == content_tokens(rounded, scheme)
 
 
 @st.composite

@@ -3,9 +3,17 @@ import pytest
 from conftest import random_crystal, random_molecule, random_pocket
 
 from chemlm.augment import random_rotation, rotate_about_center
-from chemlm.rounding import fmt_fixed, round_coords, round_half_away
+from chemlm.errors import InvalidLatticeError
+from chemlm.formats import write_cif
+from chemlm.rounding import coords_text, fmt_fixed, fmt_fraction, round_coords
 from chemlm.structures import Atom, Crystal, Lattice, Molecule, Site
 from chemlm.synth import synth_molecule, synth_perovskite, synth_pocket
+from chemlm.tokenize import Scheme, atom_coord_tokens
+
+
+def round_half_away(x: float, precision: int) -> float:
+    """Round `x` to `precision` decimals, half away from zero."""
+    return float(fmt_fixed(x, precision))
 
 
 class TestRoundHalfAway:
@@ -76,7 +84,8 @@ class TestFmtFixed:
 
 
 def rebuild_round_coords(structure, precision):
-    """round_coords without its early return: every structure is rebuilt."""
+    """round_coords through round_half_away and the Site and Lattice
+    constructors instead of through the formatted text."""
     rounded = [tuple(round_half_away(v, precision) for v in xyz) for xyz in structure.coords()]
     if isinstance(structure, Crystal):
         lattice = Lattice(*(round_half_away(v, precision) for v in structure.lattice.params()))
@@ -121,9 +130,10 @@ class TestRoundCoords:
 
     @pytest.mark.parametrize("kind", ["molecule", "perovskite", "pocket"])
     def test_rounded_structure_comes_back_as_is(self, kind):
+        # equal to the bit, though a new object
         s = rebuild_round_coords(synthetic(kind, 4), 2)
-        assert round_coords(s, 2) is s
-        assert round_coords(s, 3) is s
+        assert described(round_coords(s, 2)) == described(s)
+        assert described(round_coords(s, 3)) == described(s)
 
     def test_unrounded_lattice_alone_forces_a_rebuild(self):
         c = Crystal(Lattice(4.123, 4.0, 4.0, 90.0, 90.0, 90.0), [Site("Po", 0.5, 0.0, 0.0)])
@@ -152,4 +162,38 @@ class TestRoundCoords:
 
     def test_float64_that_is_already_rounded_is_kept(self):
         m = Molecule([Atom("C", np.float64(1.25), np.float64(-3.0), np.float64(0.5))])
-        assert round_coords(m, 2) is m
+        out = round_coords(m, 2)
+        assert out == m
+        assert [repr(v) for v in out.coords()[0]] == ["1.25", "-3.0", "0.5"]
+
+
+class TestCrystalRules:
+    """The two crystal rules of `coords_text`, which the CIF writer, the
+    atom_coord tokens and `round_coords` share."""
+
+    def test_fraction_that_rounds_to_one_is_written_as_zero(self):
+        assert fmt_fraction(0.996, 2) == "0.00"
+        assert fmt_fraction(0.9995, 3) == "0.000"
+        assert fmt_fraction(0.9995, 2) == "0.00"
+        assert fmt_fraction(0.994, 2) == "0.99"
+        assert fmt_fraction(0.0, 1) == "0.0"
+
+    @pytest.mark.parametrize("fx, text", [(0.996, "0.00"), (0.9995, "0.00"), (-0.0, "0.00"),
+                                          (1.005, "0.00"), (0.005, "0.01"), (0.5, "0.50")])
+    def test_every_reader_of_a_fraction_agrees(self, fx, text):
+        c = Crystal(Lattice(4.0, 4.0, 4.0, 90.0, 90.0, 90.0), [Site("Po", fx, 0.5, 0.5)])
+        assert write_cif(c, 2).splitlines()[-1] == f"Po {text} 0.50 0.50"
+        assert atom_coord_tokens(c, Scheme("atom_coord", 2))[-3:] == [text, "0.50", "0.50"]
+        assert fmt_fixed(round_coords(c, 2).sites[0].fx, 2) == text
+
+    def test_cell_that_rounds_to_a_straight_angle_raises(self):
+        c = Crystal(Lattice(4.0, 4.0, 4.0, 179.996, 90.0, 90.0), [Site("Po", 0.0, 0.0, 0.0)])
+        assert write_cif(c, 3).startswith("_cell_length_a 4.000")
+        for write in (write_cif, lambda s, p: atom_coord_tokens(s, Scheme("atom_coord", p)),
+                      round_coords):
+            with pytest.raises(InvalidLatticeError, match="alpha=180.0"):
+                write(c, 2)
+
+    def test_molecule_has_no_cell(self):
+        m = Molecule([Atom("C", 1.005, -0.0, 1e16)])
+        assert coords_text(m, 2) == ([], [("1.01", "0.00", "10000000000000000.00")])

