@@ -182,6 +182,12 @@ def _load_bundle(bundle_dir):
 
 # ---------------------------------------------------------------- synth
 
+#: The largest `synth --residues`. A pocket's synthesis time grows faster
+#: than its residue count (1 000 residues take about a second, 10 000
+#: several), so a count far beyond any real pocket would never finish.
+MAX_RESIDUES = 1000
+
+
 def build_synth_parser():
     p = _Parser(prog="chemlm synth")
     p.add_argument("--kind", required=True, choices=["molecule", "perovskite", "pocket"])
@@ -189,7 +195,8 @@ def build_synth_parser():
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--precision", type=int, default=3, choices=[1, 2, 3])
     p.add_argument("--residues", type=int, default=0,
-                   help="pocket kind only: fixed residue count (0 = random 6-10)")
+                   help=f"pocket kind only: fixed residue count, at most {MAX_RESIDUES} "
+                        "(0 = random 6-10)")
     return p
 
 
@@ -198,6 +205,8 @@ def cmd_synth(args, out_dir, phases):
         raise CliError("--n must be >= 1")
     if args.residues < 0:
         raise CliError("--residues must be >= 0")
+    if args.residues > MAX_RESIDUES:
+        raise CliError(f"--residues must be <= {MAX_RESIDUES}")
     if args.residues and args.kind != "pocket":
         raise CliError(f"--residues only applies to --kind pocket, not {args.kind}")
     kwargs = {"n_residues": args.residues} if args.residues else {}
@@ -735,9 +744,11 @@ def main(argv=None) -> int:
     with _phase(phases, "total"):
         try:
             extras = run(args, out_dir, phases)
-        except (CliError, ChemlmError, OSError) as exc:
+        except (CliError, ChemlmError, OSError, MemoryError) as exc:
             status = "error"
             error = str(exc)
+            if isinstance(exc, MemoryError):  # a request too large for this machine
+                error = "the request does not fit in memory" + (f": {error}" if error else "")
             code = EXIT_USER
             sys.stderr.write(f"chemlm {command}: {error}\n")
         except Exception as exc:  # internal bug: still record it, exit 2

@@ -8,7 +8,10 @@ rounding of built-in round().
 
 Formatting a value and formatting its rounded value give the same text,
 so the writers and the tokenizer format what they are given through
-`coords_text`; `round_coords` builds a structure from that same text.
+`coords_text`; `round_coords` builds a structure from that same text and
+keeps the text on the structure it returns, so formatting a rounded
+structure again at its precision costs one attribute lookup.
+
 Most values are already short literals such as 1.23. When repr(x) has no
 exponent and at most `precision` decimals, `fmt_fixed` only zero-pads it;
 only the other values pay for Decimal.
@@ -20,6 +23,9 @@ import decimal
 from decimal import Decimal
 
 from .structures import Crystal, Lattice
+
+#: The instance attribute where `round_coords` keeps (precision, cell, triples).
+_TEXT = "_coords_text"
 
 _EXPONENTS = {p: Decimal(1).scaleb(-p) for p in range(0, 13)}
 
@@ -67,7 +73,14 @@ def coords_text(structure, precision: int) -> tuple[list[str], list[tuple[str, s
     A crystal's fractions go through `fmt_fraction`, and its rounded cell
     must build a Lattice: one with an angle that rounds to 180 degrees
     raises InvalidLatticeError.
+
+    A structure returned by `round_coords` holds the text it was built
+    from; at that precision it is returned as is, so callers must not
+    mutate the lists. Any other structure or precision is formatted.
     """
+    kept = structure.__dict__.get(_TEXT)
+    if kept is not None and kept[0] == precision:
+        return kept[1], kept[2]
     if isinstance(structure, Crystal):
         params = structure.lattice.params()
         cell = [fmt_fixed(v, precision) for v in params]
@@ -85,8 +98,15 @@ def coords_text(structure, precision: int) -> tuple[list[str], list[tuple[str, s
 
 def round_coords(structure, precision: int):
     """A new `structure` holding the values of its `coords_text`: every
-    coordinate, and a crystal's cell, rounded to `precision` decimals."""
+    coordinate, and a crystal's cell, rounded to `precision` decimals.
+
+    The new structure keeps that text, which is also its own
+    `coords_text` at `precision`. The text lives on this object only:
+    `with_coords` and `dataclasses.replace` build structures without it.
+    """
     cell, triples = coords_text(structure, precision)
     if cell:
         structure = Crystal(Lattice(*map(float, cell)), structure.sites)
-    return structure.with_coords([(float(x), float(y), float(z)) for x, y, z in triples])
+    rounded = structure.with_coords([(float(x), float(y), float(z)) for x, y, z in triples])
+    object.__setattr__(rounded, _TEXT, (precision, cell, triples))
+    return rounded

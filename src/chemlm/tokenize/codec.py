@@ -82,7 +82,7 @@ def char_tokens(structure: Structure, precision: int) -> list[str]:
 def atom_coord_tokens(structure: Structure, scheme: Scheme) -> list[str]:
     """ATOM_COORD-scheme token strings (4 per atom, lattice first for crystals)."""
     cell, triples = coords_text(structure, scheme.precision)
-    tokens = cell
+    tokens = list(cell)
     for label, xyz in zip(structure.labels(), triples):
         tokens.append(label)
         tokens.extend(xyz)

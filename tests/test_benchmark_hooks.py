@@ -3,12 +3,14 @@ functions at fixed module attributes. Entering it reads every one of
 them, so renaming a patched attribute away fails here in seconds rather
 than only in the long benchmark self-test."""
 
+import json
 import os
 
 import pytest
 
 import chemlm.cli
 import chemlm.metrics.report
+import chemlm.rounding
 import chemlm.sampling
 from chemlm.model import ModelConfig, init_params
 from chemlm.synth import synth_corpus
@@ -85,3 +87,34 @@ def test_prepare_rounds_each_structure_once(monkeypatch, tmp_path, scheme):
                                 "--scheme", scheme, "--precision", "2",
                                 "--out", str(tmp_path / "prepare")]) == 0
     assert tracer.calls["rounding.round"] == 5
+
+
+@pytest.mark.parametrize("scheme", ["atom_coord", "char"])
+def test_prepare_formats_each_coordinate_once(monkeypatch, tmp_path, scheme):
+    # round_coords keeps the text it formats on the structure it returns,
+    # so the vocabulary, the writer and the encoder format nothing again;
+    # that text lives on the object only, so a second prepare of the same
+    # files in one process formats as much as the first, as a separate
+    # CLI run would: a process-wide cache would flatter the benchmark
+    synth = str(tmp_path / "synth")
+    assert chemlm.cli.main(["synth", "--kind", "molecule", "--n", "5", "--seed", "2",
+                            "--out", synth]) == 0
+    calls = []
+    fmt_fixed = chemlm.rounding.fmt_fixed
+
+    def counting(x, precision):
+        calls.append(x)
+        return fmt_fixed(x, precision)
+
+    monkeypatch.setattr(chemlm.rounding, "fmt_fixed", counting)
+    counts = []
+    for run in range(2):
+        calls.clear()
+        out = str(tmp_path / f"prepare{run}")
+        assert chemlm.cli.main(["prepare", "--input", os.path.join(synth, "structures"),
+                                "--scheme", scheme, "--precision", "2", "--out", out]) == 0
+        counts.append(len(calls))
+    with open(os.path.join(out, "stats.json"), encoding="utf-8") as fh:
+        histogram = json.load(fh)["atom_count_histogram"]
+    atoms = sum(int(n) * count for n, count in histogram.items())
+    assert counts == [3 * atoms, 3 * atoms]

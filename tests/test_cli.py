@@ -308,6 +308,22 @@ class TestExitCodes:
         assert "internal error" in capsys.readouterr().err
         assert "RuntimeError: boom" in manifest_of(out)["error"]
 
+    def test_memory_error_exits_1(self, pipeline, tmp_path, capsys, monkeypatch):
+        # a request too large to allocate (say `sample --n 10**12`) is the
+        # user's to shrink; raising MemoryError stands in for a real
+        # allocation, which could succeed under overcommit and exhaust memory
+        import chemlm.cli as cli_module
+        def too_big(*a, **k):
+            raise MemoryError()
+        monkeypatch.setattr(cli_module, "sample_from_checkpoint", too_big)
+        out = os.path.join(tmp_path, "out")
+        code = run_cli(["sample", "--checkpoint", pipeline["checkpoint"],
+                        "--vocab", pipeline["vocab"], "--n", "2", "--out", out])
+        assert code == EXIT_USER
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "does not fit in memory" in err
+        assert "does not fit in memory" in manifest_of(out)["error"]
+
     @pytest.mark.parametrize("flags, message", [
         (["--layers", "0"], "n_layers"),
         (["--heads", "0"], "n_heads 0"),
@@ -923,6 +939,13 @@ class TestNumericFlagsProperty:
                 for value in EXTREMES:
                     out = str(tmp_path / f"{command}{flag}={value}")
                     self.check(pipeline, out, command, {flag: value})
+
+    def test_huge_residue_count(self, pipeline, tmp_path):
+        # a residue count is bounded, so 10**12 is refused before any
+        # synthesis starts; an unbounded count would run for ever
+        out = str(tmp_path / "synth")
+        assert self.check(pipeline, out, "synth", {"--residues": str(10**12)}) == EXIT_USER
+        assert "--residues must be <= 1000" in manifest_of(out)["error"]
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(flags=st.dictionaries(st.sampled_from(TRAIN_NUMERIC_FLAGS), st.sampled_from(EXTREMES),

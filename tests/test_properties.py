@@ -7,11 +7,13 @@ per-token reference decoder on it (the same structure, or the same
 error kind, position and message). Formatting: `fmt_fixed` is exact to
 half a unit in the last place, a fixed point, and equal to quantizing
 every value with Decimal, fast path or not. Rounding: a structure and
-its `round_coords` write and tokenize to the same text. Pockets: renumbering
+its `round_coords` write and tokenize to the same text, and the text a
+rounded structure keeps is its own at its precision only. Pockets: renumbering
 residues is idempotent. Molecule keys: an atom permutation plus a rigid
 motion keeps the key.
 """
 
+import dataclasses
 import decimal
 import functools
 import re
@@ -24,13 +26,14 @@ from reference_codec import reference_decode
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from chemlm import rounding
 from chemlm.elements import get_element
 from chemlm.errors import DecodeError, InvalidLatticeError
 from chemlm.formats import write_structure
 from chemlm.geometry import pairwise_distances
 from chemlm.metrics.bonds import BOND_SLACK, CLASH_FLOOR
 from chemlm.metrics.keys import molecule_key
-from chemlm.rounding import fmt_fixed, round_coords
+from chemlm.rounding import coords_text, fmt_fixed, round_coords
 from chemlm.structures import (
     CANONICAL_RESIDUES, Atom, Crystal, Lattice, Molecule, Pocket, PocketAtom, Site,
 )
@@ -299,6 +302,38 @@ def test_formatting_a_rounded_structure_gives_the_same_text(s, precision):
     assert write_structure(s, precision) == write_structure(rounded, precision)
     for scheme in schemes:
         assert content_tokens(s, scheme) == content_tokens(rounded, scheme)
+
+
+@SETTINGS
+@given(s=structures(), precision=st.integers(1, 3))
+@example(s=Crystal(CUBE, (Site("Po", 0.996, 0.9995, -0.0), Site("Po", 1.005, 0.5, 0.0))),
+         precision=2)
+@example(s=Crystal(CUBE, (Site("Po", 0.996, 0.9995, -0.0),)), precision=3)
+@example(s=Crystal(Lattice(4.0, 4.0, 4.0, 179.996, 90.0, 90.0), (Site("Po", 0.0, 0.0, 0.0),)),
+         precision=3)
+@example(s=Molecule((Atom("C", 1.005, -0.0, 1e16),)), precision=2)
+@example(s=Pocket((PocketAtom("GLY", "C", 1, -0.0, 1.005, 1e16),)), precision=1)
+def test_a_rounded_structure_keeps_the_text_of_its_values(s, precision):
+    # round_coords keeps the text it built on the structure it returns;
+    # that text must be what formatting the rounded values gives, at its
+    # own precision only, and no copy or replacement may inherit it
+    try:
+        rounded = round_coords(s, precision)
+    except InvalidLatticeError:
+        return
+    copies = [rounded.with_coords(rounded.coords()), dataclasses.replace(rounded)]
+    assert rounding._TEXT in vars(rounded)
+    for copy in copies:
+        assert copy == rounded and rounding._TEXT not in vars(copy)
+    assert coords_text(rounded, precision) == coords_text(copies[0], precision)
+    for other in {1, 2, 3} - {precision}:
+        try:
+            expected = coords_text(copies[0], other)
+        except InvalidLatticeError as exc:
+            with pytest.raises(InvalidLatticeError, match=re.escape(str(exc))):
+                coords_text(rounded, other)
+            continue
+        assert coords_text(rounded, other) == expected
 
 
 @st.composite
