@@ -12,7 +12,6 @@ import numpy as np
 
 from .geometry import centroid
 from .structures import Crystal
-from .tokenize import Vocabulary, content_tokens
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -44,31 +43,10 @@ def shift_origin(crystal: Crystal, shift) -> Crystal:
     return crystal.with_coords((np.array(crystal.coords()) + u) % 1.0)
 
 
-def augment_structure(
-    structure,
-    vocab: Vocabulary,
-    rng: np.random.Generator,
-    attempts: int = 8,
-    crystal_shift: bool = False,
-    max_tokens: int = None,
-):
-    """One fresh augmentation whose tokens all stay inside the vocabulary.
-
-    Redraws up to `attempts` times when the transformed coordinates
-    produce out-of-vocabulary tokens or more than `max_tokens` content
-    tokens, then falls back to the original.
-    """
+def augment_structure(structure, rng: np.random.Generator, crystal_shift: bool = False):
+    """One fresh augmentation: a molecule or pocket rotated about its
+    centroid, a crystal's origin shifted if `crystal_shift` is set and
+    the crystal itself otherwise."""
     if isinstance(structure, Crystal):
-        if not crystal_shift:
-            return structure
-        make = lambda: shift_origin(structure, rng.random(3))
-    else:
-        make = lambda: rotate_about_center(structure, random_rotation(rng))
-    for _ in range(attempts):
-        candidate = make()
-        tokens = content_tokens(candidate, vocab.scheme)
-        if max_tokens is not None and len(tokens) > max_tokens:
-            continue
-        if all(token in vocab for token in tokens):
-            return candidate
-    return structure
+        return shift_origin(structure, rng.random(3)) if crystal_shift else structure
+    return rotate_about_center(structure, random_rotation(rng))

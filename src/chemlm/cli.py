@@ -130,7 +130,8 @@ def _write_structures(directory, named, precision):
 def _read_structure_files(directory):
     """Sorted (name, structure-or-None, error) triples for one directory.
 
-    All files must share one extension; unknown extensions are rejected.
+    All structure files must share one of the .xyz/.cif/.pdb extensions;
+    files with any other extension, and subdirectories, are skipped.
     """
     if not os.path.isdir(directory):
         raise CliError(f"not a directory: {directory}")
@@ -187,11 +188,17 @@ def _load_bundle(bundle_dir):
 #: several), so a count far beyond any real pocket would never finish.
 MAX_RESIDUES = 1000
 
+#: The largest `synth --n`. Files are named by a six-digit index, which
+#: sorts in index order only below 10**6; a larger corpus would also be
+#: built whole in memory first.
+MAX_STRUCTURES = 1_000_000
+
 
 def build_synth_parser():
     p = _Parser(prog="chemlm synth")
     p.add_argument("--kind", required=True, choices=["molecule", "perovskite", "pocket"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"number of structures, at most {MAX_STRUCTURES}")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--precision", type=int, default=3, choices=[1, 2, 3])
     p.add_argument("--residues", type=int, default=0,
@@ -203,6 +210,8 @@ def build_synth_parser():
 def cmd_synth(args, out_dir, phases):
     if args.n < 1:
         raise CliError("--n must be >= 1")
+    if args.n > MAX_STRUCTURES:
+        raise CliError(f"--n must be <= {MAX_STRUCTURES}")
     if args.residues < 0:
         raise CliError("--residues must be >= 0")
     if args.residues > MAX_RESIDUES:

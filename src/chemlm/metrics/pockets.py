@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
+
 from ..errors import ConfigError
-from ..geometry import pairwise_distances
+from ..geometry import pairwise_distances, upper_pairs
 from ..structures import RESIDUE_ATOMS, Pocket
 from .verdict import Verdict
 
@@ -45,14 +47,17 @@ def pocket_overlap_check(
     """Fail iff atoms of different residues come closer than `threshold`."""
     if not 0 < threshold < math.inf:
         raise ConfigError(f"overlap threshold must be positive and finite, got {threshold}")
-    d = pairwise_distances(pocket.coords())
     atoms = pocket.atoms
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            if atoms[i].residue_index != atoms[j].residue_index and d[i, j] < threshold:
-                return Verdict.fail(
-                    f"atoms {i} ({atoms[i].indicator}@{atoms[i].residue_index}) and "
-                    f"{j} ({atoms[j].indicator}@{atoms[j].residue_index}) "
-                    f"at {d[i, j]:.3f} A, below {threshold} A"
-                )
+    first, second = upper_pairs(len(atoms))
+    d = pairwise_distances(pocket.coords())[first, second]
+    residue = np.array([a.residue_index for a in atoms])
+    flagged = np.flatnonzero((residue[first] != residue[second]) & (d < threshold))
+    if flagged.size:
+        k = flagged[0]
+        i, j = first[k], second[k]
+        return Verdict.fail(
+            f"atoms {i} ({atoms[i].indicator}@{atoms[i].residue_index}) and "
+            f"{j} ({atoms[j].indicator}@{atoms[j].residue_index}) "
+            f"at {d[k]:.3f} A, below {threshold} A"
+        )
     return Verdict.ok()

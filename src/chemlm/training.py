@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .augment import augment_structure
-from .errors import ArtifactError, ConfigError, TrainingDiverged
+from .errors import ArtifactError, ConfigError, EncodeError, TrainingDiverged
 from .model import ModelConfig, init_params, loss_and_grads, save_checkpoint
 from .tokenize import Vocabulary, decode, encode
 
@@ -173,6 +173,22 @@ def _epoch_batches(n: int, lengths, batch_size: int, rng: np.random.Generator):
     return batches
 
 
+def augmented_ids(structure, corpus_ids, vocab: Vocabulary, max_seq_len: int,
+                  train_cfg: TrainConfig, rng: np.random.Generator):
+    """Ids of the first of up to `augment_attempts` augmentations of
+    `structure` that encodes inside the vocabulary and the model context,
+    or `corpus_ids` when none does. Each candidate is encoded once."""
+    for _ in range(train_cfg.augment_attempts):
+        candidate = augment_structure(structure, rng, train_cfg.crystal_shift)
+        try:
+            ids = encode(candidate, vocab).ids
+        except EncodeError:
+            continue
+        if len(ids) - 1 <= max_seq_len:
+            return ids
+    return corpus_ids
+
+
 def train(
     sequences,
     vocab: Vocabulary,
@@ -249,20 +265,10 @@ def train(
         for batch_idx in batches:
             if step >= train_cfg.total_steps:
                 break
+            seqs = [base_sequences[i] for i in batch_idx]
             if train_cfg.augment:
-                seqs = []
-                for i in batch_idx:
-                    aug = augment_structure(
-                        structures[i],
-                        vocab,
-                        augment_rng,
-                        attempts=train_cfg.augment_attempts,
-                        crystal_shift=train_cfg.crystal_shift,
-                        max_tokens=model_cfg.max_seq_len - 1,
-                    )
-                    seqs.append(encode(aug, vocab).ids)
-            else:
-                seqs = [base_sequences[i] for i in batch_idx]
+                seqs = [augmented_ids(structures[i], ids, vocab, model_cfg.max_seq_len,
+                                      train_cfg, augment_rng) for i, ids in zip(batch_idx, seqs)]
             inputs, targets, mask = pad_batch(seqs, vocab.pad_id)
             lr = lr_schedule(step, train_cfg)
             # an overflow here is caught as a non-finite loss, gradient or

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chemlm
+from chemlm import training
 from chemlm.augment import (
     augment_structure,
     random_rotation,
@@ -14,7 +19,8 @@ from chemlm.geometry import centroid, pairwise_distances
 from chemlm.rounding import round_coords
 from chemlm.structures import Atom, Crystal, Lattice, Molecule, Pocket, PocketAtom, Site
 from chemlm.synth import synth_corpus
-from chemlm.tokenize import ATOM_COORD, CHAR, Scheme, build_vocab, content_tokens, decode, encode
+from chemlm.tokenize import ATOM_COORD, CHAR, Scheme, TokenSequence, build_vocab, decode, encode
+from chemlm.training import TrainConfig, augmented_ids
 
 from conftest import random_molecule, random_structure
 
@@ -146,69 +152,123 @@ class TestShiftOrigin:
                 assert after == pytest.approx(before, abs=1e-9)
 
 
+# a dense vocabulary built with this molecule covers every rotation of a
+# 1.2 A bond at precision 1
+WIDE = Molecule([Atom("C", -2.0, -2.0, -2.0), Atom("O", 2.0, 2.0, 2.0)])
+
+
+def augment_config(attempts=8, crystal_shift=False):
+    return TrainConfig(batch_size=1, lr_start=1e-3, total_steps=1, seed=0, augment=True,
+                       augment_attempts=attempts, crystal_shift=crystal_shift)
+
+
+def draw_ids(structure, vocab, rng, attempts=8, crystal_shift=False, max_seq_len=10**6):
+    """`train`'s ids for one augmented item whose corpus ids encode `structure`."""
+    return augmented_ids(structure, encode(structure, vocab).ids, vocab, max_seq_len,
+                         augment_config(attempts, crystal_shift), rng)
+
+
 class TestAugmentStructure:
+    """`augment_structure` only moves atoms; `training.augmented_ids` keeps
+    a move whose ids fit the vocabulary and the model context."""
+
     def test_molecule_rotated_within_vocab(self, rng):
         m = Molecule([Atom("C", 0.0, 0.0, 0.0), Atom("O", 1.2, 0.0, 0.0)])
-        vocab = build_vocab([m], Scheme("atom_coord", 1), dense_coordinate_range=True)
-        for _ in range(20):
-            out = augment_structure(m, vocab, rng)
-            for tok in content_tokens(out, vocab.scheme):
-                assert tok in vocab
+        vocab = build_vocab([m, WIDE], Scheme("atom_coord", 1), dense_coordinate_range=True)
+        outs = [draw_ids(m, vocab, rng) for _ in range(20)]
+        assert any(ids != encode(m, vocab).ids for ids in outs)
+        for ids in outs:
+            assert decode(TokenSequence(ids), vocab).symbols() == m.symbols()
 
     def test_falls_back_to_original_when_vocab_too_tight(self, rng):
         m = Molecule([Atom("C", 0.0, 0.0, 0.0), Atom("O", 1.2, 0.0, 0.0)])
         # observed tokens only: almost every rotation leaves the table
         vocab = build_vocab([m], Scheme("atom_coord", 3))
-        fell_back = 0
-        for _ in range(10):
-            out = augment_structure(m, vocab, rng, attempts=2)
-            if out == m:
-                fell_back += 1
-            for tok in content_tokens(out, vocab.scheme):
-                assert tok in vocab
-        assert fell_back > 0
+        outs = [draw_ids(m, vocab, rng, attempts=2) for _ in range(10)]
+        assert encode(m, vocab).ids in outs
+        for ids in outs:
+            decode(TokenSequence(ids), vocab)
 
     def test_char_scheme_molecules_always_encode(self, rng):
         m = random_molecule(rng)
         vocab = build_vocab([m], Scheme("char", 2))
-        out = augment_structure(m, vocab, rng, attempts=4)
-        for tok in content_tokens(out, vocab.scheme):
-            # may fall back, but whatever comes out must encode
-            assert tok in vocab or out == m
+        # may fall back, but whatever comes out must decode
+        ids = draw_ids(m, vocab, rng, attempts=4)
+        assert decode(TokenSequence(ids), vocab).symbols() == m.symbols()
 
     def test_crystals_unchanged_without_flag(self, rng):
         c = random_structure(rng, "crystal")
-        vocab = build_vocab([c], Scheme("atom_coord", 2))
-        assert augment_structure(c, vocab, rng) == c
+        state = rng.bit_generator.state
+        assert augment_structure(c, rng) == c
+        assert rng.bit_generator.state == state
 
     def test_crystal_shift_flag(self, rng):
         c = Crystal(
             Lattice(4, 4, 4, 90, 90, 90),
             [Site("Na", 0.25, 0.25, 0.25), Site("Cl", 0.75, 0.75, 0.75)],
         )
-        vocab = build_vocab([c], Scheme("atom_coord", 1), dense_coordinate_range=True)
-        outs = [
-            augment_structure(c, vocab, rng, crystal_shift=True) for _ in range(10)
-        ]
+        outs = [augment_structure(c, rng, crystal_shift=True) for _ in range(10)]
         assert any(o != c for o in outs)
         for o in outs:
             assert o.lattice == c.lattice
 
     def test_deterministic_for_fixed_rng(self):
         m = Molecule([Atom("C", 0.0, 0.0, 0.0), Atom("O", 1.2, 0.0, 0.0)])
-        vocab = build_vocab([m], Scheme("atom_coord", 1), dense_coordinate_range=True)
-        a = augment_structure(m, vocab, np.random.default_rng(4))
-        b = augment_structure(m, vocab, np.random.default_rng(4))
+        a = augment_structure(m, np.random.default_rng(4))
+        b = augment_structure(m, np.random.default_rng(4))
         assert a == b
+
+    def test_each_candidate_encoded_once(self, rng, monkeypatch):
+        calls = {"encode": 0, "augment": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(training, "encode", counting("encode", training.encode))
+        monkeypatch.setattr(training, "augment_structure",
+                            counting("augment", training.augment_structure))
+        m = Molecule([Atom("C", 0.0, 0.0, 0.0), Atom("O", 1.2, 0.0, 0.0)])
+        tight = build_vocab([m], Scheme("atom_coord", 3))
+        wide = build_vocab([m, WIDE], Scheme("atom_coord", 1), dense_coordinate_range=True)
+        corpus_ids = encode(m, wide).ids
+        # outside the vocabulary, one id past the context, then accepted
+        # in the tightest context `train` allows for the corpus ids
+        context = len(corpus_ids) - 1
+        for vocab, max_seq_len, draws in ((tight, 10**6, 3), (wide, context - 1, 6),
+                                          (wide, context, 7)):
+            augmented_ids(m, corpus_ids, vocab, max_seq_len, augment_config(3), rng)
+            assert calls == {"encode": draws, "augment": draws}
+
+    def test_too_tight_vocab_returns_corpus_ids_after_every_attempt(self):
+        m = Molecule([Atom("C", 0.0, 0.0, 0.0), Atom("O", 1.2, 0.0, 0.0)])
+        vocab = build_vocab([m], Scheme("atom_coord", 3))
+        corpus_ids = encode(m, vocab).ids
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        attempts = 5
+        assert augmented_ids(m, corpus_ids, vocab, 10**6, augment_config(attempts), rng) is corpus_ids
+        for _ in range(attempts):
+            random_rotation(twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_augment_imports_no_tokenizer(self):
+        code = "import sys, chemlm.augment; print('chemlm.tokenize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(chemlm.__file__)), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestAugmentDecodedSequence:
     """Training augments the structure decoded from a bundle's token ids,
     not the bundle's file: under twin generators both give the same ids."""
 
-    def augmented_ids(self, structures, vocab):
+    def ids_of_both_forms(self, structures, vocab):
         """Per structure: whether its decoded form equals the parsed file, and
-        the re-encoded ids of three augmentations of each form."""
+        the ids `train` keeps for three augmentations of each form."""
         out = []
         for s in structures:
             text = write_structure(s, vocab.scheme.precision)
@@ -216,8 +276,7 @@ class TestAugmentDecodedSequence:
             decoded = decode(encode(parsed, vocab), vocab)
             ids = [
                 [
-                    encode(augment_structure(form, vocab, np.random.default_rng(seed),
-                                             crystal_shift=True), vocab).ids
+                    draw_ids(form, vocab, np.random.default_rng(seed), crystal_shift=True)
                     for seed in range(3)
                 ]
                 for form in (parsed, decoded)
@@ -235,7 +294,7 @@ class TestAugmentDecodedSequence:
         vocab = build_vocab(corpus + wide, Scheme(scheme, precision),
                             dense_coordinate_range=scheme == ATOM_COORD)
         moved = 0
-        for s, (same, from_file, from_ids) in zip(corpus, self.augmented_ids(corpus, vocab)):
+        for s, (same, from_file, from_ids) in zip(corpus, self.ids_of_both_forms(corpus, vocab)):
             assert same
             assert from_ids == from_file
             moved += sum(ids != encode(s, vocab).ids for ids in from_file)
@@ -251,7 +310,7 @@ class TestAugmentDecodedSequence:
         pocket = Pocket(tuple(PocketAtom(code, el, idx, *map(float, p))
                               for (code, el, idx), p in zip(layout, points)))
         vocab = build_vocab([pocket], Scheme(ATOM_COORD, 1), dense_coordinate_range=True)
-        ((same, from_file, from_ids),) = self.augmented_ids([pocket], vocab)
+        ((same, from_file, from_ids),) = self.ids_of_both_forms([pocket], vocab)
         assert not same
         assert from_ids == from_file
         assert any(ids != encode(pocket, vocab).ids for ids in from_file)

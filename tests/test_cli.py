@@ -17,6 +17,7 @@ from chemlm.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USER,
+    MAX_STRUCTURES,
     CliError,
     load_config_file,
     main,
@@ -691,6 +692,23 @@ class TestInputValidation:
         assert code == EXIT_USER
         assert "mixed structure formats" in capsys.readouterr().err
 
+    def test_unknown_extension_is_skipped(self, tmp_path):
+        src = os.path.join(tmp_path, "structures")
+        os.makedirs(os.path.join(src, "sub.xyz"))
+        with open(os.path.join(src, "a.xyz"), "w", encoding="utf-8") as fh:
+            fh.write("1\n\nC 0.000 0.000 0.000\n")
+        with open(os.path.join(src, "notes.txt"), "w", encoding="utf-8") as fh:
+            fh.write("not a structure\n")
+        out = os.path.join(tmp_path, "out")
+        assert run_cli([
+            "prepare", "--input", src, "--scheme", "atom_coord",
+            "--precision", "2", "--out", out,
+        ]) == EXIT_OK
+        m = manifest_of(out)
+        assert (m["n_structures"], m["n_failures"]) == (1, 0)
+        with open(os.path.join(out, "failures.csv"), encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh)) == [["file", "error"]]
+
     def test_corrupt_file_is_recorded_not_fatal(self, pipeline, tmp_path):
         src = os.path.join(tmp_path, "structures")
         shutil.copytree(os.path.join(pipeline["synth"], "structures"), src)
@@ -946,6 +964,13 @@ class TestNumericFlagsProperty:
         out = str(tmp_path / "synth")
         assert self.check(pipeline, out, "synth", {"--residues": str(10**12)}) == EXIT_USER
         assert "--residues must be <= 1000" in manifest_of(out)["error"]
+
+    def test_huge_structure_count(self, pipeline, tmp_path):
+        # a structure count is bounded too: the six-digit file names sort
+        # in index order only below 10**6
+        out = str(tmp_path / "synth")
+        assert self.check(pipeline, out, "synth", {"--n": str(10**12)}) == EXIT_USER
+        assert f"--n must be <= {MAX_STRUCTURES}" in manifest_of(out)["error"]
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(flags=st.dictionaries(st.sampled_from(TRAIN_NUMERIC_FLAGS), st.sampled_from(EXTREMES),

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import MOLECULE_ELEMENTS, random_crystal, random_molecule
+from conftest import MOLECULE_ELEMENTS, random_crystal, random_molecule, random_pocket
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -460,6 +460,32 @@ class TestPocketChecks:
         p = Pocket(tuple(ideal_gly(1, 0.0)))
         with pytest.raises(ValueError):
             pocket_overlap_check(p, threshold=0.0)
+
+    def test_overlap_matches_pair_loop(self, rng):
+        def loop_check(pocket, threshold):
+            # the pair-by-pair scan the array check replaced
+            d = pairwise_distances(pocket.coords())
+            atoms = pocket.atoms
+            for i in range(len(atoms)):
+                for j in range(i + 1, len(atoms)):
+                    if atoms[i].residue_index != atoms[j].residue_index and d[i, j] < threshold:
+                        return Verdict.fail(
+                            f"atoms {i} ({atoms[i].indicator}@{atoms[i].residue_index}) and "
+                            f"{j} ({atoms[j].indicator}@{atoms[j].residue_index}) "
+                            f"at {d[i, j]:.3f} A, below {threshold} A"
+                        )
+            return Verdict.ok()
+
+        flagged = {}
+        for threshold in (1.1, 3.0, 6.0):
+            for _ in range(30):
+                # residue centers within about 6 A of the origin
+                p = random_pocket(rng, n_residues=int(rng.integers(2, 8)))
+                p = p.with_coords(np.array(p.coords()) * 0.3)
+                got = pocket_overlap_check(p, threshold)
+                assert got == loop_check(p, threshold)
+                flagged[threshold] = flagged.get(threshold, 0) + (not got.valid)
+        assert flagged[3.0] and flagged[6.0]
 
 
 class TestKeys:
