@@ -40,7 +40,7 @@ from .rounding import round_coords
 from .sampling import SampleConfig, sample_from_checkpoint, truncation_rate
 from .synth import synth_corpus
 from .tokenize import Scheme, TokenSequence, Vocabulary, build_vocab, decode, encode
-from .training import TrainConfig, train
+from .training import MAX_AUGMENT_ATTEMPTS, TrainConfig, train
 
 OUTPUT_ROOT_ENV = "CHEMLM_OUTPUT_ROOT"
 
@@ -333,7 +333,8 @@ def build_train_parser():
     p.add_argument("--lr-end", type=float, default=9e-6)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--augment", type=_onoff, default=False)
-    p.add_argument("--augment-attempts", type=int, default=8)
+    p.add_argument("--augment-attempts", type=int, default=8,
+                   help=f"draws per batch item, at most {MAX_AUGMENT_ATTEMPTS}")
     p.add_argument("--crystal-shift", type=_onoff, default=False)
     p.add_argument("--grad-clip", type=float, default=1.0)
     p.add_argument("--checkpoint-interval", type=int, default=0)

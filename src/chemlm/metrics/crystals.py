@@ -72,36 +72,23 @@ def crystal_structural_validity(crystal: Crystal, threshold: float = MIN_ATOM_DI
 def charge_neutrality(composition: dict) -> Verdict:
     """Valid iff one oxidation state per element can balance the total charge.
 
-    Exhaustive search over per-element state choices with min/max bound
-    pruning; compositions here have few distinct elements. Verdicts are
-    memoized per sorted composition, since a sample set repeats a few.
+    Builds the set of charge totals reachable by one state per element,
+    element by element; valid iff 0 is among them. Verdicts are memoized
+    per sorted composition, since a sample set repeats a few.
     """
     return _charge_neutrality(tuple(sorted(composition.items())))
 
 
 @functools.lru_cache(maxsize=4096)
 def _charge_neutrality(items: tuple) -> Verdict:
+    totals = {0}
     for symbol, count in items:
         if symbol not in OXIDATION_STATES:
             return Verdict.fail(f"no oxidation states for element {symbol}")
         if count < 1:
             raise ValueError(f"non-positive count for {symbol}")
-
-    choices = [[state * count for state in OXIDATION_STATES[symbol]] for symbol, count in items]
-    min_tail = [0] * (len(choices) + 1)
-    max_tail = [0] * (len(choices) + 1)
-    for k in range(len(choices) - 1, -1, -1):
-        min_tail[k] = min_tail[k + 1] + min(choices[k])
-        max_tail[k] = max_tail[k + 1] + max(choices[k])
-
-    def search(k: int, total: int) -> bool:
-        if k == len(choices):
-            return total == 0
-        if total + min_tail[k] > 0 or total + max_tail[k] < 0:
-            return False
-        return any(search(k + 1, total + c) for c in choices[k])
-
-    if search(0, 0):
+        totals = {t + state * count for t in totals for state in OXIDATION_STATES[symbol]}
+    if 0 in totals:
         return Verdict.ok()
     counts = ", ".join(f"{s}:{c}" for s, c in items)
     return Verdict.fail(f"no neutral oxidation-state assignment for {counts}")

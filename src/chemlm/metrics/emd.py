@@ -10,8 +10,10 @@ def emd_1d(a, b) -> float:
 
     Equal-size samples reduce to the mean absolute difference of the
     sorted values. Unequal sizes integrate |Q_a(u) - Q_b(u)| du over the
-    piecewise-constant quantile functions, with exact rational
-    breakpoints so no interval is lost to floating-point ties.
+    piecewise-constant quantile functions. Scaled by na * nb, the
+    breakpoints i/na and j/nb are the integer multiples of nb and na, so
+    no interval is lost to floating-point ties; the sum of the float
+    differences stays exact, so the result is correctly rounded.
     """
     a = sorted(float(v) for v in a)
     b = sorted(float(v) for v in b)
@@ -21,10 +23,9 @@ def emd_1d(a, b) -> float:
         return sum(abs(x - y) for x, y in zip(a, b)) / len(a)
 
     na, nb = len(a), len(b)
-    cuts = sorted({Fraction(i, na) for i in range(na + 1)} | {Fraction(j, nb) for j in range(nb + 1)})
+    n = na * nb
+    cuts = sorted(set(range(0, n + 1, nb)) | set(range(0, n + 1, na)))
     total = Fraction(0)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        ia = int(lo * na)  # index of the quantile segment containing (lo, hi)
-        ib = int(lo * nb)
-        total += (hi - lo) * Fraction(abs(a[ia] - b[ib]))
-    return float(total)
+        total += (hi - lo) * Fraction(abs(a[lo // nb] - b[lo // na]))
+    return float(total / n)

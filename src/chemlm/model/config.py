@@ -28,6 +28,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_layers < 1:
             raise ConfigError("n_layers must be >= 1")
+        if self.d_model < 1:
+            raise ConfigError("d_model must be >= 1")
         if self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"

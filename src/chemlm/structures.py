@@ -220,28 +220,24 @@ class Pocket:
             raise ValueError("a pocket needs at least one residue")
         # Renumber residues 1..k in order of appearance; reject interleaving
         # and one index spanning two residue codes.
-        seen: dict[int, int] = {}
         codes: dict[int, str] = {}
         renumbered = []
         last_orig = None
         for atom in self.atoms:
             orig = atom.residue_index
-            if orig in seen:
-                if orig != last_orig:
+            if orig != last_orig:
+                if orig in codes:
                     raise ValueError(
                         f"residue index {orig} is not contiguous in the atom list"
                     )
-                if codes[orig] != atom.residue:
-                    raise ValueError(
-                        f"residue index {orig} mixes codes "
-                        f"{codes[orig]} and {atom.residue}"
-                    )
-                new_index = seen[orig]
-            else:
-                new_index = len(seen) + 1
-                seen[orig] = new_index
                 codes[orig] = atom.residue
-            last_orig = orig
+                last_orig = orig
+            elif codes[orig] != atom.residue:
+                raise ValueError(
+                    f"residue index {orig} mixes codes "
+                    f"{codes[orig]} and {atom.residue}"
+                )
+            new_index = len(codes)
             if new_index != orig:
                 atom = PocketAtom(
                     atom.residue, atom.element, new_index, atom.x, atom.y, atom.z

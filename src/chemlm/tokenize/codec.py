@@ -16,6 +16,7 @@ with its 1-based content position.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..elements import MULTI_LETTER_SYMBOLS
@@ -52,25 +53,26 @@ class TokenSequence:
         return len(self.ids)
 
 
-def segment_chars(text: str) -> list[str]:
-    """Split a serialized stream into CHAR tokens.
+#: An uppercase letter with the lowercase letter after it, else one character.
+_CHAR_PAIR = re.compile(r"[A-Z][a-z]|.", re.S)
 
-    Single characters, except that any two-character slice matching a
-    known multi-letter element symbol becomes one token. The grammars
-    put lowercase letters nowhere else (CIF keys are all-lowercase and
-    never follow an uppercase letter), so greedy matching is safe.
+
+def segment_chars(text: str) -> list[str]:
+    """Split a serialized stream into CHAR tokens: single characters,
+    except that a multi-letter element symbol stays one token.
+
+    Every symbol starts with an uppercase letter and none with a
+    lowercase one, so matching each uppercase-lowercase pair whole and
+    splitting the non-symbols gives the tokens of greedy left-to-right
+    symbol matching. The grammars put lowercase letters nowhere else
+    (CIF keys are all-lowercase and never follow an uppercase letter).
     """
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        pair = text[i : i + 2]
-        if len(pair) == 2 and pair in MULTI_LETTER_SYMBOLS:
-            tokens.append(pair)
-            i += 2
+    for match in _CHAR_PAIR.findall(text):
+        if match in MULTI_LETTER_SYMBOLS:
+            tokens.append(match)
         else:
-            tokens.append(text[i])
-            i += 1
+            tokens.extend(match)
     return tokens
 
 

@@ -32,6 +32,9 @@ ADAM_EPS = 1e-8
 #: M_MMAP_THRESHOLD (-3) to 32 MiB, then M_TRIM_THRESHOLD (-1) to 1 GiB.
 ALLOCATOR_OPTIONS = ((-3, 32 << 20), (-1, 1 << 30))
 
+#: Bound on `augment_attempts`, the draws per batch item: all run when none fits.
+MAX_AUGMENT_ATTEMPTS = 1000
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -56,8 +59,8 @@ class TrainConfig:
             raise ConfigError("need lr_start >= lr_end > 0")
         if self.total_steps < 1:
             raise ConfigError("total_steps must be >= 1")
-        if self.augment_attempts < 1:
-            raise ConfigError("augment_attempts must be >= 1")
+        if not 1 <= self.augment_attempts <= MAX_AUGMENT_ATTEMPTS:
+            raise ConfigError(f"augment_attempts must be in [1, {MAX_AUGMENT_ATTEMPTS}]")
         if self.grad_clip < 0:
             raise ConfigError("grad_clip must be >= 0")
         if self.checkpoint_interval < 0:
@@ -235,7 +238,10 @@ def train(
             f"longest encoded sequence ({longest} tokens) exceeds model context "
             f"({model_cfg.max_seq_len} + 1)"
         )
-    structures = [decode(s, vocab) for s in sequences] if train_cfg.augment else None
+    # augmentation leaves a crystal as it is unless its origin may shift
+    augmenting = train_cfg.augment and (train_cfg.crystal_shift
+                                        or vocab.structure_kind != "crystal")
+    structures = [decode(s, vocab) for s in sequences] if augmenting else None
     keep_freed_pages()
 
     optimizer = Adam(params)
@@ -266,7 +272,7 @@ def train(
             if step >= train_cfg.total_steps:
                 break
             seqs = [base_sequences[i] for i in batch_idx]
-            if train_cfg.augment:
+            if augmenting:
                 seqs = [augmented_ids(structures[i], ids, vocab, model_cfg.max_seq_len,
                                       train_cfg, augment_rng) for i, ids in zip(batch_idx, seqs)]
             inputs, targets, mask = pad_batch(seqs, vocab.pad_id)

@@ -30,6 +30,7 @@ from chemlm.metrics import MetricsReport
 from chemlm.model import load_checkpoint
 from chemlm.rounding import round_coords
 from chemlm.tokenize import Vocabulary, decode, encode
+from chemlm.training import MAX_AUGMENT_ATTEMPTS
 
 
 def run_cli(argv):
@@ -330,6 +331,8 @@ class TestExitCodes:
         (["--heads", "0"], "n_heads 0"),
         (["--max-seq-len", "3"], "exceeds model context"),
         (["--d-ff", "-3"], "d_ff"),
+        (["--d-model", "0", "--heads", "1", "--d-ff", "8"], "d_model must be >= 1"),
+        (["--d-model", "-4", "--heads", "2", "--d-ff", "8"], "d_model must be >= 1"),
         (["--checkpoint-interval", "-1"], "checkpoint_interval"),
         (["--grad-clip", "nan"], "grad_clip must be finite"),
         (["--lr-start", "inf", "--lr-end", "1e-5"], "lr_start must be finite"),
@@ -933,7 +936,9 @@ class TestNumericFlagsProperty:
             "prepare": ["prepare", "--input", os.path.join(pipeline["synth"], "structures"),
                         "--scheme", "atom_coord", "--precision", "2"],
             "train": ["train", "--corpus", pipeline["prepare"], "--steps", "1",
-                      "--batch-size", "2", "--layers", "1", "--d-model", "8", "--heads", "2"],
+                      "--batch-size", "2", "--layers", "1", "--d-model", "8", "--heads", "2",
+                      # a positive d_ff, so a bad --d-model is not caught as d_ff 4 * d_model
+                      "--d-ff", "16"],
             "sample": ["sample", "--checkpoint", pipeline["checkpoint"],
                        "--vocab", pipeline["vocab"], "--n", "2", "--max-len", "8"],
             "evaluate": ["evaluate", "--samples", os.path.join(pipeline["sample"], "samples.csv"),
@@ -964,6 +969,14 @@ class TestNumericFlagsProperty:
         out = str(tmp_path / "synth")
         assert self.check(pipeline, out, "synth", {"--residues": str(10**12)}) == EXIT_USER
         assert "--residues must be <= 1000" in manifest_of(out)["error"]
+
+    def test_huge_augment_attempts(self, pipeline, tmp_path):
+        # draws per batch item are bounded: where no candidate fits the
+        # vocabulary every draw runs, so 10**12 would train for ever
+        out = str(tmp_path / "train")
+        flags = {"--augment": "on", "--augment-attempts": str(10**12)}
+        assert self.check(pipeline, out, "train", flags) == EXIT_USER
+        assert f"augment_attempts must be in [1, {MAX_AUGMENT_ATTEMPTS}]" in manifest_of(out)["error"]
 
     def test_huge_structure_count(self, pipeline, tmp_path):
         # a structure count is bounded too: the six-digit file names sort

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chemlm.elements import SYMBOLS
 from chemlm.errors import DecodeError
 from chemlm.rounding import round_coords
 from chemlm.structures import Atom, Crystal, Lattice, Molecule, Site
@@ -17,7 +20,11 @@ from chemlm.tokenize import (
 )
 
 from conftest import random_structure
+from reference_algorithms import reference_segment_chars
 from reference_codec import reference_decode
+
+#: Every letter of an element symbol, upper and lower case.
+SYMBOL_LETTERS = "".join(sorted(set("".join(SYMBOLS))))
 
 
 def roundtrip(structure, scheme):
@@ -36,6 +43,12 @@ class TestSegmentation:
     def test_greedy_is_safe_for_the_grammars(self):
         # "Sn" inside a CIF site row must not swallow the following char
         assert segment_chars("Sn 0.50") == ["Sn", " ", "0", ".", "5", "0"]
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(text=st.text(alphabet=SYMBOL_LETTERS + "0123456789#\n", max_size=40))
+    def test_matches_greedy_loop(self, text):
+        # the one-pass regular expression against the greedy loop it replaced
+        assert segment_chars(text) == reference_segment_chars(text)
 
     def test_newline_marker(self):
         m = Molecule([Atom("C", 0, 0, 0)])

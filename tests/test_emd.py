@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from reference_algorithms import reference_emd_1d
 from scipy.optimize import linprog
 
 from chemlm.metrics.emd import emd_1d
@@ -89,3 +92,19 @@ class TestAgainstTransportLP:
         a = rng.uniform(-5, 5, size=5).tolist()
         b = rng.uniform(-5, 5, size=3).tolist()
         assert emd_1d(a, b) == pytest.approx(lp_transport_cost(a, b), abs=1e-9)
+
+
+# few distinct values, so both samples hold ties, mixed with arbitrary ones
+VALUES = st.one_of(st.sampled_from([-2.5, -0.1, 0.0, 0.3, 1.0, 7.25]),
+                   st.floats(-10, 10, allow_nan=False))
+
+
+class TestAgainstFractionBreakpoints:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(a=st.lists(VALUES, min_size=1, max_size=14),
+           b=st.lists(VALUES, min_size=1, max_size=14))
+    def test_same_float_as_rational_breakpoints(self, a, b):
+        # integer breakpoints against the Fraction ones they replaced: the
+        # same correctly rounded float
+        assume(len(a) != len(b))
+        assert emd_1d(a, b) == reference_emd_1d(a, b)

@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import MOLECULE_ELEMENTS, random_crystal, random_molecule, random_pocket
+from reference_algorithms import reference_charge_neutrality
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -387,6 +388,20 @@ class TestChargeNeutrality:
         assert flags == {"structural": True, "composition": False}
         assert "oxidation" in reason
         assert reason == charge_neutrality({"Na": 2, "Cl": 1}).reason
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(composition=st.dictionaries(
+        st.sampled_from(sorted(OXIDATION_STATES) + ["Zz"]), st.integers(0, 12),
+        min_size=1, max_size=5))
+    def test_matches_pruned_search(self, composition):
+        # the reachable-totals set against the recursive search it replaced,
+        # an unknown element and a zero count included
+        def outcome(check):
+            try:
+                return check(composition)
+            except ValueError as exc:
+                return str(exc)
+        assert outcome(charge_neutrality) == outcome(reference_charge_neutrality)
 
 
 def ideal_gly(index, x0):

@@ -1,6 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_algorithms import reference_residue_indices
 
 from chemlm.elements import get_element
 from chemlm.errors import InvalidLatticeError, UnknownElementError
@@ -138,6 +141,22 @@ class TestPocket:
                     PocketAtom("ALA", "N", 1, 5, 0, 0),
                 ]
             )
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(residues=st.lists(st.tuples(st.sampled_from(["GLY", "ALA"]), st.integers(0, 4)),
+                             min_size=1, max_size=12))
+    def test_renumbering_matches_two_dict_pass(self, residues):
+        # one dict of codes against the two dicts it replaced: the same new
+        # indices, or the same ValueError for a non-contiguous or mixed index
+        def outcome(renumber):
+            try:
+                return renumber(residues)
+            except ValueError as exc:
+                return str(exc)
+        def pocket_indices(residues):
+            atoms = [PocketAtom(code, "C", index, 0, 0, 0) for code, index in residues]
+            return [a.residue_index for a in Pocket(atoms).atoms]
+        assert outcome(pocket_indices) == outcome(reference_residue_indices)
 
     def test_non_canonical_residue_rejected(self):
         with pytest.raises(ValueError, match="non-canonical"):

@@ -8,11 +8,14 @@ import pytest
 from chemlm import training
 from chemlm.errors import TrainingDiverged
 from chemlm.model import ModelConfig, load_checkpoint
+from chemlm.rounding import round_coords
 from chemlm.structures import Atom, Molecule
+from chemlm.synth import synth_corpus
 from chemlm.tokenize import Scheme, build_vocab, encode
 from chemlm.training import (
     LR_END_DEFAULT,
     Adam,
+    MAX_AUGMENT_ATTEMPTS,
     TrainConfig,
     clip_global_norm,
     lr_schedule,
@@ -76,6 +79,10 @@ class TestConfig:
             TrainConfig(batch_size=1, lr_start=1e-3, total_steps=10, seed=0, grad_clip=-1)
         with pytest.raises(ValueError, match="grad_clip must be finite"):
             TrainConfig(batch_size=1, lr_start=1e-3, total_steps=10, seed=0, grad_clip=math.inf)
+        for attempts in (0, MAX_AUGMENT_ATTEMPTS + 1):
+            with pytest.raises(ValueError, match="augment_attempts"):
+                TrainConfig(batch_size=1, lr_start=1e-3, total_steps=10, seed=0,
+                            augment_attempts=attempts)
 
 class TestLrSchedule:
     def cfg(self, total=100):
@@ -352,6 +359,43 @@ class TestTrain:
         a = train(sequences, vocab, model_cfg, cfg)
         b = train(sequences, vocab, model_cfg, cfg)
         assert a.losses == b.losses
+
+    def crystal_checkpoint(self, out_dir, **overrides):
+        """The checkpoint bytes and losses of 4 steps on 6 perovskites."""
+        corpus = [round_coords(c, 2) for c in synth_corpus("perovskite", 6, seed=5)]
+        vocab = build_vocab(corpus, Scheme("atom_coord", 2))
+        sequences = [encode(c, vocab) for c in corpus]
+        model_cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32, max_seq_len=40,
+                                vocab_size=len(vocab.tokens))
+        cfg = TrainConfig(batch_size=3, lr_start=1e-3, total_steps=4, seed=3, **overrides)
+        result = train(sequences, vocab, model_cfg, cfg, out_dir=str(out_dir))
+        with open(result.checkpoint_path, "rb") as fh:
+            return fh.read(), result.losses
+
+    def test_unshifted_crystals_skip_augmentation(self, tmp_path, monkeypatch):
+        # without --crystal-shift nothing moves a crystal, so train neither
+        # decodes the corpus nor encodes a batch item
+        want = self.crystal_checkpoint(tmp_path / "off")
+        def refuse(*args, **kwargs):
+            raise AssertionError("augmentation work for an unmoved crystal")
+        monkeypatch.setattr(training, "encode", refuse)
+        monkeypatch.setattr(training, "decode", refuse)
+        assert self.crystal_checkpoint(tmp_path / "on", augment=True) == want
+
+    def test_unshifted_crystals_train_as_when_re_encoded(self, tmp_path, monkeypatch):
+        # the skipped work re-encoded each decoded crystal, unmoved and
+        # without a draw, to its corpus ids: a shift that leaves the crystal
+        # as it is takes that path and gives the same bytes
+        want = self.crystal_checkpoint(tmp_path / "skipped", augment=True)
+        encoded = []
+        def counting_encode(*args, **kwargs):
+            encoded.append(args[0])
+            return encode(*args, **kwargs)
+        monkeypatch.setattr(training, "encode", counting_encode)
+        monkeypatch.setattr(training, "augment_structure", lambda s, rng, shift: s)
+        got = self.crystal_checkpoint(tmp_path / "re_encoded", augment=True, crystal_shift=True)
+        assert len(encoded) == 4 * 3
+        assert got == want
 
     def test_empty_corpus_rejected(self):
         _, vocab, model_cfg, train_cfg = setup_run()
