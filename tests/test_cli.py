@@ -331,12 +331,12 @@ class TestExitCodes:
         (["--heads", "0"], "n_heads 0"),
         (["--max-seq-len", "3"], "exceeds model context"),
         (["--d-ff", "-3"], "d_ff"),
-        (["--d-model", "0", "--heads", "1", "--d-ff", "8"], "d_model must be >= 1"),
-        (["--d-model", "-4", "--heads", "2", "--d-ff", "8"], "d_model must be >= 1"),
         (["--checkpoint-interval", "-1"], "checkpoint_interval"),
         (["--grad-clip", "nan"], "grad_clip must be finite"),
         (["--lr-start", "inf", "--lr-end", "1e-5"], "lr_start must be finite"),
         (["--lr-start", "1e300", "--lr-end", "1e-5"], "training diverged at step 0"),
+        (["--d-model", "0", "--heads", "1", "--d-ff", "8"], "d_model must be >= 1"),
+        (["--d-model", "-4", "--heads", "2", "--d-ff", "8"], "d_model must be >= 1"),
     ])
     def test_bad_model_config_is_user_error(self, pipeline, tmp_path, capsys, flags, message):
         out = os.path.join(tmp_path, "out")

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference_algorithms import reference_emd_1d
 from scipy.optimize import linprog
 
 from chemlm.metrics.emd import emd_1d
+
+from reference_algorithms import reference_emd_1d
 
 
 def lp_transport_cost(a, b):

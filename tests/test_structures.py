@@ -3,7 +3,6 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_algorithms import reference_residue_indices
 
 from chemlm.elements import get_element
 from chemlm.errors import InvalidLatticeError, UnknownElementError
@@ -18,6 +17,8 @@ from chemlm.structures import (
     Site,
     wrap_frac,
 )
+
+from reference_algorithms import reference_residue_indices
 
 
 class TestElements:
