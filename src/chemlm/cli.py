@@ -1,8 +1,11 @@
 """Command-line pipeline: synth, prepare, train, sample, evaluate, report.
 
-Every command creates its output directory, writes its artifacts, and
-finishes with a manifest (deterministic content) plus a timing sidecar
-(wall clock, excluded from determinism). Exit codes: 0 success, 1 user
+Every command creates its output directory, writes its artifacts through
+`manifest.output_file`, and finishes with a timing sidecar (wall clock,
+excluded from determinism) plus a manifest (deterministic content),
+written last. After a successful run, the files that an earlier run of
+the same command wrote there and this one did not are removed, so a
+reused directory ends as a fresh one would. Exit codes: 0 success, 1 user
 error, 2 internal error. A flat key=value config file can supply any
 flag's value; command-line flags win over the file, the file wins over
 defaults.
@@ -29,7 +32,11 @@ from .geometry import centroid, pairwise_distances
 from .manifest import (
     file_sha256,
     hash_outputs,
+    output_file,
+    owned_outputs,
     read_manifest,
+    recording_writes,
+    remove_stale,
     tree_hash,
     write_manifest,
     write_timing,
@@ -113,7 +120,7 @@ def _phase(phases, name):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with output_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -123,7 +130,7 @@ def _write_structures(directory, named, precision):
     """Write (file name, structure) pairs into `directory` at `precision`."""
     os.makedirs(directory, exist_ok=True)
     for name, s in named:
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+        with output_file(os.path.join(directory, name)) as fh:
             fh.write(write_structure(s, precision))
 
 
@@ -284,7 +291,7 @@ def cmd_prepare(args, out_dir, phases):
         vocab = build_vocab(structures, scheme, dense_coordinate_range=args.dense_coords)
         vocab.save(os.path.join(out_dir, "vocab.txt"))
         _write_structures(os.path.join(out_dir, "structures"), prepared, args.precision)
-        with open(os.path.join(out_dir, "corpus.txt"), "w", encoding="utf-8") as fh:
+        with output_file(os.path.join(out_dir, "corpus.txt")) as fh:
             for _, s in prepared:
                 fh.write(" ".join(str(i) for i in encode(s, vocab).ids))
                 fh.write("\n")
@@ -308,7 +315,7 @@ def cmd_prepare(args, out_dir, phases):
             "in_range": in_range,
             "per_file": prune_stats,
         }
-    with open(os.path.join(out_dir, "stats.json"), "w", encoding="utf-8") as fh:
+    with output_file(os.path.join(out_dir, "stats.json")) as fh:
         json.dump(stats, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_csv(os.path.join(out_dir, "failures.csv"), ["file", "error"], failures)
@@ -541,7 +548,7 @@ def cmd_evaluate(args, out_dir, phases):
             )
 
     with _phase(phases, "write"):
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+        with output_file(os.path.join(out_dir, "report.json")) as fh:
             fh.write(result.report.to_json())
         _write_csv(
             os.path.join(out_dir, "failures.csv"),
@@ -653,7 +660,7 @@ def cmd_report(args, out_dir, phases):
                 raise CliError(f"{path}: {exc}") from exc
             labels.append(os.path.basename(os.path.dirname(os.path.abspath(path))) or path)
         table = render_table(labels, reports)
-        with open(os.path.join(out_dir, "table.txt"), "w", encoding="utf-8") as fh:
+        with output_file(os.path.join(out_dir, "table.txt")) as fh:
             fh.write(table)
         sys.stdout.write(table)
 
@@ -741,19 +748,23 @@ def main(argv=None) -> int:
         file_args = load_config_file(known.config) if known.config else []
         args = parser.parse_args(file_args + rest)
         out_dir = _resolve_out(args, command)
-    except CliError as exc:
+        os.makedirs(out_dir, exist_ok=True)
+    except (CliError, OSError) as exc:
         sys.stderr.write(f"chemlm {command}: {exc}\n")
         return EXIT_USER
 
-    os.makedirs(out_dir, exist_ok=True)
     phases = {}
     status = "ok"
     error = ""
     extras = {}
     code = EXIT_OK
-    with _phase(phases, "total"):
+    # the files an earlier run of this command wrote into out_dir
+    owned = owned_outputs(out_dir, command)
+    with _phase(phases, "total"), recording_writes() as written:
         try:
             extras = run(args, out_dir, phases)
+            remove_stale(out_dir, owned, written)
+            owned = set()
         except (CliError, ChemlmError, OSError, MemoryError) as exc:
             status = "error"
             error = str(exc)
@@ -770,17 +781,25 @@ def main(argv=None) -> int:
     config_record = {
         k: v for k, v in sorted(vars(args).items()) if k not in _PATH_ARGS
     }
+    # what this run wrote, and after a failure what earlier runs did;
+    # never another command's files or the user's
+    outputs = {rel: digest for rel, digest in hash_outputs(out_dir).items()
+               if rel in owned or os.path.normpath(os.path.join(out_dir, rel)) in written}
     manifest = {
         "command": command,
         "status": status,
         "config": config_record,
-        "outputs": hash_outputs(out_dir),
+        "outputs": outputs,
     }
     if error:
         manifest["error"] = error
     manifest.update(extras or {})
-    write_manifest(out_dir, manifest)
-    write_timing(out_dir, phases)
+    try:
+        write_timing(out_dir, phases)
+        write_manifest(out_dir, manifest)
+    except OSError as exc:
+        sys.stderr.write(f"chemlm {command}: cannot record the run: {exc}\n")
+        return code or EXIT_USER
     return code
 
 

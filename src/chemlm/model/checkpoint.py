@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ArtifactError
+from ..manifest import replace_file
 from .config import ModelConfig
 
 MAGIC = b"CHEMLM01"
@@ -51,7 +52,7 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig, vocab_hash: str, rng_s
         "vocab_hash": vocab_hash,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replace_file(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(np.uint32(len(blob)).tobytes())
         fh.write(blob)

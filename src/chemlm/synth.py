@@ -41,14 +41,22 @@ A_SITES_FLUORIDE = ("Na", "K", "Rb", "Cs")
 B_SITES_FLUORIDE = ("Mg", "Ca")
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors, bit for bit, without its per-call
+    overhead: each component is one product difference in float64."""
+    a1, a2, a3 = a.tolist()
+    b1, b2, b3 = b.tolist()
+    return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
+
+
 def _orthonormal_to(v: np.ndarray):
     """Two unit vectors completing v to a right-handed frame."""
     helper = np.array([1.0, 0.0, 0.0])
     if abs(v[0]) > 0.9:
         helper = np.array([0.0, 1.0, 0.0])
-    u = np.cross(v, helper)
+    u = _cross(v, helper)
     u /= np.linalg.norm(u)
-    w = np.cross(v, u)
+    w = _cross(v, u)
     return u, w
 
 
@@ -77,7 +85,7 @@ def _hydrogen_directions(bond_dirs) -> list:
     b1, b2 = bond_dirs
     s = b1 + b2
     s /= np.linalg.norm(s)
-    w = np.cross(b1, b2)
+    w = _cross(b1, b2)
     w /= np.linalg.norm(w)
     a = math.sqrt(1.0 / 3.0)
     cw = math.sqrt(1.0 - a * a)

@@ -2,6 +2,7 @@
 and manifest bookkeeping at smoke-test scale."""
 
 import csv
+import errno
 import json
 import math
 import os
@@ -256,6 +257,121 @@ class TestDeterminism:
         with open(os.path.join(out, "samples.csv"), "rb") as fh:
             second = fh.read()
         assert first == second
+
+
+class TestReusedOut:
+    """A re-run into an --out removes the files an earlier run of the same
+    command wrote there and it did not, and nothing else."""
+
+    @pytest.fixture(scope="class")
+    def forty(self, tmp_path_factory):
+        """(40 molecule files, 5 of them, their bundle)."""
+        root = tmp_path_factory.mktemp("forty")
+        synth, five, bundle = root / "synth", root / "five", root / "bundle"
+        assert run_cli(["synth", "--kind", "molecule", "--n", "40", "--seed", "5",
+                        "--precision", "2", "--out", str(synth)]) == EXIT_OK
+        structures = synth / "structures"
+        five.mkdir()
+        for name in sorted(os.listdir(structures))[:5]:
+            shutil.copy(structures / name, five)
+        assert run_cli(["prepare", "--input", str(structures), "--scheme", "atom_coord",
+                        "--precision", "2", "--out", str(bundle)]) == EXIT_OK
+        return str(structures), str(five), str(bundle)
+
+    def test_evaluate_40_then_5_equals_a_fresh_5(self, forty, tmp_path):
+        forty_dir, five_dir, bundle = forty
+        reused, fresh = str(tmp_path / "reused"), str(tmp_path / "fresh")
+        for samples, out in ((forty_dir, reused), (five_dir, reused), (five_dir, fresh)):
+            assert run_cli(["evaluate", "--samples", samples, "--train", bundle,
+                            "--out", out]) == EXIT_OK
+        assert len(os.listdir(os.path.join(reused, "structures"))) == 5
+        for name in ("manifest.json", "report.json", "failures.csv"):
+            with open(os.path.join(reused, name), "rb") as a, \
+                    open(os.path.join(fresh, name), "rb") as b:
+                assert a.read() == b.read(), name
+        assert tree_hash(reused) == tree_hash(fresh)
+
+    def test_train_4_then_2_leaves_checkpoints_1_and_2(self, pipeline, tmp_path):
+        out = str(tmp_path / "train")
+        for steps in ("4", "2"):
+            assert run_cli(["train", "--corpus", pipeline["prepare"], "--steps", steps,
+                            "--checkpoint-interval", "1", "--batch-size", "2", "--layers", "1",
+                            "--d-model", "8", "--heads", "2", "--out", out]) == EXIT_OK
+        checkpoints = sorted(n for n in os.listdir(out) if n.startswith("checkpoint_"))
+        assert checkpoints == ["checkpoint_0000001.bin", "checkpoint_0000002.bin"]
+        assert sorted(manifest_of(out)["outputs"]) == [*checkpoints, "losses.csv"]
+
+    def test_evaluate_into_a_sample_directory_keeps_its_files(self, pipeline, tmp_path):
+        out = str(tmp_path / "sample")
+        shutil.copytree(pipeline["sample"], out)
+        with open(os.path.join(out, "samples.csv"), "rb") as fh:
+            samples = fh.read()
+        for _ in range(2):
+            assert run_cli(["evaluate", "--samples", os.path.join(out, "samples.csv"),
+                            "--train", pipeline["prepare"], "--out", out]) == EXIT_OK
+            with open(os.path.join(out, "samples.csv"), "rb") as fh:
+                assert fh.read() == samples
+        # the evaluate manifest lists what evaluate wrote, not the samples
+        assert "samples.csv" not in manifest_of(out)["outputs"]
+        assert "report.json" in manifest_of(out)["outputs"]
+
+    def test_another_commands_files_are_kept(self, pipeline, tmp_path):
+        out = str(tmp_path / "out")
+        synth = ["synth", "--kind", "perovskite", "--n", "3", "--out", out]
+        assert run_cli(synth) == EXIT_OK
+        for _ in range(2):
+            assert run_cli(["prepare", "--input", os.path.join(pipeline["synth"], "structures"),
+                            "--scheme", "char", "--precision", "2", "--out", out]) == EXIT_OK
+        names = sorted(os.listdir(os.path.join(out, "structures")))
+        assert names == sorted(["000000.cif", "000001.cif", "000002.cif",
+                                *os.listdir(os.path.join(pipeline["synth"], "structures"))])
+
+    def test_a_failed_run_removes_nothing(self, forty, tmp_path, capsys):
+        forty_dir, _, bundle = forty
+        out = str(tmp_path / "eval")
+        assert run_cli(["evaluate", "--samples", forty_dir, "--train", bundle,
+                        "--out", out]) == EXIT_OK
+        assert run_cli(["evaluate", "--samples", forty_dir, "--train", bundle,
+                        "--overlap-threshold", "0", "--out", out]) == EXIT_USER
+        capsys.readouterr()
+        assert len(os.listdir(os.path.join(out, "structures"))) == 40
+        # the failed run's manifest still lists them, so the next
+        # successful run of evaluate removes them
+        assert len(manifest_of(out)["outputs"]) > 40
+        _, five_dir, _ = forty
+        assert run_cli(["evaluate", "--samples", five_dir, "--train", bundle,
+                        "--out", out]) == EXIT_OK
+        assert len(os.listdir(os.path.join(out, "structures"))) == 5
+
+    def test_out_below_a_file_is_user_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        out = str(blocker / "out")
+        assert run_cli(["synth", "--kind", "molecule", "--n", "1", "--out", out]) == EXIT_USER
+        assert out in capsys.readouterr().err
+
+    def test_read_only_out_is_user_error(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "ro"
+        out.mkdir()
+        out.chmod(0o555)
+        if os.geteuid() == 0:
+            # root ignores permission bits: refuse a new file in `out` as
+            # the kernel does for any other user
+            real_open = os.open
+
+            def refusing(path, flags, *args, **kwargs):
+                if flags & os.O_CREAT and os.path.abspath(path).startswith(str(out) + os.sep):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+                return real_open(path, flags, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", refusing)
+        try:
+            code = run_cli(["synth", "--kind", "molecule", "--n", "2", "--out", str(out)])
+        finally:
+            out.chmod(0o755)
+        assert code == EXIT_USER
+        err = capsys.readouterr().err
+        assert "Permission denied" in err and str(out) in err
 
 
 class TestExitCodes:
@@ -590,20 +706,22 @@ class TestBundle:
 
     @pytest.fixture
     def bundles(self, pipeline, tmp_path):
-        """A fresh bundle of 3 of the 6 molecules, the same 3 prepared into a
-        6-molecule bundle (stale structures/), and the fresh one without
-        structures/."""
+        """A fresh bundle of 3 of the 6 molecules, the same 3 in a bundle
+        whose structures/ also holds the other 3 (stale structures/), and
+        the fresh one without structures/."""
         three = os.path.join(tmp_path, "three")
         os.makedirs(three)
         synth = os.path.join(pipeline["synth"], "structures")
         for name in sorted(os.listdir(synth))[:3]:
             shutil.copy(os.path.join(synth, name), three)
         paths = {name: os.path.join(tmp_path, name) for name in ("fresh", "stale", "bare")}
-        for src, out in ((three, "fresh"), (synth, "stale"), (three, "stale"), (three, "bare")):
+        for out in paths.values():
             assert run_cli([
-                "prepare", "--input", src, "--scheme", "atom_coord", "--precision", "2",
-                "--out", paths[out],
+                "prepare", "--input", three, "--scheme", "atom_coord", "--precision", "2",
+                "--out", out,
             ]) == EXIT_OK
+        for name in sorted(os.listdir(synth))[3:]:
+            shutil.copy(os.path.join(synth, name), os.path.join(paths["stale"], "structures"))
         assert len(os.listdir(os.path.join(paths["stale"], "structures"))) == 6
         shutil.rmtree(os.path.join(paths["bare"], "structures"))
         return paths

@@ -6,7 +6,7 @@ from chemlm.metrics.crystals import charge_neutrality, crystal_composition
 from chemlm.metrics.pockets import pocket_residue_check
 from chemlm.metrics.report import validity
 from chemlm.structures import RESIDUE_ATOMS, Crystal, Molecule, Pocket
-from chemlm.synth import synth_corpus, synth_molecule, synth_perovskite, synth_pocket
+from chemlm.synth import _cross, synth_corpus, synth_molecule, synth_perovskite, synth_pocket
 
 
 class TestMolecules:
@@ -115,3 +115,18 @@ class TestCorpus:
     def test_pocket_kwargs_forwarded(self):
         pkts = synth_corpus("pocket", 2, seed=0, n_residues=3)
         assert all(p.n_residues() == 3 for p in pkts)
+
+
+class TestCross:
+    def test_equals_np_cross_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20_000):
+            scale = 10.0 ** rng.uniform(-8, 8, size=2)
+            a, b = rng.normal(size=3) * scale[0], rng.normal(size=3) * scale[1]
+            assert _cross(a, b).tobytes() == np.cross(a, b).tobytes(), (a, b)
+
+    def test_signed_zeros_and_parallel_vectors(self):
+        for a, b in (([0.0, -0.0, 1.0], [-0.0, 0.0, 2.0]), ([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]),
+                     ([-1.0, 0.0, 0.0], [0.0, 1.0, 0.0])):
+            a, b = np.array(a), np.array(b)
+            assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
