@@ -5,10 +5,11 @@ Every command creates its output directory, writes its artifacts through
 excluded from determinism) plus a manifest (deterministic content),
 written last. After a successful run, the files that an earlier run of
 the same command wrote there and this one did not are removed, so a
-reused directory ends as a fresh one would. Exit codes: 0 success, 1 user
-error, 2 internal error. A flat key=value config file can supply any
-flag's value; command-line flags win over the file, the file wins over
-defaults.
+reused directory ends as a fresh one would; only names the command
+writes are removed, never one of the run's inputs. Exit codes: 0
+success, 1 user error, 2 internal error. A flat key=value config file
+can supply any flag's value; command-line flags win over the file, the
+file wins over defaults.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .manifest import (
     read_manifest,
     recording_writes,
     remove_stale,
+    replace_file,
     tree_hash,
     write_manifest,
     write_timing,
@@ -119,8 +121,8 @@ def _phase(phases, name):
     phases[name] = time.time() - t0
 
 
-def _write_csv(path, header, rows):
-    with output_file(path, newline="") as fh:
+def _write_csv(path, header, rows, opener=output_file):
+    with opener(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -291,7 +293,7 @@ def cmd_prepare(args, out_dir, phases):
         vocab = build_vocab(structures, scheme, dense_coordinate_range=args.dense_coords)
         vocab.save(os.path.join(out_dir, "vocab.txt"))
         _write_structures(os.path.join(out_dir, "structures"), prepared, args.precision)
-        with output_file(os.path.join(out_dir, "corpus.txt")) as fh:
+        with replace_file(os.path.join(out_dir, "corpus.txt")) as fh:
             for _, s in prepared:
                 fh.write(" ".join(str(i) for i in encode(s, vocab).ids))
                 fh.write("\n")
@@ -394,6 +396,7 @@ def cmd_train(args, out_dir, phases):
         os.path.join(out_dir, "losses.csv"),
         ["step", "loss", "lr"],
         ([i, repr(loss), repr(lr)] for i, (loss, lr) in steps),
+        replace_file,
     )
     train_config = {f.name: getattr(train_cfg, f.name) for f in dataclasses.fields(train_cfg)}
     train_config.update(scheme=vocab.scheme.kind, precision=vocab.scheme.precision)
@@ -441,6 +444,7 @@ def cmd_sample(args, out_dir, phases):
             [i, int(seq.truncated), " ".join(str(t) for t in seq.ids)]
             for i, seq in enumerate(sequences)
         ),
+        replace_file,
     )
     total_tokens = sum(len(s.ids) for s in sequences)
     seconds = phases["sample"]
@@ -718,6 +722,26 @@ to default --out to $CHEMLM_OUTPUT_ROOT/<command>.
 _PATH_ARGS = {"out", "config", "input", "corpus", "checkpoint", "vocab",
               "samples", "train", "reports", "structures"}
 
+#: The files each command writes into its --out (fnmatch patterns of
+#: relative paths); a re-run removes no stale file of another name.
+_OUTPUT_NAMES = {
+    "synth": ("structures/*",),
+    "prepare": ("structures/*", "vocab.txt", "corpus.txt", "stats.json", "failures.csv"),
+    "train": ("checkpoint_*.bin", "losses.csv"),
+    "sample": ("samples.csv",),
+    "evaluate": ("structures/*", "report.json", "failures.csv", "values_*.csv"),
+    "report": ("table.txt", "hist_*.csv", "neighbors.csv"),
+}
+
+
+def _input_paths(args) -> list:
+    """The paths a command was given to read (files or directories)."""
+    paths = []
+    for name in sorted(_PATH_ARGS - {"out"}):
+        value = getattr(args, name, None)
+        paths.extend(value if isinstance(value, list) else [value] if value else [])
+    return paths
+
 
 def _resolve_out(args, command) -> str:
     if args.out:
@@ -759,12 +783,14 @@ def main(argv=None) -> int:
     extras = {}
     code = EXIT_OK
     # the files an earlier run of this command wrote into out_dir
-    owned = owned_outputs(out_dir, command)
+    owned = owned_outputs(out_dir, command, _OUTPUT_NAMES[command])
     with _phase(phases, "total"), recording_writes() as written:
         try:
             extras = run(args, out_dir, phases)
-            remove_stale(out_dir, owned, written)
-            owned = set()
+            # a stale file that stays is kept as owned, to be retried
+            owned = remove_stale(out_dir, owned, written, keep=_input_paths(args))
+            for rel, exc in owned.items():
+                sys.stderr.write(f"chemlm {command}: warning: cannot remove stale {rel}: {exc}\n")
         except (CliError, ChemlmError, OSError, MemoryError) as exc:
             status = "error"
             error = str(exc)
@@ -781,8 +807,9 @@ def main(argv=None) -> int:
     config_record = {
         k: v for k, v in sorted(vars(args).items()) if k not in _PATH_ARGS
     }
-    # what this run wrote, and after a failure what earlier runs did;
-    # never another command's files or the user's
+    # what this run wrote, and what earlier runs wrote that is still
+    # owned (after a failure, or not removable); never another
+    # command's files or the user's
     outputs = {rel: digest for rel, digest in hash_outputs(out_dir).items()
                if rel in owned or os.path.normpath(os.path.join(out_dir, rel)) in written}
     manifest = {

@@ -11,12 +11,15 @@ the truncate-to-zero of `open(path, "w")` frees the file's blocks, and
 new ones are allocated when it closes: rewriting a CIF-sized file that
 way took 50-70 µs on a 2-vCPU VM, against 13-17 µs in place.
 `replace_file` writes a temp file and renames it over the target, so a
-crash never leaves a half-written manifest or checkpoint; at 70-190 µs
-a file it is kept to those two records.
+crash never leaves a half-written manifest or checkpoint, nor a
+half-rewritten file that a later command reads whole and line by line
+(`corpus.txt`, `vocab.txt`, `samples.csv`, `losses.csv`); at 70-190 µs a
+file it is kept to those single files, never the per-structure ones.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import hashlib
 import json
 import os
@@ -76,13 +79,13 @@ def output_file(path, binary=False, newline=None):
 
 
 @contextmanager
-def replace_file(path, binary=False):
+def replace_file(path, binary=False, newline=None):
     """Like `output_file`, but the bytes go to a temp file beside `path`
     that replaces it only once the block succeeds; otherwise the temp file
     is removed and `path` keeps its earlier bytes."""
     tmp = os.path.join(os.path.dirname(path), TEMP_PREFIX + os.path.basename(path))
     try:
-        with output_file(tmp, binary) as fh:
+        with output_file(tmp, binary, newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -147,9 +150,11 @@ def hash_outputs(out_dir) -> dict:
     return out
 
 
-def owned_outputs(out_dir, command) -> set:
+def owned_outputs(out_dir, command, names) -> set:
     """The relative paths that the manifest in out_dir lists as outputs,
-    when an earlier run of `command` wrote it; else none."""
+    when an earlier run of `command` wrote it, and that match one of the
+    fnmatch patterns `names` (what `command` writes); else none. A path
+    leading out of out_dir is left out."""
     try:
         previous = read_manifest(out_dir)
     except (OSError, ValueError):
@@ -157,17 +162,31 @@ def owned_outputs(out_dir, command) -> set:
     if not isinstance(previous, dict) or previous.get("command") != command:
         return set()
     outputs = previous.get("outputs")
-    return set(outputs) if isinstance(outputs, dict) else set()
+    if not isinstance(outputs, dict):
+        return set()
+    return {rel for rel in outputs
+            if not (os.path.isabs(rel) or ".." in rel.split("/"))
+            and any(fnmatch.fnmatchcase(rel, pattern) for pattern in names)}
 
 
-def remove_stale(out_dir, owned, written) -> None:
+def remove_stale(out_dir, owned, written, keep=()) -> dict:
     """Remove each file of `owned` (relative paths under out_dir) that is
-    not in `written` (normalized paths); a path leading out of out_dir is
-    left alone."""
-    for rel in owned:
-        if os.path.isabs(rel) or ".." in rel.split("/"):
-            continue
+    not in `written` (normalized paths) and is none of the paths `keep`
+    (a run's inputs) nor inside one of them. Returns relative path ->
+    error for each file that could not be removed."""
+    keep = [os.path.realpath(k) for k in keep]
+    failed = {}
+    for rel in sorted(owned):
         path = os.path.normpath(os.path.join(out_dir, rel))
-        if path not in written:
-            with suppress(FileNotFoundError):
-                os.remove(path)
+        if path in written:
+            continue
+        real = os.path.realpath(path)
+        if any(os.path.commonpath([real, k]) == k for k in keep):
+            continue
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            failed[rel] = exc
+    return failed

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from ..elements import is_element
 from ..errors import ArtifactError, EncodeError
-from ..manifest import output_file
+from ..manifest import replace_file
 from ..structures import CANONICAL_RESIDUES, KINDS
 from .scheme import Scheme
 
@@ -154,7 +154,7 @@ class Vocabulary:
             raise ArtifactError(f"malformed vocabulary file: {exc}") from None
 
     def save(self, path) -> None:
-        with output_file(path) as fh:
+        with replace_file(path) as fh:
             fh.write(self.dumps())
 
     @classmethod

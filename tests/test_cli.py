@@ -26,7 +26,7 @@ from chemlm.cli import (
     render_table,
 )
 from chemlm.formats import parse_xyz
-from chemlm.manifest import file_sha256, read_manifest, tree_hash
+from chemlm.manifest import file_sha256, hash_outputs, read_manifest, tree_hash, write_manifest
 from chemlm.metrics import MetricsReport
 from chemlm.model import load_checkpoint
 from chemlm.rounding import round_coords
@@ -314,6 +314,69 @@ class TestReusedOut:
         # the evaluate manifest lists what evaluate wrote, not the samples
         assert "samples.csv" not in manifest_of(out)["outputs"]
         assert "report.json" in manifest_of(out)["outputs"]
+
+    def test_an_older_manifest_listing_every_file_removes_none_of_the_users(
+            self, pipeline, tmp_path):
+        # a manifest that lists every file in --out, as one written before
+        # `outputs` were limited to what the command wrote
+        out = str(tmp_path / "sample")
+        shutil.copytree(pipeline["sample"], out)
+        with open(os.path.join(out, "notes.txt"), "w", encoding="utf-8") as fh:
+            fh.write("mine\n")
+        samples = os.path.join(out, "samples.csv")
+        evaluate = ["evaluate", "--samples", samples, "--train", pipeline["prepare"],
+                    "--out", out]
+        assert run_cli(evaluate) == EXIT_OK
+        before = {rel: file_sha256(os.path.join(out, rel))
+                  for rel in ("samples.csv", "notes.txt")}
+        older = manifest_of(out)
+        older["outputs"] = hash_outputs(out)
+        assert set(before) < set(older["outputs"])
+        write_manifest(out, older)
+        assert run_cli(evaluate) == EXIT_OK
+        assert {rel: file_sha256(os.path.join(out, rel)) for rel in before} == before
+        assert "notes.txt" not in manifest_of(out)["outputs"]
+
+    def test_a_stale_path_that_cannot_be_removed_is_a_warning(self, forty, tmp_path, capsys):
+        forty_dir, five_dir, bundle = forty
+        out = str(tmp_path / "eval")
+        assert run_cli(["evaluate", "--samples", forty_dir, "--train", bundle,
+                        "--out", out]) == EXIT_OK
+        structures = os.path.join(out, "structures")
+        last = sorted(os.listdir(structures))[-1]
+        os.remove(os.path.join(structures, last))
+        os.mkdir(os.path.join(structures, last))
+        capsys.readouterr()
+        assert run_cli(["evaluate", "--samples", five_dir, "--train", bundle,
+                        "--out", out]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "warning" in err and f"structures/{last}" in err
+        assert manifest_of(out)["status"] == "ok"
+        assert sorted(os.listdir(structures)) == sorted([*os.listdir(five_dir), last])
+
+    def test_a_failed_corpus_write_keeps_the_earlier_corpus(self, forty, tmp_path,
+                                                              monkeypatch, capsys):
+        _, five_dir, _ = forty
+        out = str(tmp_path / "bundle")
+        prepare = ["prepare", "--input", five_dir, "--scheme", "atom_coord",
+                   "--precision", "2", "--out", out]
+        assert run_cli(prepare) == EXIT_OK
+        with open(os.path.join(out, "corpus.txt"), "rb") as fh:
+            before = fh.read()
+        calls = []
+
+        def failing_third(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("encode failed")
+            return encode(*args)
+
+        monkeypatch.setattr("chemlm.cli.encode", failing_third)
+        assert run_cli(prepare) == EXIT_INTERNAL
+        capsys.readouterr()
+        with open(os.path.join(out, "corpus.txt"), "rb") as fh:
+            assert fh.read() == before
+        assert not [n for n in os.listdir(out) if n.startswith(".partial-")]
 
     def test_another_commands_files_are_kept(self, pipeline, tmp_path):
         out = str(tmp_path / "out")

@@ -16,8 +16,10 @@ from chemlm.manifest import (
     file_sha256,
     hash_outputs,
     output_file,
+    owned_outputs,
     read_manifest,
     recording_writes,
+    remove_stale,
     replace_file,
     tree_hash,
     write_manifest,
@@ -306,3 +308,34 @@ class TestAtomicRecords:
         path = write_manifest(tmp_path, {"seed": 2})
         assert read_manifest(tmp_path) == {"seed": 2}
         assert os.listdir(tmp_path) == [os.path.basename(path)]
+
+
+class TestStaleOutputs:
+    def test_owned_are_the_commands_names_in_its_own_manifest(self, tmp_path):
+        outputs = {rel: "0" * 64 for rel in
+                   ("report.json", "samples.csv", "structures/a.xyz", "../x.json", "/etc/x")}
+        write_manifest(tmp_path, {"command": "evaluate", "outputs": outputs})
+        names = ("structures/*", "report.json", "*.json")
+        assert owned_outputs(tmp_path, "evaluate", names) == {"report.json", "structures/a.xyz"}
+        assert owned_outputs(tmp_path, "prepare", names) == set()
+
+    def test_unreadable_manifest_owns_nothing(self, tmp_path):
+        assert owned_outputs(tmp_path, "synth", ("*",)) == set()
+        put(tmp_path, MANIFEST_NAME, "{not json")
+        assert owned_outputs(tmp_path, "synth", ("*",)) == set()
+
+    def test_removes_only_what_was_not_written_nor_read(self, tmp_path):
+        for rel in ("a.txt", "b.txt", "c.txt", "in/d.txt"):
+            put(tmp_path, rel, rel)
+        written = {os.path.normpath(os.path.join(tmp_path, "a.txt"))}
+        keep = [os.path.join(tmp_path, "b.txt"), os.path.join(tmp_path, "in")]
+        owned = {"a.txt", "b.txt", "c.txt", "in/d.txt", "gone.txt"}
+        assert remove_stale(tmp_path, owned, written, keep) == {}
+        assert sorted(hash_outputs(tmp_path)) == ["a.txt", "b.txt", "in/d.txt"]
+
+    def test_a_file_that_cannot_be_removed_is_reported(self, tmp_path):
+        put(tmp_path, "a.txt", "a")
+        os.mkdir(os.path.join(tmp_path, "d.txt"))
+        failed = remove_stale(tmp_path, {"a.txt", "d.txt"}, set())
+        assert list(failed) == ["d.txt"] and isinstance(failed["d.txt"], OSError)
+        assert os.listdir(tmp_path) == ["d.txt"]
