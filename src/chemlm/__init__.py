@@ -16,13 +16,10 @@ from .errors import (
     UnknownElementError,
 )
 from .structures import (
-    Atom,
     Crystal,
     Lattice,
     Molecule,
     Pocket,
-    PocketAtom,
-    Site,
     Structure,
 )
 
@@ -40,13 +37,10 @@ __all__ = [
     "ParseError",
     "TrainingDiverged",
     "UnknownElementError",
-    "Atom",
     "Crystal",
     "Lattice",
     "Molecule",
     "Pocket",
-    "PocketAtom",
-    "Site",
     "Structure",
     "__version__",
 ]

@@ -32,7 +32,7 @@ def rotate_about_center(structure, R: np.ndarray):
     """p <- R (p - centroid) + centroid; crystals are rejected."""
     if isinstance(structure, Crystal):
         raise ValueError("crystals cannot be rotated; use shift_origin instead")
-    points = np.array(structure.coords())
+    points = structure.coords
     c = centroid(points)
     return structure.with_coords((points - c) @ R.T + c)
 
@@ -40,7 +40,7 @@ def rotate_about_center(structure, R: np.ndarray):
 def shift_origin(crystal: Crystal, shift) -> Crystal:
     """Cyclic shift of fractional coordinates, f <- f + u mod 1."""
     u = np.asarray(shift, dtype=float)
-    return crystal.with_coords((np.array(crystal.coords()) + u) % 1.0)
+    return crystal.with_coords((crystal.coords + u) % 1.0)
 
 
 def augment_structure(structure, rng: np.random.Generator, crystal_shift: bool = False):

@@ -274,12 +274,12 @@ def cmd_prepare(args, out_dir, phases):
         prepared = []
         for name, s in parsed:
             if s.kind == "pocket" and args.prune:
-                center = tuple(centroid(s.coords()))
+                center = tuple(centroid(s.coords))
                 result = prune_pocket(s, center, (args.prune_lo, args.prune_hi))
                 prune_stats.append(
                     {
                         "file": name,
-                        "atoms": len(result.pocket.atoms),
+                        "atoms": len(result.pocket),
                         "removed_residues": result.removed_residues,
                         "below_min": result.below_min,
                     }
@@ -299,7 +299,7 @@ def cmd_prepare(args, out_dir, phases):
                 fh.write("\n")
 
     atom_counts = Counter(len(s) for s in structures)
-    element_counts = Counter(sym for s in structures for sym in s.symbols())
+    element_counts = Counter(sym for s in structures for sym in s.symbols)
     stats = {
         "n_structures": len(prepared),
         "n_failures": len(failures),
@@ -684,7 +684,7 @@ def cmd_report(args, out_dir, phases):
                 for name, s, _ in triples:
                     # a crystal's coordinates are fractional: no Cartesian distances
                     if s is not None and s.kind != "crystal" and len(s) >= 2:
-                        off = pairwise_distances(s.coords())[np.triu_indices(len(s), k=1)]
+                        off = pairwise_distances(s.coords)[np.triu_indices(len(s), k=1)]
                         rows.append([name, repr(float(off.min())), repr(float(off.max()))])
                 _write_csv(
                     os.path.join(out_dir, "neighbors.csv"), ["file", "nearest", "farthest"], rows
@@ -810,8 +810,8 @@ def main(argv=None) -> int:
     # what this run wrote, and what earlier runs wrote that is still
     # owned (after a failure, or not removable); never another
     # command's files or the user's
-    outputs = {rel: digest for rel, digest in hash_outputs(out_dir).items()
-               if rel in owned or os.path.normpath(os.path.join(out_dir, rel)) in written}
+    rels = {os.path.relpath(path, out_dir).replace(os.sep, "/") for path in written}
+    outputs = hash_outputs(out_dir, sorted(rels | set(owned)))
     manifest = {
         "command": command,
         "status": status,

@@ -25,7 +25,7 @@ from __future__ import annotations
 from ..elements import is_element
 from ..errors import ParseError
 from ..rounding import coords_text
-from ..structures import Crystal, Lattice, Site
+from ..structures import Crystal, Lattice
 from .document import parse_number
 
 CELL_KEYS = (
@@ -83,11 +83,11 @@ def parse_cif(text: str) -> Crystal:
         symbol = fields[0]
         if not is_element(symbol):
             raise ParseError(f"unknown element {symbol!r}", line_no)
-        fx, fy, fz = (parse_number(f, line_no, "fractional coordinate") for f in fields[1:])
-        sites.append(Site(symbol, fx, fy, fz))
+        fractions = [parse_number(f, line_no, "fractional coordinate") for f in fields[1:]]
+        sites.append((symbol, fractions))
     if not sites:
         raise ParseError("no site rows after the loop header", len(lines))
-    return Crystal(lattice, tuple(sites))
+    return Crystal(lattice, *zip(*sites))
 
 
 def write_cif(crystal: Crystal, precision: int) -> str:
@@ -95,5 +95,5 @@ def write_cif(crystal: Crystal, precision: int) -> str:
     out = [f"{key} {value}" for key, value in zip(CELL_KEYS, cell)]
     out.append("loop_")
     out.extend(SITE_TAGS)
-    out.extend(f"{s.symbol} {x} {y} {z}" for s, (x, y, z) in zip(crystal.sites, triples))
+    out.extend(f"{s} {x} {y} {z}" for s, (x, y, z) in zip(crystal.symbols, triples))
     return "\n".join(out) + "\n"

@@ -16,7 +16,7 @@ from __future__ import annotations
 from ..elements import is_element
 from ..errors import ParseError
 from ..rounding import coords_text
-from ..structures import CANONICAL_RESIDUES, Pocket, PocketAtom
+from ..structures import CANONICAL_RESIDUES, Pocket
 from .document import parse_count, parse_number
 
 
@@ -64,18 +64,19 @@ def parse_pdb(text: str) -> Pocket:
                 f"residue index {res_index} mixes codes {current_code} and {residue}",
                 line_no,
             )
-        x, y, z = (parse_number(f, line_no, "coordinate") for f in fields[5:8])
-        atoms.append(PocketAtom(residue, element, res_index, x, y, z))
+        xyz = [parse_number(f, line_no, "coordinate") for f in fields[5:8]]
+        atoms.append((element, residue, res_index, xyz))
     if not atoms:
         raise ParseError("no ATOM records before END", 1)
-    return Pocket(tuple(atoms))
+    return Pocket(*zip(*atoms))
 
 
 def write_pdb(pocket: Pocket, precision: int) -> str:
     _, triples = coords_text(pocket, precision)
+    atoms = zip(pocket.symbols, pocket.residues, pocket.residue_index.tolist(), triples)
     out = [
-        f"ATOM {serial} {a.element} {a.residue} {a.residue_index} {x} {y} {z}"
-        for serial, (a, (x, y, z)) in enumerate(zip(pocket.atoms, triples), start=1)
+        f"ATOM {serial} {element} {residue} {index} {x} {y} {z}"
+        for serial, (element, residue, index, (x, y, z)) in enumerate(atoms, start=1)
     ]
     out.append("END")
     return "\n".join(out) + "\n"

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..structures import Pocket
 
@@ -43,25 +45,35 @@ def prune_pocket(
         return PruneResult(pocket, 0, True)
 
     cx, cy, cz = (float(v) for v in center)
-    groups = {}
-    for atom in pocket.atoms:
-        groups.setdefault(atom.residue_index, []).append(atom)
+    spans = pocket.residue_spans()
+    coords = pocket.coords
+    distances = []
+    for start, stop in spans:
+        # Python's sum adds atom by atom; numpy's pairwise sum can round
+        # differently and so change which residue wins a tie
+        mx, my, mz = (sum(column) / (stop - start) for column in coords[start:stop].T.tolist())
+        distances.append(math.sqrt((mx - cx) ** 2 + (my - cy) ** 2 + (mz - cz) ** 2))
 
-    def distance(index: int) -> float:
-        members = groups[index]
-        mx = sum(a.x for a in members) / len(members)
-        my = sum(a.y for a in members) / len(members)
-        mz = sum(a.z for a in members) / len(members)
-        return math.sqrt((mx - cx) ** 2 + (my - cy) ** 2 + (mz - cz) ** 2)
-
+    # farthest first; the last residue is never removed
+    order = sorted(range(len(spans)), key=lambda k: (distances[k], k), reverse=True)[:-1]
+    keep = np.ones(len(spans), dtype=bool)
     removed = 0
     count = len(pocket)
-    while count > hi and len(groups) > 1:
-        index = max(groups, key=lambda i: (distance(i), i))
-        count -= len(groups.pop(index))
+    for k in order:
+        if count <= hi:
+            break
+        start, stop = spans[k]
+        count -= stop - start
+        keep[k] = False
         removed += 1
         if count < lo:
             break  # a single large residue overshot the window
 
-    kept = tuple(a for a in pocket.atoms if a.residue_index in groups)
-    return PruneResult(Pocket(kept), removed, False)
+    atoms = keep[pocket.residue_index - 1]
+    kept = Pocket(
+        [s for s, a in zip(pocket.symbols, atoms) if a],
+        [r for r, a in zip(pocket.residues, atoms) if a],
+        pocket.residue_index[atoms],
+        coords[atoms],
+    )
+    return PruneResult(kept, removed, False)

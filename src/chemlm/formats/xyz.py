@@ -16,7 +16,7 @@ from __future__ import annotations
 from ..elements import is_element
 from ..errors import ParseError
 from ..rounding import coords_text
-from ..structures import Atom, Molecule
+from ..structures import Molecule
 from .document import parse_count, parse_number
 
 
@@ -43,13 +43,12 @@ def parse_xyz(text: str) -> Molecule:
         symbol = fields[0]
         if not is_element(symbol):
             raise ParseError(f"unknown element {symbol!r}", line_no)
-        x, y, z = (parse_number(f, line_no, "coordinate") for f in fields[1:])
-        atoms.append(Atom(symbol, x, y, z))
-    return Molecule(tuple(atoms))
+        atoms.append((symbol, [parse_number(f, line_no, "coordinate") for f in fields[1:]]))
+    return Molecule(*zip(*atoms))
 
 
 def write_xyz(molecule: Molecule, precision: int) -> str:
     _, triples = coords_text(molecule, precision)
-    out = [str(len(molecule.atoms)), ""]
-    out.extend(f"{a.symbol} {x} {y} {z}" for a, (x, y, z) in zip(molecule.atoms, triples))
+    out = [str(len(molecule)), ""]
+    out.extend(f"{s} {x} {y} {z}" for s, (x, y, z) in zip(molecule.symbols, triples))
     return "\n".join(out) + "\n"

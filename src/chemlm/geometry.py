@@ -83,7 +83,7 @@ def centroid(positions) -> np.ndarray:
 
 def molecular_weight(molecule: Molecule) -> float:
     """Sum of atomic masses in g/mol."""
-    return sum(get_element(a.symbol).mass for a in molecule.atoms)
+    return sum(get_element(s).mass for s in molecule.symbols)
 
 
 #: g/mol per A^3 to g/cm^3.
@@ -92,7 +92,7 @@ _DENSITY_FACTOR = 1.66053907
 
 def crystal_density(crystal: Crystal) -> float:
     """Mass density in g/cm^3 from cell contents and cell volume."""
-    mass = sum(get_element(s).mass for s in crystal.symbols())
+    mass = sum(get_element(s).mass for s in crystal.symbols)
     return mass / cell_volume(crystal.lattice) * _DENSITY_FACTOR
 
 

@@ -23,6 +23,7 @@ import fnmatch
 import hashlib
 import json
 import os
+import stat
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 
@@ -135,18 +136,33 @@ def write_timing(out_dir, phases: dict) -> str:
     return path
 
 
-def hash_outputs(out_dir) -> dict:
-    """Relative path -> sha256 for every file under out_dir, in walk
-    order, skipping manifests, timing sidecars and `replace_file` temp
-    files at any depth."""
+def _is_regular(path) -> bool:
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # gone, or a dangling symlink
+        return False
+
+
+def hash_outputs(out_dir, rels=None) -> dict:
+    """Relative path -> sha256 for each of the relative paths `rels`, or
+    when None for every file under out_dir in walk order, skipping
+    manifests, timing sidecars and `replace_file` temp files at any depth.
+    Only regular files (or symlinks to one) are opened: a FIFO would
+    block the read, and a path that is gone is skipped."""
+    if rels is None:
+        rels = []
+        for dirpath, dirnames, filenames in os.walk(out_dir):
+            dirnames.sort()
+            rels.extend(os.path.relpath(os.path.join(dirpath, fn), out_dir).replace(os.sep, "/")
+                        for fn in sorted(filenames))
     out = {}
-    for dirpath, dirnames, filenames in os.walk(out_dir):
-        dirnames.sort()
-        for fn in sorted(filenames):
-            if fn in (MANIFEST_NAME, TIMING_NAME) or fn.startswith(TEMP_PREFIX):
-                continue
-            full = os.path.join(dirpath, fn)
-            out[os.path.relpath(full, out_dir).replace(os.sep, "/")] = file_sha256(full)
+    for rel in rels:
+        name = os.path.basename(rel)
+        full = os.path.join(out_dir, rel)
+        if name in (MANIFEST_NAME, TIMING_NAME) or name.startswith(TEMP_PREFIX):
+            continue
+        if _is_regular(full):
+            out[rel] = file_sha256(full)
     return out
 
 

@@ -51,8 +51,8 @@ def perceive_bonds_batch(molecules) -> list:
         per_block = max(1, _PAIRS_PER_BLOCK // max(1, len(i)))
         for start in range(0, len(indices), per_block):
             block = indices[start : start + per_block]
-            x = np.array([molecules[k].coords() for k in block], dtype=float)
-            radii = np.array([[_RADII[s] for s in molecules[k].symbols()] for k in block])
+            x = np.stack([molecules[k].coords for k in block])
+            radii = np.array([[_RADII[s] for s in molecules[k].symbols] for k in block])
             diff = x[:, i] - x[:, j]
             d = np.sqrt((diff * diff).sum(axis=-1))
             clash = d < CLASH_FLOOR
@@ -98,7 +98,7 @@ def molecule_validity(molecule: Molecule, perceived=None) -> Verdict:
 
     `perceived` is the molecule's (bonds, clashes) when already known.
     """
-    symbols = molecule.symbols()
+    symbols = molecule.symbols
     for sym in set(symbols):
         if sym not in VALENCES:
             return Verdict.fail(f"no valence data for element {sym}")

@@ -54,7 +54,7 @@ def crystal_structural_validity(crystal: Crystal, threshold: float = MIN_ATOM_DI
         return Verdict.fail(
             f"self-image distance {self_image:.3f} A not larger than {threshold} A"
         )
-    coords = np.array(crystal.coords())
+    coords = crystal.coords
     first, second = upper_pairs(len(coords))
     for start in range(0, len(first), _PAIRS_PER_BLOCK):
         i = first[start : start + _PAIRS_PER_BLOCK]
@@ -95,8 +95,8 @@ def _charge_neutrality(items: tuple) -> Verdict:
 
 
 def crystal_composition(crystal: Crystal) -> dict:
-    return dict(Counter(crystal.symbols()))
+    return dict(Counter(crystal.symbols))
 
 
 def n_unique_elements(crystal: Crystal) -> int:
-    return len(set(crystal.symbols()))
+    return len(set(crystal.symbols))

@@ -32,7 +32,7 @@ def molecule_key(molecule: Molecule, perceived=None) -> str:
     every round's sorted table plus the final (colour, count) pairs.
     `perceived` is the molecule's (bonds, clashes) when already known.
     """
-    symbols = molecule.symbols()
+    symbols = molecule.symbols
     bonds, _ = perceived or perceive_bonds(molecule)
     neighbours = [[] for _ in symbols]
     for i, j in bonds:
@@ -62,14 +62,14 @@ def crystal_key(crystal: Crystal) -> str:
     rounds to 1 reads 0, as the CIF writer prints it."""
     lattice = ",".join(fmt_fixed(v, 2) for v in crystal.lattice.params())
     sites = sorted(
-        s.symbol + "@" + ",".join(fmt_fraction(f, 2) for f in (s.fx, s.fy, s.fz))
-        for s in crystal.sites
+        symbol + "@" + ",".join(fmt_fraction(f, 2) for f in fractions)
+        for symbol, fractions in zip(crystal.symbols, crystal.coords.tolist())
     )
-    return "xtl:" + composition_formula(crystal.symbols()) + ";" + lattice + ";" + "|".join(sites)
+    return "xtl:" + composition_formula(crystal.symbols) + ";" + lattice + ";" + "|".join(sites)
 
 
 def residue_ordering(pocket: Pocket) -> str:
-    return "-".join(code for code, _ in pocket.residues())
+    return "-".join(pocket.residues[start] for start, _ in pocket.residue_spans())
 
 
 def pocket_key(pocket: Pocket) -> str:

@@ -24,10 +24,11 @@ def pocket_residue_check(pocket: Pocket) -> tuple[bool, list[str]]:
     "GLY@3: missing O".
     """
     reasons = []
-    for code, atoms in pocket.residues():
-        index = atoms[0].residue_index
-        expected = RESIDUE_ATOMS[code]  # PocketAtom admits canonical codes only
-        have = Counter(a.element for a in atoms)
+    for start, stop in pocket.residue_spans():
+        code = pocket.residues[start]
+        index = pocket.residue_index[start]
+        expected = RESIDUE_ATOMS[code]  # a Pocket admits canonical codes only
+        have = Counter(pocket.symbols[start:stop])
         problems = []
         for element in sorted(set(expected) | set(have)):
             want = expected.get(element, 0)
@@ -47,17 +48,17 @@ def pocket_overlap_check(
     """Fail iff atoms of different residues come closer than `threshold`."""
     if not 0 < threshold < math.inf:
         raise ConfigError(f"overlap threshold must be positive and finite, got {threshold}")
-    atoms = pocket.atoms
-    first, second = upper_pairs(len(atoms))
-    d = pairwise_distances(pocket.coords())[first, second]
-    residue = np.array([a.residue_index for a in atoms])
+    first, second = upper_pairs(len(pocket))
+    d = pairwise_distances(pocket.coords)[first, second]
+    residue = pocket.residue_index
     flagged = np.flatnonzero((residue[first] != residue[second]) & (d < threshold))
     if flagged.size:
         k = flagged[0]
         i, j = first[k], second[k]
+        labels = pocket.labels
         return Verdict.fail(
-            f"atoms {i} ({atoms[i].indicator}@{atoms[i].residue_index}) and "
-            f"{j} ({atoms[j].indicator}@{atoms[j].residue_index}) "
+            f"atoms {i} ({labels[i]}@{residue[i]}) and "
+            f"{j} ({labels[j]}@{residue[j]}) "
             f"at {d[k]:.3f} A, below {threshold} A"
         )
     return Verdict.ok()

@@ -61,7 +61,7 @@ def fmt_fixed(x: float, precision: int) -> str:
 
 def fmt_fraction(f: float, precision: int) -> str:
     """`fmt_fixed` of a fractional coordinate in [0, 1), except that one
-    that rounds to 1 is written as 0, as a Site wraps 1.0 to 0.0."""
+    that rounds to 1 is written as 0, as a Crystal wraps 1.0 to 0.0."""
     text = fmt_fixed(f, precision)
     return "0" + text[1:] if text[0] == "1" else text
 
@@ -92,7 +92,7 @@ def coords_text(structure, precision: int) -> tuple[list[str], list[tuple[str, s
         cell = []
         fmt = fmt_fixed
     triples = [(fmt(x, precision), fmt(y, precision), fmt(z, precision))
-               for x, y, z in structure.coords()]
+               for x, y, z in structure.coords.tolist()]
     return cell, triples
 
 
@@ -105,8 +105,10 @@ def round_coords(structure, precision: int):
     `with_coords` and `dataclasses.replace` build structures without it.
     """
     cell, triples = coords_text(structure, precision)
+    coords = [(float(x), float(y), float(z)) for x, y, z in triples]
     if cell:
-        structure = Crystal(Lattice(*map(float, cell)), structure.sites)
-    rounded = structure.with_coords([(float(x), float(y), float(z)) for x, y, z in triples])
+        rounded = Crystal(Lattice(*map(float, cell)), structure.symbols, coords)
+    else:
+        rounded = structure.with_coords(coords)
     object.__setattr__(rounded, _TEXT, (precision, cell, triples))
     return rounded

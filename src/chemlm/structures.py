@@ -1,23 +1,30 @@
 """Domain types: molecules, crystals, and protein pockets.
 
-All three are point clouds of atoms. Molecules and pockets carry Cartesian
-coordinates in Angstrom; crystals carry fractional coordinates inside a
-periodic lattice. Instances are immutable and validated on construction.
+A structure is its file: one element symbol per atom, held as a tuple,
+and one read-only [n, 3] float64 coordinate array. Molecules and pockets
+hold Cartesian coordinates in Angstrom; crystals hold fractional
+coordinates in [0, 1) plus their `Lattice`; pockets also hold each atom's
+residue code and residue index (1..k, in order of appearance).
+Instances are immutable and validated on construction, in bulk.
 
 Every type names its kind in the class attribute `kind` ("molecule",
-"crystal" or "pocket"; `KINDS` lists them) and exposes the same per-atom
-layout: `labels()` (the atom token: element symbol, or residue-atom
-indicator for pockets), `coords()` (the stored triples) and
-`with_coords(triples)` (a copy with new coordinates).
+"crystal" or "pocket"; `KINDS` lists them) and has the same layout:
+`symbols`, `coords`, `labels` (the atom tokens: element symbols, or
+residue-atom indicators for pockets) and `with_coords(coords)` (a copy
+with new coordinates). Two structures are equal, as a bool, when they
+are of one type and every field holds the same values.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-from .elements import data_rows, get_element
+import numpy as np
+
+from .elements import ELEMENTS, data_rows, get_element
 from .errors import InvalidLatticeError
 
 #: The 20 canonical amino-acid residue codes.
@@ -36,52 +43,95 @@ RESIDUE_ATOMS: dict[str, dict[str, int]] = {
 }
 
 
-def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} has non-finite coordinate {v!r}")
+def _symbols(symbols, empty: str) -> tuple[str, ...]:
+    """`symbols` as a tuple of element symbols; ValueError(`empty`) if none."""
+    symbols = tuple(symbols)
+    if not symbols:
+        raise ValueError(empty)
+    if not ELEMENTS.keys() >= set(symbols):
+        get_element(next(s for s in symbols if s not in ELEMENTS))  # raises
+    return symbols
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One atom of a molecule: element symbol plus Cartesian position (A)."""
-
-    symbol: str
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        get_element(self.symbol)
-        _require_finite("atom", self.x, self.y, self.z)
+def _coords(coords, n: int, what: str) -> np.ndarray:
+    """A float64 copy of `coords`, checked to be n finite rows of three."""
+    a = np.array(coords, dtype=np.float64)
+    if a.shape != (n, 3):
+        raise ValueError(f"{what} coordinates must have shape ({n}, 3), got {a.shape}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError(f"{what} has non-finite coordinate {float(a[~finite][0])!r}")
+    return a
 
 
-@dataclass(frozen=True)
-class Molecule:
-    kind: ClassVar[str] = "molecule"
-    atoms: tuple[Atom, ...]
+def wrap_frac(f: np.ndarray) -> np.ndarray:
+    """Fractional coordinates wrapped into [0, 1), elementwise and in place.
 
-    def __post_init__(self):
-        if not isinstance(self.atoms, tuple):
-            object.__setattr__(self, "atoms", tuple(self.atoms))
-        if len(self.atoms) == 0:
-            raise ValueError("a molecule needs at least one atom")
+    Each value becomes f - floor(f) with the bits of Python's
+    `f - math.floor(f)`, whose int floor has no negative zero: -0.0 stays -0.0.
+    A value that floor rounding lands exactly on 1.0 becomes 0.0.
+    """
+    floor = np.floor(f)
+    floor += 0.0  # -0.0 -> 0.0
+    f -= floor
+    f[f >= 1.0] = 0.0
+    return f
+
+
+def _text(value) -> str:
+    """The repr of a field, arrays as nested tuples of full-precision floats."""
+    if isinstance(value, np.ndarray):
+        return repr(tuple(map(tuple, value.tolist())) if value.ndim == 2 else tuple(value.tolist()))
+    return repr(value)
+
+
+class _Points:
+    """Equality, repr, length, labels and `with_coords` shared by the structure types."""
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.symbols)
 
-    def symbols(self) -> list[str]:
-        return [a.symbol for a in self.atoms]
-
-    labels = symbols
-
-    def coords(self) -> list[tuple[float, float, float]]:
-        return [(a.x, a.y, a.z) for a in self.atoms]
-
-    def with_coords(self, triples) -> "Molecule":
-        return Molecule(
-            tuple(Atom(a.symbol, x, y, z) for a, (x, y, z) in zip(self.atoms, triples))
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in ((getattr(self, f.name), getattr(other, f.name))
+                         for f in dataclasses.fields(self))
         )
+
+    __hash__ = None
+
+    def _set(self, **fields) -> None:
+        """Store validated fields, arrays read-only."""
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f.name}={_text(getattr(self, f.name))}"
+                           for f in dataclasses.fields(self))
+        return f"{type(self).__name__}({fields})"
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.symbols
+
+    def with_coords(self, coords):
+        """Same atoms (and lattice or residues), new coordinates."""
+        return dataclasses.replace(self, coords=coords)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Molecule(_Points):
+    kind: ClassVar[str] = "molecule"
+    symbols: tuple[str, ...]
+    coords: np.ndarray
+
+    def __post_init__(self):
+        symbols = _symbols(self.symbols, "a molecule needs at least one atom")
+        self._set(symbols=symbols, coords=_coords(self.coords, len(symbols), "atom"))
 
 
 @dataclass(frozen=True)
@@ -126,158 +176,81 @@ class Lattice:
         return (self.a, self.b, self.c, self.alpha, self.beta, self.gamma)
 
 
-def wrap_frac(f: float) -> float:
-    """Wrap a fractional coordinate into [0, 1)."""
-    w = f - math.floor(f)
-    return 0.0 if w >= 1.0 else w  # floor rounding can land exactly on 1.0
+@dataclass(frozen=True, eq=False, repr=False)
+class Crystal(_Points):
+    """Sites in fractional coordinates, wrapped into [0, 1) on construction."""
 
-
-@dataclass(frozen=True)
-class Site:
-    """One crystal site: element symbol plus fractional coordinates in [0, 1)."""
-
-    symbol: str
-    fx: float
-    fy: float
-    fz: float
-
-    def __post_init__(self):
-        get_element(self.symbol)
-        _require_finite("site", self.fx, self.fy, self.fz)
-        object.__setattr__(self, "fx", wrap_frac(self.fx))
-        object.__setattr__(self, "fy", wrap_frac(self.fy))
-        object.__setattr__(self, "fz", wrap_frac(self.fz))
-
-
-@dataclass(frozen=True)
-class Crystal:
     kind: ClassVar[str] = "crystal"
     lattice: Lattice
-    sites: tuple[Site, ...]
+    symbols: tuple[str, ...]
+    coords: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.sites, tuple):
-            object.__setattr__(self, "sites", tuple(self.sites))
-        if len(self.sites) == 0:
-            raise ValueError("a crystal needs at least one site")
-
-    def __len__(self) -> int:
-        return len(self.sites)
-
-    def symbols(self) -> list[str]:
-        return [s.symbol for s in self.sites]
-
-    labels = symbols
-
-    def coords(self) -> list[tuple[float, float, float]]:
-        """Fractional coordinates, one triple per site."""
-        return [(s.fx, s.fy, s.fz) for s in self.sites]
-
-    def with_coords(self, triples) -> "Crystal":
-        """Same lattice, new fractional coordinates (wrapped into [0, 1))."""
-        return Crystal(
-            self.lattice,
-            tuple(Site(s.symbol, x, y, z) for s, (x, y, z) in zip(self.sites, triples)),
-        )
+        symbols = _symbols(self.symbols, "a crystal needs at least one site")
+        self._set(symbols=symbols, coords=wrap_frac(_coords(self.coords, len(symbols), "site")))
 
 
-@dataclass(frozen=True)
-class PocketAtom:
-    """One pocket atom: residue-atom indicator plus Cartesian position (A).
+@dataclass(frozen=True, eq=False, repr=False)
+class Pocket(_Points):
+    """Heavy atoms grouped into residues.
 
-    `residue` is a canonical 3-letter code and `residue_index` groups atoms
-    into residues (1-based, consecutive in file order).
+    `residues` holds each atom's canonical 3-letter code and
+    `residue_index` each atom's residue number. The atoms of one residue
+    are contiguous; construction renumbers the residues 1..k in order of
+    appearance.
     """
 
-    residue: str
-    element: str
-    residue_index: int
-    x: float
-    y: float
-    z: float
+    kind: ClassVar[str] = "pocket"
+    symbols: tuple[str, ...]
+    residues: tuple[str, ...]
+    residue_index: np.ndarray
+    coords: np.ndarray
 
     def __post_init__(self):
-        if self.residue not in CANONICAL_RESIDUES:
-            raise ValueError(f"non-canonical residue code: {self.residue!r}")
-        get_element(self.element)
-        _require_finite("pocket atom", self.x, self.y, self.z)
+        residues = tuple(self.residues)
+        if not CANONICAL_RESIDUES >= set(residues):
+            code = next(r for r in residues if r not in CANONICAL_RESIDUES)
+            raise ValueError(f"non-canonical residue code: {code!r}")
+        symbols = _symbols(self.symbols, "a pocket needs at least one residue")
+        n = len(symbols)
+        index = np.array(self.residue_index, dtype=np.int64)
+        if len(residues) != n or index.shape != (n,):
+            raise ValueError(f"a pocket of {n} atoms needs {n} residue codes and indices")
+        self._set(symbols=symbols, residues=residues, residue_index=_renumber(index, residues),
+                  coords=_coords(self.coords, n, "pocket atom"))
 
     @property
-    def indicator(self) -> str:
-        """Combined residue-element indicator, e.g. "CYS-S"."""
-        return f"{self.residue}-{self.element}"
+    def labels(self) -> tuple[str, ...]:
+        """Combined residue-element indicators, e.g. "CYS-S"."""
+        return tuple(map("{}-{}".format, self.residues, self.symbols))
 
-
-@dataclass(frozen=True)
-class Pocket:
-    kind: ClassVar[str] = "pocket"
-    atoms: tuple[PocketAtom, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.atoms, tuple):
-            object.__setattr__(self, "atoms", tuple(self.atoms))
-        if len(self.atoms) == 0:
-            raise ValueError("a pocket needs at least one residue")
-        # Renumber residues 1..k in order of appearance; reject interleaving
-        # and one index spanning two residue codes.
-        codes: dict[int, str] = {}
-        renumbered = []
-        last_orig = None
-        for atom in self.atoms:
-            orig = atom.residue_index
-            if orig != last_orig:
-                if orig in codes:
-                    raise ValueError(
-                        f"residue index {orig} is not contiguous in the atom list"
-                    )
-                codes[orig] = atom.residue
-                last_orig = orig
-            elif codes[orig] != atom.residue:
-                raise ValueError(
-                    f"residue index {orig} mixes codes "
-                    f"{codes[orig]} and {atom.residue}"
-                )
-            new_index = len(codes)
-            if new_index != orig:
-                atom = PocketAtom(
-                    atom.residue, atom.element, new_index, atom.x, atom.y, atom.z
-                )
-            renumbered.append(atom)
-        object.__setattr__(self, "atoms", tuple(renumbered))
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-    def residues(self) -> list[tuple[str, list[PocketAtom]]]:
-        """Group atoms by residue, in order of appearance."""
-        groups: list[tuple[str, list[PocketAtom]]] = []
-        for atom in self.atoms:
-            if groups and groups[-1][1][-1].residue_index == atom.residue_index:
-                groups[-1][1].append(atom)
-            else:
-                groups.append((atom.residue, [atom]))
-        return groups
+    def residue_spans(self) -> list[tuple[int, int]]:
+        """The (start, stop) atom range of each residue, in order."""
+        starts = np.flatnonzero(np.diff(self.residue_index, prepend=0)).tolist()
+        return list(zip(starts, starts[1:] + [len(self)]))
 
     def n_residues(self) -> int:
-        return len({a.residue_index for a in self.atoms})
+        return int(self.residue_index[-1])
 
-    def symbols(self) -> list[str]:
-        return [a.element for a in self.atoms]
 
-    def labels(self) -> list[str]:
-        return [a.indicator for a in self.atoms]
-
-    def coords(self) -> list[tuple[float, float, float]]:
-        return [(a.x, a.y, a.z) for a in self.atoms]
-
-    def with_coords(self, triples) -> "Pocket":
-        """Same residues and numbering, new Cartesian coordinates."""
-        return Pocket(
-            tuple(
-                PocketAtom(a.residue, a.element, a.residue_index, x, y, z)
-                for a, (x, y, z) in zip(self.atoms, triples)
-            )
-        )
+def _renumber(index: np.ndarray, codes: tuple[str, ...]) -> np.ndarray:
+    """Residue numbers 1..k in order of appearance for the per-atom
+    `index`, rejecting an index that recurs after another one and one
+    index spanning two residue codes; the first offending atom decides."""
+    new = np.empty(len(index), dtype=bool)
+    new[0] = True
+    np.not_equal(index[1:], index[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    _, first = np.unique(index[starts], return_index=True)
+    recurring = np.delete(starts, first)  # runs whose index an earlier run had
+    code = np.array(codes)
+    mixing = np.flatnonzero(~new[1:] & (code[1:] != code[:-1])) + 1
+    if recurring.size and not (mixing.size and mixing[0] < recurring[0]):
+        raise ValueError(f"residue index {index[recurring[0]]} is not contiguous in the atom list")
+    if mixing.size:
+        i = mixing[0]
+        raise ValueError(f"residue index {index[i]} mixes codes {codes[i - 1]} and {codes[i]}")
+    return np.cumsum(new)
 
 
 Structure = Union[Molecule, Crystal, Pocket]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .augment import random_rotation
 from .metrics.bonds import molecule_validity
-from .structures import RESIDUE_ATOMS, Atom, Crystal, Lattice, Molecule, Pocket, PocketAtom, Site
+from .structures import RESIDUE_ATOMS, Crystal, Lattice, Molecule, Pocket
 
 BOND_CC = 1.54
 BOND_CH = 1.09
@@ -118,11 +118,7 @@ def synth_molecule(rng: np.random.Generator) -> Molecule:
         coords = coords + rng.uniform(-0.03, 0.03, size=coords.shape)
         R = random_rotation(rng)
         coords = coords @ R.T
-        mol = Molecule(
-            atoms=[
-                Atom(el, p[0], p[1], p[2]) for (el, _), p in zip(atoms, coords)
-            ]
-        )
+        mol = Molecule([el for el, _ in atoms], coords)
         if molecule_validity(mol):
             return mol
     raise RuntimeError("molecule generator failed to produce a valid structure")
@@ -139,14 +135,8 @@ def synth_perovskite(rng: np.random.Generator) -> Crystal:
         x_el = "F"
     a = round(float(rng.uniform(3.8, 4.6)), 2)
     lattice = Lattice(a=a, b=a, c=a, alpha=90.0, beta=90.0, gamma=90.0)
-    sites = [
-        Site(a_el, 0.0, 0.0, 0.0),
-        Site(b_el, 0.5, 0.5, 0.5),
-        Site(x_el, 0.5, 0.5, 0.0),
-        Site(x_el, 0.5, 0.0, 0.5),
-        Site(x_el, 0.0, 0.5, 0.5),
-    ]
-    return Crystal(lattice=lattice, sites=sites)
+    coords = [(0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5)]
+    return Crystal(lattice, (a_el, b_el, x_el, x_el, x_el), coords)
 
 
 def synth_pocket(rng: np.random.Generator, n_residues=None) -> Pocket:
@@ -170,8 +160,8 @@ def synth_pocket(rng: np.random.Generator, n_residues=None) -> Pocket:
                     if all(np.linalg.norm(p - q) > 0.6 for q in placed):
                         break
                 placed.append(p)
-                atoms.append(PocketAtom(code, element, ridx, p[0], p[1], p[2]))
-    return Pocket(atoms=atoms)
+                atoms.append((element, code, ridx, p))
+    return Pocket(*zip(*atoms))
 
 
 def synth_corpus(kind: str, n: int, seed: int, **kwargs) -> list:

@@ -19,21 +19,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..elements import MULTI_LETTER_SYMBOLS
 from ..errors import ConfigError, DecodeError, ParseError
 from ..formats import FileDocument, parse_document, write_structure
 from ..rounding import coords_text, fmt_fixed, round_coords
-from ..structures import (
-    RESIDUE_ATOMS,
-    Atom,
-    Crystal,
-    Lattice,
-    Molecule,
-    Pocket,
-    PocketAtom,
-    Site,
-    Structure,
-)
+from ..structures import RESIDUE_ATOMS, Crystal, Lattice, Molecule, Pocket, Structure
 from .scheme import ATOM_COORD, CHAR, Scheme
 from .vocab import Vocabulary, make_vocabulary
 
@@ -85,7 +77,7 @@ def atom_coord_tokens(structure: Structure, scheme: Scheme) -> list[str]:
     """ATOM_COORD-scheme token strings (4 per atom, lattice first for crystals)."""
     cell, triples = coords_text(structure, scheme.precision)
     tokens = list(cell)
-    for label, xyz in zip(structure.labels(), triples):
+    for label, xyz in zip(structure.labels, triples):
         tokens.append(label)
         tokens.extend(xyz)
     return tokens
@@ -99,8 +91,8 @@ def content_tokens(structure: Structure, scheme: Scheme) -> list[str]:
 
 def _dense_coordinate_tokens(corpus, precision: int) -> set[str]:
     """Every fixed-precision string between the observed min and max."""
-    values = [v for s in corpus for xyz in s.coords() for v in xyz]
-    lo, hi = min(values), max(values)
+    lo = min(float(s.coords.min()) for s in corpus)
+    hi = max(float(s.coords.max()) for s in corpus)
     step = 10 ** -precision
     count = round((hi - lo) / step) + 1
     if count > 50_000:
@@ -227,17 +219,17 @@ def _decode_atom_coord(content: tuple[int, ...], vocab: Vocabulary) -> Structure
 
     coord = vocab.coord_values
     heads = [vocab.atom_values[i] for i in body[0::4]]
-    xs = [coord[i] for i in body[1::4]]
-    ys = [coord[i] for i in body[2::4]]
-    zs = [coord[i] for i in body[3::4]]
-    if None in heads or None in xs or None in ys or None in zs:
+    xyz = [[coord[i] for i in body[1::4]], [coord[i] for i in body[2::4]],
+           [coord[i] for i in body[3::4]]]
+    if None in heads or any(None in axis for axis in xyz):
         raise _first_group_error(body, pos, vocab)
 
+    coords = np.array(xyz).T
     if kind == "molecule":
-        return Molecule(tuple(map(Atom, heads, xs, ys, zs)))
+        return Molecule(heads, coords)
     if kind == "crystal":
-        return Crystal(lattice, tuple(map(Site, heads, xs, ys, zs)))
-    return _assemble_pocket(heads, xs, ys, zs)
+        return Crystal(lattice, heads, coords)
+    return _assemble_pocket(heads, coords)
 
 
 def _first_group_error(body, pos: int, vocab: Vocabulary) -> DecodeError:
@@ -287,18 +279,18 @@ def _read_lattice(content, vocab: Vocabulary) -> Lattice:
         raise DecodeError("invalid_lattice", 6, str(exc)) from exc
 
 
-def _assemble_pocket(indicators, xs, ys, zs) -> Pocket:
+def _assemble_pocket(indicators, coords) -> Pocket:
     """Rebuild residue boundaries from an indicator/coordinate stream.
 
     A new residue starts when the residue code changes or when adding the
     atom would exceed the code's composition from the residue table; for
     table-complete pockets this reconstruction is exact.
     """
-    built = []
+    indices = []
     index = 0
     code = None
     counts: dict[str, int] = {}
-    for (residue, element), x, y, z in zip(indicators, xs, ys, zs):
+    for residue, element in indicators:
         target = RESIDUE_ATOMS[residue]
         boundary = (
             residue != code
@@ -309,5 +301,6 @@ def _assemble_pocket(indicators, xs, ys, zs) -> Pocket:
             code = residue
             counts = {}
         counts[element] = counts.get(element, 0) + 1
-        built.append(PocketAtom(residue, element, index, x, y, z))
-    return Pocket(tuple(built))
+        indices.append(index)
+    residues, symbols = zip(*indicators)
+    return Pocket(symbols, residues, indices, coords)

@@ -5,7 +5,7 @@ import pytest
 
 from chemlm.errors import InvalidLatticeError
 from chemlm.structures import (
-    RESIDUE_ATOMS, Atom, Crystal, Lattice, Molecule, Pocket, PocketAtom, Site,
+    RESIDUE_ATOMS, Crystal, Lattice, Molecule, Pocket,
 )
 
 MOLECULE_ELEMENTS = ["C", "N", "O", "H", "S", "P", "F", "Cl", "Br", "Si", "Se"]
@@ -23,12 +23,12 @@ def pytest_configure(config):
 
 def random_molecule(rng: np.random.Generator) -> Molecule:
     n = int(rng.integers(1, 13))
-    atoms = []
+    symbols = []
+    coords = []
     for _ in range(n):
-        el = str(rng.choice(MOLECULE_ELEMENTS))
-        x, y, z = rng.uniform(-9.99, 9.99, size=3)
-        atoms.append(Atom(el, float(x), float(y), float(z)))
-    return Molecule(atoms=atoms)
+        symbols.append(str(rng.choice(MOLECULE_ELEMENTS)))
+        coords.append(rng.uniform(-9.99, 9.99, size=3))
+    return Molecule(symbols, coords)
 
 
 def random_lattice(rng: np.random.Generator) -> Lattice:
@@ -43,11 +43,12 @@ def random_lattice(rng: np.random.Generator) -> Lattice:
 
 def random_crystal(rng: np.random.Generator) -> Crystal:
     n = int(rng.integers(1, 9))
-    sites = [
-        Site(str(rng.choice(CRYSTAL_ELEMENTS)), *(float(v) for v in rng.random(3)))
-        for _ in range(n)
-    ]
-    return Crystal(lattice=random_lattice(rng), sites=sites)
+    symbols = []
+    coords = []
+    for _ in range(n):
+        symbols.append(str(rng.choice(CRYSTAL_ELEMENTS)))
+        coords.append(rng.random(3))
+    return Crystal(random_lattice(rng), symbols, coords)
 
 
 def random_pocket(rng: np.random.Generator, n_residues=None) -> Pocket:
@@ -55,15 +56,26 @@ def random_pocket(rng: np.random.Generator, n_residues=None) -> Pocket:
     codes = sorted(RESIDUE_ATOMS)
     if n_residues is None:
         n_residues = int(rng.integers(2, 6))
-    atoms = []
+    symbols = []
+    residues = []
+    indices = []
+    coords = []
     for ridx in range(1, n_residues + 1):
         code = str(rng.choice(codes))
         center = rng.uniform(-20.0, 20.0, size=3)
         for element, count in sorted(RESIDUE_ATOMS[code].items()):
             for _ in range(count):
-                p = center + rng.uniform(-1.5, 1.5, size=3)
-                atoms.append(PocketAtom(code, element, ridx, float(p[0]), float(p[1]), float(p[2])))
-    return Pocket(atoms=atoms)
+                symbols.append(element)
+                residues.append(code)
+                indices.append(ridx)
+                coords.append(center + rng.uniform(-1.5, 1.5, size=3))
+    return Pocket(symbols, residues, indices, coords)
+
+
+def pocket_of(rows) -> Pocket:
+    """A pocket from (code, element, index, (x, y, z)) rows."""
+    codes, elements, indices, coords = zip(*rows)
+    return Pocket(elements, codes, indices, coords)
 
 
 def random_structure(rng: np.random.Generator, kind: str):

@@ -1,4 +1,4 @@
-"""The algorithms that four plainer ones in `src/` replaced.
+"""The algorithms that plainer or faster ones in `src/` replaced.
 
 Each gives the same answer as its replacement on every input, by a
 longer route; the property tests hold the replacements to them:
@@ -13,12 +13,20 @@ longer route; the property tests hold the replacements to them:
 * `reference_segment_chars`: a greedy character loop
   (`tokenize.codec.segment_chars` takes one regular-expression pass);
 * `reference_residue_indices`: pocket renumbering with a second dict of
-  new indices (`structures.Pocket` keeps one dict of codes).
+  new indices (`structures.Pocket` renumbers the index array in bulk);
+* `reference_wrap_frac`: one fractional coordinate wrapped into [0, 1)
+  (`structures.wrap_frac` wraps a whole array);
+* `reference_prune_pocket`: recomputes every remaining residue's
+  centroid distance on each removal (`formats.prune_pocket` computes
+  each once).
 """
 
+import math
 from fractions import Fraction
 
 from chemlm.elements import MULTI_LETTER_SYMBOLS
+from chemlm.formats import PruneResult
+from chemlm.structures import Pocket
 from chemlm.metrics.crystals import OXIDATION_STATES
 from chemlm.metrics.verdict import Verdict
 
@@ -111,3 +119,38 @@ def reference_residue_indices(residues) -> list[int]:
         last_orig = orig
         renumbered.append(new_index)
     return renumbered
+
+
+def reference_wrap_frac(f: float) -> float:
+    w = f - math.floor(f)
+    return 0.0 if w >= 1.0 else w  # floor rounding can land exactly on 1.0
+
+
+def reference_prune_pocket(pocket, center, target_atoms) -> PruneResult:
+    """`prune_pocket` for a pocket at or above the range minimum."""
+    lo, hi = target_atoms
+    cx, cy, cz = (float(v) for v in center)
+    groups = {}
+    for k, index in enumerate(pocket.residue_index.tolist()):
+        groups.setdefault(index, []).append(k)
+    xyz = pocket.coords.tolist()
+
+    def distance(index: int) -> float:
+        members = groups[index]
+        mx = sum(xyz[k][0] for k in members) / len(members)
+        my = sum(xyz[k][1] for k in members) / len(members)
+        mz = sum(xyz[k][2] for k in members) / len(members)
+        return math.sqrt((mx - cx) ** 2 + (my - cy) ** 2 + (mz - cz) ** 2)
+
+    removed = 0
+    count = len(pocket)
+    while count > hi and len(groups) > 1:
+        index = max(groups, key=lambda i: (distance(i), i))
+        count -= len(groups.pop(index))
+        removed += 1
+        if count < lo:
+            break
+    kept = [k for members in groups.values() for k in members]
+    kept_pocket = Pocket([pocket.symbols[k] for k in kept], [pocket.residues[k] for k in kept],
+                         pocket.residue_index[kept], pocket.coords[kept])
+    return PruneResult(kept_pocket, removed, False)

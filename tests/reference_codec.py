@@ -12,7 +12,7 @@ import re
 
 from chemlm.elements import is_element
 from chemlm.errors import DecodeError
-from chemlm.structures import CANONICAL_RESIDUES, Atom, Crystal, Lattice, Molecule, Site
+from chemlm.structures import CANONICAL_RESIDUES, Crystal, Lattice, Molecule
 from chemlm.tokenize.codec import _assemble_pocket, _decode_char
 from chemlm.tokenize.scheme import CHAR
 
@@ -93,10 +93,10 @@ def _decode_atom_coord(tokens, vocab):
         coords.append(_read_group_coords(body, g, pos, coord_re))
 
     if kind == "molecule":
-        return Molecule(tuple(Atom(sym, *xyz) for sym, xyz in zip(heads, coords)))
+        return Molecule(heads, coords)
     if kind == "crystal":
-        return Crystal(lattice, tuple(Site(sym, *xyz) for sym, xyz in zip(heads, coords)))
-    return _assemble_pocket(heads, *zip(*coords))
+        return Crystal(lattice, heads, coords)
+    return _assemble_pocket(heads, coords)
 
 
 def _read_group_coords(body, g, pos, coord_re):

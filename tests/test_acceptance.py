@@ -35,7 +35,7 @@ from chemlm.metrics.pockets import pocket_overlap_check, pocket_residue_check
 from chemlm.model import ModelConfig, init_params, load_checkpoint, loss_and_grads
 from chemlm.rounding import round_coords
 from chemlm.sampling import SampleConfig, sample_from_checkpoint
-from chemlm.structures import Crystal, Lattice, Pocket, Site
+from chemlm.structures import Crystal, Lattice, Pocket
 from chemlm.synth import synth_corpus
 from chemlm.tokenize import ATOM_COORD, CHAR, Scheme, build_vocab, decode, encode
 from chemlm.training import TrainConfig, train
@@ -235,8 +235,8 @@ def test_criterion_04_distribution():
 def test_criterion_05_crystal_threshold():
     lat = Lattice(10.0, 10.0, 10.0, 90.0, 90.0, 90.0)
     problems = []
-    close = Crystal(lat, [Site("Na", 0.0, 0.0, 0.0), Site("Cl", 0.04, 0.0, 0.0)])
-    apart = Crystal(lat, [Site("Na", 0.0, 0.0, 0.0), Site("Cl", 0.06, 0.0, 0.0)])
+    close = Crystal(lat, ["Na", "Cl"], [(0.0, 0.0, 0.0), (0.04, 0.0, 0.0)])
+    apart = Crystal(lat, ["Na", "Cl"], [(0.0, 0.0, 0.0), (0.06, 0.0, 0.0)])
     if crystal_structural_validity(close).valid:
         problems.append("sites 0.4 A apart were judged valid")
     if not crystal_structural_validity(apart).valid:
@@ -352,9 +352,9 @@ def test_criterion_08_rotation():
     pockets = synth_corpus("pocket", 25, seed=802)
     worst_dist, worst_cent = 0.0, 0.0
     for s in molecules + pockets:
-        pos = ([(a.x, a.y, a.z) for a in s.atoms])
+        pos = s.coords
         rotated = rotate_about_center(s, random_rotation(rng))
-        pos_r = [(a.x, a.y, a.z) for a in rotated.atoms]
+        pos_r = rotated.coords
         before = np.sort(pairwise_distances(pos)[np.triu_indices(len(pos), k=1)])
         after = np.sort(pairwise_distances(pos_r)[np.triu_indices(len(pos), k=1)])
         worst_dist = max(worst_dist, float(np.max(np.abs(before - after))) if len(before) else 0.0)
@@ -408,25 +408,22 @@ def test_criterion_09_pocket_checks():
     if not pocket_overlap_check(pocket).valid:
         problems.append("intact pocket failed the overlap check")
 
-    victim = pocket.atoms[len(pocket.atoms) // 2]
-    removed = Pocket(tuple(a for a in pocket.atoms if a is not victim))
+    victim = len(pocket) // 2
+    rest = [k for k in range(len(pocket)) if k != victim]
+    removed = Pocket([pocket.symbols[k] for k in rest], [pocket.residues[k] for k in rest],
+                     pocket.residue_index[rest], pocket.coords[rest])
     ok, reasons = pocket_residue_check(removed)
-    wanted = f"{victim.residue}@{victim.residue_index}"
+    wanted = f"{pocket.residues[victim]}@{pocket.residue_index[victim]}"
+    element = pocket.symbols[victim]
     if ok:
         problems.append("pocket with a deleted atom passed the residue check")
-    elif not any(wanted in r and f"missing {victim.element}" in r for r in reasons):
-        problems.append(f"no reason named {wanted} missing {victim.element}: {reasons}")
+    elif not any(wanted in r and f"missing {element}" in r for r in reasons):
+        problems.append(f"no reason named {wanted} missing {element}: {reasons}")
 
-    anchor = pocket.atoms[0]
-    moved_atoms = list(pocket.atoms)
-    for i, a in enumerate(moved_atoms):
-        if a.residue_index != anchor.residue_index:
-            moved_atoms[i] = type(a)(
-                a.residue, a.element, a.residue_index,
-                anchor.x + 0.8, anchor.y, anchor.z,
-            )
-            break
-    moved = Pocket(tuple(moved_atoms))
+    coords = pocket.coords.copy()
+    i = int(np.flatnonzero(pocket.residue_index != pocket.residue_index[0])[0])
+    coords[i] = coords[0] + (0.8, 0.0, 0.0)
+    moved = pocket.with_coords(coords)
     verdict = pocket_overlap_check(moved)
     if verdict.valid:
         problems.append("pocket with an atom 0.8 A from another residue passed overlap")

@@ -17,7 +17,7 @@ from chemlm.augment import (
 from chemlm.formats import FileDocument, parse_document, write_structure
 from chemlm.geometry import centroid, pairwise_distances
 from chemlm.rounding import round_coords
-from chemlm.structures import Atom, Crystal, Lattice, Molecule, Pocket, PocketAtom, Site
+from chemlm.structures import Crystal, Lattice, Molecule, Pocket
 from chemlm.synth import synth_corpus
 from chemlm.tokenize import ATOM_COORD, CHAR, Scheme, TokenSequence, build_vocab, decode, encode
 from chemlm.training import TrainConfig, augmented_ids
@@ -60,14 +60,14 @@ class TestRotateAboutCenter:
     def test_identity_is_fixed_point(self, rng):
         m = random_molecule(rng)
         out = rotate_about_center(m, np.eye(3))
-        for a, b in zip(m.atoms, out.atoms):
-            assert (a.x, a.y, a.z) == pytest.approx((b.x, b.y, b.z), abs=1e-12)
+        for a, b in zip(m.coords.tolist(), out.coords.tolist()):
+            assert a == pytest.approx(b, abs=1e-12)
 
     def test_quarter_turn_about_z(self):
-        m = Molecule([Atom("C", 1, 0, 0), Atom("C", -1, 0, 0)])
+        m = Molecule(["C", "C"], [(1, 0, 0), (-1, 0, 0)])
         r = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         out = rotate_about_center(m, r)
-        got = sorted((round(a.x, 9), round(a.y, 9), round(a.z, 9)) for a in out.atoms)
+        got = sorted((round(x, 9), round(y, 9), round(z, 9)) for x, y, z in out.coords.tolist())
         assert got == [(-0.0, -1.0, 0.0), (0.0, 1.0, 0.0)] or got == [
             (0.0, -1.0, 0.0),
             (0.0, 1.0, 0.0),
@@ -80,8 +80,8 @@ class TestRotateAboutCenter:
                 continue
             out = rotate_about_center(m, random_rotation(rng))
             np.testing.assert_allclose(
-                sorted_distance_multiset(out.coords()),
-                sorted_distance_multiset(m.coords()),
+                sorted_distance_multiset(out.coords),
+                sorted_distance_multiset(m.coords),
                 atol=1e-9,
             )
 
@@ -90,7 +90,7 @@ class TestRotateAboutCenter:
             m = random_molecule(rng)
             out = rotate_about_center(m, random_rotation(rng))
             np.testing.assert_allclose(
-                centroid(out.coords()), centroid(m.coords()), atol=1e-9
+                centroid(out.coords), centroid(m.coords), atol=1e-9
             )
 
     def test_composition_of_rotations(self, rng):
@@ -99,19 +99,19 @@ class TestRotateAboutCenter:
         once = rotate_about_center(rotate_about_center(m, r1), r2)
         both = rotate_about_center(m, r2 @ r1)
         np.testing.assert_allclose(
-            np.array(once.coords()), np.array(both.coords()), atol=1e-9
+            once.coords, both.coords, atol=1e-9
         )
 
     def test_elements_preserved(self, rng):
         m = random_molecule(rng)
         out = rotate_about_center(m, random_rotation(rng))
-        assert out.symbols() == m.symbols()
+        assert out.symbols == m.symbols
 
     def test_pocket_rotation_keeps_residues(self, rng):
         p = random_structure(rng, "pocket")
         out = rotate_about_center(p, random_rotation(rng))
-        assert [a.indicator for a in out.atoms] == [a.indicator for a in p.atoms]
-        assert [a.residue_index for a in out.atoms] == [a.residue_index for a in p.atoms]
+        assert out.labels == p.labels
+        assert out.residue_index.tolist() == p.residue_index.tolist()
 
     def test_crystal_rejected(self, rng):
         c = random_structure(rng, "crystal")
@@ -121,17 +121,10 @@ class TestRotateAboutCenter:
 
 class TestShiftOrigin:
     def test_shift_wraps_mod_one(self):
-        c = Crystal(
-            Lattice(4, 4, 4, 90, 90, 90),
-            [Site("Na", 0.8, 0.5, 0.1), Site("Cl", 0.3, 0.0, 0.9)],
-        )
+        c = Crystal(Lattice(4, 4, 4, 90, 90, 90), ["Na", "Cl"], [(0.8, 0.5, 0.1), (0.3, 0.0, 0.9)])
         out = shift_origin(c, (0.5, 0.5, 0.5))
-        assert (out.sites[0].fx, out.sites[0].fy, out.sites[0].fz) == pytest.approx(
-            (0.3, 0.0, 0.6)
-        )
-        assert (out.sites[1].fx, out.sites[1].fy, out.sites[1].fz) == pytest.approx(
-            (0.8, 0.5, 0.4)
-        )
+        assert out.coords[0].tolist() == pytest.approx([0.3, 0.0, 0.6])
+        assert out.coords[1].tolist() == pytest.approx([0.8, 0.5, 0.4])
 
     def test_lattice_unchanged(self, rng):
         c = random_structure(rng, "crystal")
@@ -147,14 +140,14 @@ class TestShiftOrigin:
         out = shift_origin(c, tuple(rng.random(3)))
         for i in range(len(c)):
             for j in range(i + 1, len(c)):
-                before = min_image_distance(c.lattice, c.coords()[i], c.coords()[j])
-                after = min_image_distance(out.lattice, out.coords()[i], out.coords()[j])
+                before = min_image_distance(c.lattice, c.coords[i], c.coords[j])
+                after = min_image_distance(out.lattice, out.coords[i], out.coords[j])
                 assert after == pytest.approx(before, abs=1e-9)
 
 
 # a dense vocabulary built with this molecule covers every rotation of a
 # 1.2 A bond at precision 1
-WIDE = Molecule([Atom("C", -2.0, -2.0, -2.0), Atom("O", 2.0, 2.0, 2.0)])
+WIDE = Molecule(["C", "O"], [(-2.0, -2.0, -2.0), (2.0, 2.0, 2.0)])
 
 
 def augment_config(attempts=8, crystal_shift=False):
@@ -173,15 +166,15 @@ class TestAugmentStructure:
     a move whose ids fit the vocabulary and the model context."""
 
     def test_molecule_rotated_within_vocab(self, rng):
-        m = Molecule([Atom("C", 0.0, 0.0, 0.0), Atom("O", 1.2, 0.0, 0.0)])
+        m = Molecule(["C", "O"], [(0.0, 0.0, 0.0), (1.2, 0.0, 0.0)])
         vocab = build_vocab([m, WIDE], Scheme("atom_coord", 1), dense_coordinate_range=True)
         outs = [draw_ids(m, vocab, rng) for _ in range(20)]
         assert any(ids != encode(m, vocab).ids for ids in outs)
         for ids in outs:
-            assert decode(TokenSequence(ids), vocab).symbols() == m.symbols()
+            assert decode(TokenSequence(ids), vocab).symbols == m.symbols
 
     def test_falls_back_to_original_when_vocab_too_tight(self, rng):
-        m = Molecule([Atom("C", 0.0, 0.0, 0.0), Atom("O", 1.2, 0.0, 0.0)])
+        m = Molecule(["C", "O"], [(0.0, 0.0, 0.0), (1.2, 0.0, 0.0)])
         # observed tokens only: almost every rotation leaves the table
         vocab = build_vocab([m], Scheme("atom_coord", 3))
         outs = [draw_ids(m, vocab, rng, attempts=2) for _ in range(10)]
@@ -194,7 +187,7 @@ class TestAugmentStructure:
         vocab = build_vocab([m], Scheme("char", 2))
         # may fall back, but whatever comes out must decode
         ids = draw_ids(m, vocab, rng, attempts=4)
-        assert decode(TokenSequence(ids), vocab).symbols() == m.symbols()
+        assert decode(TokenSequence(ids), vocab).symbols == m.symbols
 
     def test_crystals_unchanged_without_flag(self, rng):
         c = random_structure(rng, "crystal")
@@ -205,7 +198,8 @@ class TestAugmentStructure:
     def test_crystal_shift_flag(self, rng):
         c = Crystal(
             Lattice(4, 4, 4, 90, 90, 90),
-            [Site("Na", 0.25, 0.25, 0.25), Site("Cl", 0.75, 0.75, 0.75)],
+            ["Na", "Cl"],
+            [(0.25, 0.25, 0.25), (0.75, 0.75, 0.75)],
         )
         outs = [augment_structure(c, rng, crystal_shift=True) for _ in range(10)]
         assert any(o != c for o in outs)
@@ -213,7 +207,7 @@ class TestAugmentStructure:
             assert o.lattice == c.lattice
 
     def test_deterministic_for_fixed_rng(self):
-        m = Molecule([Atom("C", 0.0, 0.0, 0.0), Atom("O", 1.2, 0.0, 0.0)])
+        m = Molecule(["C", "O"], [(0.0, 0.0, 0.0), (1.2, 0.0, 0.0)])
         a = augment_structure(m, np.random.default_rng(4))
         b = augment_structure(m, np.random.default_rng(4))
         assert a == b
@@ -230,7 +224,7 @@ class TestAugmentStructure:
         monkeypatch.setattr(training, "encode", counting("encode", training.encode))
         monkeypatch.setattr(training, "augment_structure",
                             counting("augment", training.augment_structure))
-        m = Molecule([Atom("C", 0.0, 0.0, 0.0), Atom("O", 1.2, 0.0, 0.0)])
+        m = Molecule(["C", "O"], [(0.0, 0.0, 0.0), (1.2, 0.0, 0.0)])
         tight = build_vocab([m], Scheme("atom_coord", 3))
         wide = build_vocab([m, WIDE], Scheme("atom_coord", 1), dense_coordinate_range=True)
         corpus_ids = encode(m, wide).ids
@@ -243,7 +237,7 @@ class TestAugmentStructure:
             assert calls == {"encode": draws, "augment": draws}
 
     def test_too_tight_vocab_returns_corpus_ids_after_every_attempt(self):
-        m = Molecule([Atom("C", 0.0, 0.0, 0.0), Atom("O", 1.2, 0.0, 0.0)])
+        m = Molecule(["C", "O"], [(0.0, 0.0, 0.0), (1.2, 0.0, 0.0)])
         vocab = build_vocab([m], Scheme("atom_coord", 3))
         corpus_ids = encode(m, vocab).ids
         rng, twin = np.random.default_rng(7), np.random.default_rng(7)
@@ -307,8 +301,8 @@ class TestAugmentDecodedSequence:
                   ("GLY", "N", 2), ("GLY", "O", 2), ("ALA", "N", 3), ("ALA", "C", 3),
                   ("ALA", "C", 3), ("ALA", "C", 3), ("ALA", "O", 3)]
         points = np.round(rng.uniform(-4.0, 4.0, size=(len(layout), 3)), 1)
-        pocket = Pocket(tuple(PocketAtom(code, el, idx, *map(float, p))
-                              for (code, el, idx), p in zip(layout, points)))
+        codes, elements, indices = zip(*layout)
+        pocket = Pocket(elements, codes, indices, points)
         vocab = build_vocab([pocket], Scheme(ATOM_COORD, 1), dense_coordinate_range=True)
         ((same, from_file, from_ids),) = self.ids_of_both_forms([pocket], vocab)
         assert not same

@@ -1184,3 +1184,84 @@ class TestNumericFlagsProperty:
         flags = data.draw(st.dictionaries(st.sampled_from(OTHER_NUMERIC_FLAGS[command]),
                                           st.sampled_from(EXTREMES), min_size=2, max_size=3))
         self.check(pipeline, str(tmp_path_factory.mktemp(command)), command, flags)
+
+
+class TestOutputNames:
+    """Every file a command lists in its manifest matches one of that
+    command's `_OUTPUT_NAMES`, so no output escapes stale-output removal."""
+
+    def test_every_command_writes_only_its_names(self, pipeline):
+        import fnmatch
+
+        from chemlm.cli import _OUTPUT_NAMES
+
+        commands = {"synth": "synth", "prepare": "prepare", "train": "train",
+                    "sample": "sample", "eval_seq": "evaluate", "eval_self": "evaluate",
+                    "report": "report"}
+        seen = set()
+        for directory, command in commands.items():
+            manifest = manifest_of(pipeline[directory])
+            assert manifest["command"] == command and manifest["outputs"]
+            for rel in manifest["outputs"]:
+                assert any(fnmatch.fnmatchcase(rel, p) for p in _OUTPUT_NAMES[command]), \
+                    f"{command} wrote {rel}, which matches none of {_OUTPUT_NAMES[command]}"
+            seen.add(command)
+        assert seen == set(_OUTPUT_NAMES)
+
+
+def run_subprocess(argv, timeout=60):
+    """A fresh `python -m chemlm.cli` run: (exit code, stderr). A run that
+    blocks fails the test at the timeout instead of hanging it."""
+    import subprocess
+    import sys
+
+    import chemlm
+
+    src = os.path.dirname(os.path.dirname(chemlm.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "chemlm.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"chemlm {argv[0]} did not finish within {timeout} s")
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+class TestSpecialFiles:
+    """A command opens no path for hashing that is not a regular file."""
+
+    def synth(self, out):
+        return run_subprocess(["synth", "--kind", "perovskite", "--n", "4", "--seed", "1",
+                               "--out", str(out)])
+
+    def test_dangling_symlink_in_out(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        os.symlink(tmp_path / "missing", out / "dangling")
+        code, err = self.synth(out)
+        assert code == EXIT_OK, err
+        outputs = manifest_of(str(out))["outputs"]
+        assert sorted(outputs) == [f"structures/00000{i}.cif" for i in range(4)]
+
+    def test_fifo_in_out(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        os.mkfifo(out / "pipe")
+        code, err = self.synth(out)
+        assert code == EXIT_OK, err
+        assert sorted(manifest_of(str(out))["outputs"]) == [
+            f"structures/00000{i}.cif" for i in range(4)]
+
+    def test_fifo_in_prepare_input(self, tmp_path):
+        code, err = self.synth(tmp_path / "synth")
+        assert code == EXIT_OK, err
+        structures = tmp_path / "synth" / "structures"
+        plain = tree_hash(str(structures))
+        os.mkfifo(structures / "pipe")
+        code, err = run_subprocess(["prepare", "--input", str(structures), "--scheme",
+                                    "atom_coord", "--precision", "2",
+                                    "--out", str(tmp_path / "prepare")])
+        assert code == EXIT_OK, err
+        manifest = manifest_of(str(tmp_path / "prepare"))
+        assert manifest["n_structures"] == 4 and manifest["input_hash"] == plain

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from chemlm.elements import SYMBOLS
 from chemlm.errors import DecodeError
 from chemlm.rounding import round_coords
-from chemlm.structures import Atom, Crystal, Lattice, Molecule, Site
+from chemlm.structures import Crystal, Lattice, Molecule
 from chemlm.tokenize import (
     SPECIALS,
     Scheme,
@@ -51,7 +51,7 @@ class TestSegmentation:
         assert segment_chars(text) == reference_segment_chars(text)
 
     def test_newline_marker(self):
-        m = Molecule([Atom("C", 0, 0, 0)])
+        m = Molecule(["C"], [(0, 0, 0)])
         toks = char_tokens(m, 2)
         assert "#" in toks
         assert "\n" not in "".join(toks)
@@ -59,12 +59,12 @@ class TestSegmentation:
 
 class TestAtomCoordTokens:
     def test_four_per_atom(self):
-        m = Molecule([Atom("C", 1.005, 0, 0), Atom("H", -1.98, 0, 0)])
+        m = Molecule(["C", "H"], [(1.005, 0, 0), (-1.98, 0, 0)])
         toks = content_tokens(m, Scheme("atom_coord", 2))
         assert toks == ["C", "1.01", "0.00", "0.00", "H", "-1.98", "0.00", "0.00"]
 
     def test_crystal_prepends_lattice_whole(self):
-        c = Crystal(Lattice(4, 4, 4, 90, 90, 90), [Site("Po", 0, 0, 0)])
+        c = Crystal(Lattice(4, 4, 4, 90, 90, 90), ["Po"], [(0, 0, 0)])
         toks = content_tokens(c, Scheme("atom_coord", 2))
         assert toks[:6] == ["4.00", "4.00", "4.00", "90.00", "90.00", "90.00"]
         assert toks[6:] == ["Po", "0.00", "0.00", "0.00"]
@@ -122,7 +122,7 @@ class FixedVocab:
     """One molecule vocabulary shared by the error-path tests."""
 
     def __init__(self):
-        self.mol = Molecule([Atom("C", 1.0, 2.0, 3.0), Atom("O", -1.5, 0.25, 0.75)])
+        self.mol = Molecule(["C", "O"], [(1.0, 2.0, 3.0), (-1.5, 0.25, 0.75)])
         self.scheme = Scheme("atom_coord", 2)
         self.vocab = build_vocab([self.mol], self.scheme)
 
@@ -195,7 +195,7 @@ class TestDecodeErrors:
         assert ei.value.position == 3
 
     def test_char_stream_grammar_violation(self):
-        m = Molecule([Atom("C", 1.0, 0.0, 0.0)])
+        m = Molecule(["C"], [(1.0, 0.0, 0.0)])
         scheme = Scheme("char", 2)
         vocab = build_vocab([m], scheme)
         seq = encode(m, vocab)
@@ -221,7 +221,8 @@ class TestCrystalDecodeErrors:
     def setup_method(self):
         self.xtl = Crystal(
             Lattice(4.0, 4.0, 4.0, 90.0, 90.0, 90.0),
-            [Site("Ca", 0, 0, 0), Site("O", 0.5, 0.5, 0.5)],
+            ["Ca", "O"],
+            [(0, 0, 0), (0.5, 0.5, 0.5)],
         )
 
     def test_truncated_lattice_whole(self):
@@ -259,9 +260,7 @@ class TestPocketAssembly:
         for _ in range(10):
             p = random_structure(rng, "pocket")
             back, _ = roundtrip(p, Scheme("atom_coord", 2))
-            assert [a.residue_index for a in back.atoms] == [
-                a.residue_index for a in p.atoms
-            ]
+            assert back.residue_index.tolist() == p.residue_index.tolist()
 
     def test_unknown_indicator(self):
         # a pocket vocabulary holding tokens that only look like indicators

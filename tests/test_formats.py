@@ -6,7 +6,7 @@ from chemlm.formats.cif import parse_cif, write_cif
 from chemlm.formats.pdb import parse_pdb, write_pdb
 from chemlm.formats.xyz import parse_xyz, write_xyz
 from chemlm.rounding import round_coords
-from chemlm.structures import Atom, Crystal, Lattice, Molecule, Site
+from chemlm.structures import Crystal, Lattice, Molecule
 
 from conftest import random_structure
 
@@ -46,8 +46,8 @@ def line_of(err: ParseError) -> int:
 class TestXyz:
     def test_parse(self):
         m = parse_xyz(WATER_XYZ)
-        assert m.symbols() == ["O", "H", "H"]
-        assert m.atoms[1].x == pytest.approx(0.96)
+        assert m.symbols == ("O", "H", "H")
+        assert m.coords[1, 0] == pytest.approx(0.96)
 
     def test_round_trip_equals_rounding(self, rng):
         for _ in range(30):
@@ -92,7 +92,7 @@ class TestXyz:
             parse_xyz(bad)
 
     def test_writer_emits_fixed_decimals(self):
-        m = Molecule([Atom("C", 1.0, -0.0004, 2.3456)])
+        m = Molecule(["C"], [(1.0, -0.0004, 2.3456)])
         assert write_xyz(m, 3) == "1\n\nC 1.000 0.000 2.346\n"
 
 
@@ -100,7 +100,7 @@ class TestCif:
     def test_parse(self):
         c = parse_cif(SMALL_CIF)
         assert c.lattice.a == pytest.approx(4.0)
-        assert c.symbols() == ["Ca", "Ti"]
+        assert c.symbols == ("Ca", "Ti")
 
     def test_round_trip_equals_rounding(self, rng):
         for _ in range(30):
@@ -142,10 +142,7 @@ class TestCif:
         assert line_of(ei.value) == 6
 
     def test_writer_wraps_fractions(self):
-        c = Crystal(
-            lattice=Lattice(4, 4, 4, 90, 90, 90),
-            sites=[Site("Na", 0.996, 0.5, 0.5)],
-        )
+        c = Crystal(Lattice(4, 4, 4, 90, 90, 90), ["Na"], [(0.996, 0.5, 0.5)])
         # 0.996 rounds to 1.00 at two decimals, which wraps to 0.00
         assert "Na 0.00 0.50 0.50" in write_cif(c, 2)
 
@@ -154,7 +151,7 @@ class TestPdb:
     def test_parse(self):
         p = parse_pdb(SMALL_PDB)
         assert p.n_residues() == 2
-        assert [a.element for a in p.atoms] == ["N", "C", "O"]
+        assert p.symbols == ("N", "C", "O")
 
     def test_round_trip_equals_rounding(self, rng):
         for _ in range(30):
@@ -211,7 +208,7 @@ class TestPdb:
     def test_residues_renumbered_on_read(self):
         shifted = SMALL_PDB.replace("GLY 1", "GLY 4").replace("SER 2", "SER 9")
         p = parse_pdb(shifted)
-        assert [a.residue_index for a in p.atoms] == [1, 1, 2]
+        assert p.residue_index.tolist() == [1, 1, 2]
 
 
 class TestDispatch:

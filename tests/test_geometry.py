@@ -13,7 +13,7 @@ from chemlm.geometry import (
     molecular_weight,
     pairwise_distances,
 )
-from chemlm.structures import Atom, Lattice, Molecule
+from chemlm.structures import Lattice, Molecule
 
 from conftest import random_lattice
 
@@ -181,11 +181,11 @@ class TestKabsch:
 
 class TestScalarProperties:
     def test_water_weight(self):
-        mol = Molecule([Atom("O", 0, 0, 0), Atom("H", 0.96, 0, 0), Atom("H", -0.24, 0.93, 0)])
+        mol = Molecule(["O", "H", "H"], [(0, 0, 0), (0.96, 0, 0), (-0.24, 0.93, 0)])
         assert molecular_weight(mol) == pytest.approx(18.015, abs=1e-3)
 
     def test_single_carbon(self):
-        assert molecular_weight(Molecule([Atom("C", 0, 0, 0)])) == pytest.approx(12.011, abs=1e-3)
+        assert molecular_weight(Molecule(["C"], [(0, 0, 0)])) == pytest.approx(12.011, abs=1e-3)
 
     def test_centroid(self):
         assert np.allclose(centroid([(0, 0, 0), (2, 0, 0)]), (1, 0, 0))
@@ -194,13 +194,10 @@ class TestScalarProperties:
         )
 
     def test_density_uses_cell_volume(self):
-        from chemlm.structures import Crystal, Site
+        from chemlm.structures import Crystal
 
         # one Na + one Cl in a 5 A cube: (22.99 + 35.45) amu / 125 A^3
-        xtl = Crystal(
-            lattice=Lattice(5, 5, 5, 90, 90, 90),
-            sites=[Site("Na", 0, 0, 0), Site("Cl", 0.5, 0.5, 0.5)],
-        )
+        xtl = Crystal(Lattice(5, 5, 5, 90, 90, 90), ["Na", "Cl"], [(0, 0, 0), (0.5, 0.5, 0.5)])
         expected = (22.99 + 35.45) * 1.66053907 / 125.0
         assert crystal_density(xtl) == pytest.approx(expected, rel=1e-4)
 

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import MOLECULE_ELEMENTS, random_crystal, random_molecule, random_pocket
+from conftest import MOLECULE_ELEMENTS, pocket_of, random_crystal, random_molecule, random_pocket
 from reference_algorithms import reference_charge_neutrality
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,13 +44,10 @@ from chemlm.synth import synth_perovskite
 from chemlm.structures import (
     CANONICAL_RESIDUES,
     RESIDUE_ATOMS,
-    Atom,
     Crystal,
     Lattice,
     Molecule,
     Pocket,
-    PocketAtom,
-    Site,
 )
 
 TET = 1.0 / math.sqrt(3.0)
@@ -59,26 +56,19 @@ TET = 1.0 / math.sqrt(3.0)
 def methane():
     d = 1.09 * TET
     return Molecule(
-        [
-            Atom("C", 0, 0, 0),
-            Atom("H", d, d, d),
-            Atom("H", d, -d, -d),
-            Atom("H", -d, d, -d),
-            Atom("H", -d, -d, d),
-        ]
+        ["C", "H", "H", "H", "H"],
+        [(0, 0, 0), (d, d, d), (d, -d, -d), (-d, d, -d), (-d, -d, d)],
     )
 
 
 def water():
-    return Molecule(
-        [Atom("O", 0, 0, 0), Atom("H", 0.96, 0, 0), Atom("H", -0.24, 0.93, 0)]
-    )
+    return Molecule(["O", "H", "H"], [(0, 0, 0), (0.96, 0, 0), (-0.24, 0.93, 0)])
 
 
 def reference_perceive_bonds(molecule):
     """Pair-by-pair bond perception, the order perceive_bonds must keep."""
-    d = pairwise_distances(molecule.coords())
-    radii = [get_element(s).covalent_radius for s in molecule.symbols()]
+    d = pairwise_distances(molecule.coords)
+    radii = [get_element(s).covalent_radius for s in molecule.symbols]
     bonds, clashes = [], []
     for i in range(len(molecule)):
         for j in range(i + 1, len(molecule)):
@@ -105,7 +95,7 @@ def reference_molecule_key(molecule):
     for i, j in bonds:
         adjacency[i].append(j)
         adjacency[j].append(i)
-    labels = [_sha(sym) for sym in molecule.symbols()]
+    labels = [_sha(sym) for sym in molecule.symbols]
     for _ in range(n):
         labels = [
             _sha(labels[i] + "|" + ",".join(sorted(labels[j] for j in adjacency[i])))
@@ -116,7 +106,7 @@ def reference_molecule_key(molecule):
 
 def straight_chain(symbols, spacing=1.45):
     """Atoms on the x axis, each bonded to the next and to nothing else."""
-    return Molecule([Atom(sym, spacing * i, 0.0, 0.0) for i, sym in enumerate(symbols)])
+    return Molecule(list(symbols), [(spacing * i, 0.0, 0.0) for i in range(len(symbols))])
 
 
 @pytest.fixture(scope="module")
@@ -173,13 +163,13 @@ class TestKeyReference:
             rng = np.random.default_rng(seed)
             if shape == "single":
                 el = str(rng.choice(MOLECULE_ELEMENTS))
-                molecules.append(Molecule([Atom(el, *rng.uniform(-9.0, 9.0, size=3))]))
+                molecules.append(Molecule([el], [rng.uniform(-9.0, 9.0, size=3)]))
                 continue
             m = random_molecule(rng)
             if shape == "clash":
-                a = m.atoms[int(rng.integers(len(m)))]
-                near = Atom("H", a.x + rng.uniform(-0.2, 0.2), a.y, a.z)
-                m = Molecule(m.atoms + (near,))
+                x, y, z = m.coords[int(rng.integers(len(m)))].tolist()
+                near = (x + rng.uniform(-0.2, 0.2), y, z)
+                m = Molecule(m.symbols + ("H",), m.coords.tolist() + [near])
             molecules.append(m)
         with mock.patch("chemlm.metrics.bonds._PAIRS_PER_BLOCK", block):
             batched = perceive_bonds_batch(molecules)
@@ -187,14 +177,8 @@ class TestKeyReference:
 
     def test_two_clashes_in_row_major_order(self):
         m = Molecule(
-            [
-                Atom("C", 0.0, 0, 0),
-                Atom("O", 5.0, 0, 0),
-                Atom("N", 10.0, 0, 0),
-                Atom("C", 5.2, 0, 0),
-                Atom("H", 0.1, 0, 0),
-                Atom("H", 11.0, 0, 0),
-            ]
+            ["C", "O", "N", "C", "H", "H"],
+            [(0.0, 0, 0), (5.0, 0, 0), (10.0, 0, 0), (5.2, 0, 0), (0.1, 0, 0), (11.0, 0, 0)],
         )
         expected = ([(2, 5)], [(0, 4), (1, 3)])
         assert reference_perceive_bonds(m) == expected
@@ -219,14 +203,14 @@ class TestMoleculeValidity:
         assert molecule_validity(water()).valid
 
     def test_clash(self):
-        m = Molecule([Atom("C", 0, 0, 0), Atom("O", 0.3, 0, 0)])
+        m = Molecule(["C", "O"], [(0, 0, 0), (0.3, 0, 0)])
         v = molecule_validity(m)
         assert not v.valid
         assert "clash" in v.reason
 
     def test_under_valence(self):
         # two carbons 1.54 A apart: bonded, but each has degree 1 not 4
-        m = Molecule([Atom("C", 0, 0, 0), Atom("C", 1.54, 0, 0)])
+        m = Molecule(["C", "C"], [(0, 0, 0), (1.54, 0, 0)])
         v = molecule_validity(m)
         assert not v.valid
         assert v.reason.startswith("valence")
@@ -234,32 +218,25 @@ class TestMoleculeValidity:
     def test_disconnected(self):
         # two H2 units far apart: every valence is satisfied, so the
         # connectivity stage is the one that must fire
-        m = Molecule(
-            [
-                Atom("H", 0, 0, 0),
-                Atom("H", 0.74, 0, 0),
-                Atom("H", 50, 0, 0),
-                Atom("H", 50.74, 0, 0),
-            ]
-        )
+        m = Molecule(["H", "H", "H", "H"], [(0, 0, 0), (0.74, 0, 0), (50, 0, 0), (50.74, 0, 0)])
         v = molecule_validity(m)
         assert not v.valid
         assert v.reason == "disconnected bond graph"
 
     def test_clash_reported_before_valence(self):
-        m = Molecule([Atom("C", 0, 0, 0), Atom("C", 0.2, 0, 0)])
+        m = Molecule(["C", "C"], [(0, 0, 0), (0.2, 0, 0)])
         v = molecule_validity(m)
         assert "clash" in v.reason
 
     def test_no_valence_data(self):
-        m = Molecule([Atom("Fe", 0, 0, 0)])
+        m = Molecule(["Fe"], [(0, 0, 0)])
         v = molecule_validity(m)
         assert not v.valid
         assert "Fe" in v.reason
 
     def test_verdict_is_truthy(self):
         assert molecule_validity(methane())
-        assert not molecule_validity(Molecule([Atom("C", 0, 0, 0), Atom("C", 0.2, 0, 0)]))
+        assert not molecule_validity(Molecule(["C", "C"], [(0, 0, 0), (0.2, 0, 0)]))
 
 
 def reference_crystal_validity(crystal, threshold):
@@ -269,7 +246,7 @@ def reference_crystal_validity(crystal, threshold):
         return Verdict.fail(
             f"self-image distance {self_image:.3f} A not larger than {threshold} A"
         )
-    coords = crystal.coords()
+    coords = crystal.coords
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
             d = min_image_distance(crystal.lattice, coords[i], coords[j])
@@ -282,14 +259,14 @@ def reference_crystal_validity(crystal, threshold):
 
 def perturbed(crystal, rng, scale):
     """The crystal with every fractional coordinate moved by up to `scale`."""
-    moved = np.array(crystal.coords()) + rng.uniform(-scale, scale, size=(len(crystal), 3))
+    moved = crystal.coords + rng.uniform(-scale, scale, size=(len(crystal), 3))
     return crystal.with_coords(moved)
 
 
 class TestCrystalValidity:
     def hand_crystal(self, separation_frac):
         lat = Lattice(10, 10, 10, 90, 90, 90)
-        return Crystal(lat, [Site("Na", 0, 0, 0), Site("Cl", separation_frac, 0, 0)])
+        return Crystal(lat, ["Na", "Cl"], [(0, 0, 0), (separation_frac, 0, 0)])
 
     def test_pair_at_0_4_invalid(self):
         assert not crystal_structural_validity(self.hand_crystal(0.04)).valid
@@ -304,18 +281,18 @@ class TestCrystalValidity:
     def test_wrap_around_pair_detected(self):
         # sites at 0.01 and 0.97 are 0.4 A apart through the boundary
         lat = Lattice(10, 10, 10, 90, 90, 90)
-        c = Crystal(lat, [Site("Na", 0.01, 0, 0), Site("Cl", 0.97, 0, 0)])
+        c = Crystal(lat, ["Na", "Cl"], [(0.01, 0, 0), (0.97, 0, 0)])
         assert not crystal_structural_validity(c).valid
 
     def test_tiny_cell_fails_self_image(self):
-        c = Crystal(Lattice(0.45, 8, 8, 90, 90, 90), [Site("H", 0, 0, 0)])
+        c = Crystal(Lattice(0.45, 8, 8, 90, 90, 90), ["H"], [(0, 0, 0)])
         assert shortest_self_image_distance(c) == pytest.approx(0.45)
         v = crystal_structural_validity(c)
         assert not v.valid
         assert "self-image" in v.reason
 
     def test_single_site_reasonable_cell_valid(self):
-        c = Crystal(Lattice(4, 4, 4, 90, 90, 90), [Site("Po", 0, 0, 0)])
+        c = Crystal(Lattice(4, 4, 4, 90, 90, 90), ["Po"], [(0, 0, 0)])
         assert crystal_structural_validity(c).valid
 
     @pytest.mark.parametrize("threshold", [0.5, 1.0, 1.8, 2.5])
@@ -334,9 +311,9 @@ class TestCrystalValidity:
     def test_first_failing_pair_beyond_the_first_block(self):
         # a 9 x 9 grid of sites 4 A apart plus two sites 0.8 A apart gives
         # 3403 pairs; only the last one fails, past the first block of pairs
-        sites = [Site("Na", 0.1 * a, 0.1 * b, 0.0) for a in range(9) for b in range(9)]
-        sites += [Site("Cl", 0.55, 0.55, 0.5), Site("Cl", 0.55, 0.55, 0.52)]
-        c = Crystal(Lattice(40, 40, 40, 90, 90, 90), sites)
+        coords = [(0.1 * a, 0.1 * b, 0.0) for a in range(9) for b in range(9)]
+        coords += [(0.55, 0.55, 0.5), (0.55, 0.55, 0.52)]
+        c = Crystal(Lattice(40, 40, 40, 90, 90, 90), ["Na"] * 81 + ["Cl"] * 2, coords)
         v = crystal_structural_validity(c, 1.0)
         assert v == reference_crystal_validity(c, 1.0)
         assert v.reason.startswith("sites 81 and 82 at 0.800 A")
@@ -364,15 +341,9 @@ class TestChargeNeutrality:
         assert "Zz" in v.reason
 
     def test_full_crystal_validity_combines(self):
-        good = Crystal(
-            Lattice(5.6, 5.6, 5.6, 90, 90, 90),
-            [Site("Na", 0, 0, 0), Site("Cl", 0.5, 0.5, 0.5)],
-        )
+        good = Crystal(Lattice(5.6, 5.6, 5.6, 90, 90, 90), ["Na", "Cl"], [(0, 0, 0), (0.5, 0.5, 0.5)])
         assert validity(good) == (True, "", {"structural": True, "composition": True})
-        clash = Crystal(
-            Lattice(5.6, 5.6, 5.6, 90, 90, 90),
-            [Site("Na", 0, 0, 0), Site("Cl", 0.05, 0, 0)],
-        )
+        clash = Crystal(Lattice(5.6, 5.6, 5.6, 90, 90, 90), ["Na", "Cl"], [(0, 0, 0), (0.05, 0, 0)])
         ok, reason, flags = validity(clash)
         assert not ok
         assert flags == {"structural": False, "composition": True}
@@ -381,7 +352,8 @@ class TestChargeNeutrality:
     def test_validity_flags_composition_only_failure(self):
         bad_comp = Crystal(
             Lattice(5.6, 5.6, 5.6, 90, 90, 90),
-            [Site("Na", 0, 0, 0), Site("Na", 0.5, 0, 0), Site("Cl", 0.5, 0.5, 0.5)],
+            ["Na", "Na", "Cl"],
+            [(0, 0, 0), (0.5, 0, 0), (0.5, 0.5, 0.5)],
         )
         ok, reason, flags = validity(bad_comp)
         assert not ok
@@ -406,50 +378,50 @@ class TestChargeNeutrality:
 
 def ideal_gly(index, x0):
     return [
-        PocketAtom("GLY", "N", index, x0, 0.0, 0.0),
-        PocketAtom("GLY", "C", index, x0 + 1.46, 0.0, 0.0),
-        PocketAtom("GLY", "C", index, x0 + 2.2, 1.3, 0.0),
-        PocketAtom("GLY", "O", index, x0 + 3.4, 1.35, 0.4),
+        ("GLY", "N", index, (x0, 0.0, 0.0)),
+        ("GLY", "C", index, (x0 + 1.46, 0.0, 0.0)),
+        ("GLY", "C", index, (x0 + 2.2, 1.3, 0.0)),
+        ("GLY", "O", index, (x0 + 3.4, 1.35, 0.4)),
     ]
 
 
 class TestPocketChecks:
     def test_table_correct_pocket_passes(self):
-        p = Pocket(tuple(ideal_gly(1, 0.0) + ideal_gly(2, 8.0)))
+        p = pocket_of(ideal_gly(1, 0.0) + ideal_gly(2, 8.0))
         ok, reasons = pocket_residue_check(p)
         assert ok and reasons == []
         assert validity(p) == (True, "", {"residue": True, "overlap": True})
 
     def test_missing_atom_reason(self):
         atoms = ideal_gly(1, 0.0)
-        p = Pocket(tuple(atoms[:-1]))  # drop the O
+        p = pocket_of(atoms[:-1])  # drop the O
         ok, reasons = pocket_residue_check(p)
         assert not ok
         assert reasons == ["GLY@1: missing O"]
 
     def test_extra_atom_reason(self):
-        atoms = ideal_gly(1, 0.0) + [PocketAtom("GLY", "C", 1, 5.0, 5.0, 0.0)]
-        ok, reasons = pocket_residue_check(Pocket(tuple(atoms)))
+        atoms = ideal_gly(1, 0.0) + [("GLY", "C", 1, (5.0, 5.0, 0.0))]
+        ok, reasons = pocket_residue_check(pocket_of(atoms))
         assert not ok
         assert reasons == ["GLY@1: extra C"]
 
     def test_multiple_failures_listed_per_residue(self):
-        atoms = ideal_gly(1, 0.0)[:-1] + [PocketAtom("GLY", "S", 1, 3.4, 1.35, 0.4)]
-        ok, reasons = pocket_residue_check(Pocket(tuple(atoms)))
+        atoms = ideal_gly(1, 0.0)[:-1] + [("GLY", "S", 1, (3.4, 1.35, 0.4))]
+        ok, reasons = pocket_residue_check(pocket_of(atoms))
         assert not ok
         assert reasons == ["GLY@1: missing O, extra S"]
 
     def test_only_failing_residues_reported(self):
         atoms = ideal_gly(1, 0.0) + ideal_gly(2, 8.0)[:-1]
-        ok, reasons = pocket_residue_check(Pocket(tuple(atoms)))
+        ok, reasons = pocket_residue_check(pocket_of(atoms))
         assert reasons == ["GLY@2: missing O"]
 
     def test_overlap_detected(self):
         atoms = ideal_gly(1, 0.0) + ideal_gly(2, 8.0)
         # move one atom of residue 2 to 0.8 A from an atom of residue 1
         moved = list(atoms)
-        moved[4] = PocketAtom("GLY", "N", 2, 0.8, 0.0, 0.0)
-        v = pocket_overlap_check(Pocket(tuple(moved)))
+        moved[4] = ("GLY", "N", 2, (0.8, 0.0, 0.0))
+        v = pocket_overlap_check(pocket_of(moved))
         assert not v.valid
         assert "0.800" in v.reason
 
@@ -457,36 +429,37 @@ class TestPocketChecks:
         # closest inter-residue pair here is 1.33 A (backbone C to next N),
         # above the 1.1 A threshold
         atoms = ideal_gly(1, 0.0) + ideal_gly(2, 2.79)
-        assert pocket_overlap_check(Pocket(tuple(atoms))).valid
+        assert pocket_overlap_check(pocket_of(atoms)).valid
 
     def test_intra_residue_contacts_ignored(self):
         atoms = ideal_gly(1, 0.0)
         squeezed = list(atoms)
-        squeezed[1] = PocketAtom("GLY", "C", 1, 0.5, 0.0, 0.0)
-        assert pocket_overlap_check(Pocket(tuple(squeezed))).valid
+        squeezed[1] = ("GLY", "C", 1, (0.5, 0.0, 0.0))
+        assert pocket_overlap_check(pocket_of(squeezed)).valid
 
     def test_threshold_parameter(self):
         atoms = ideal_gly(1, 0.0) + ideal_gly(2, 2.79)
-        p = Pocket(tuple(atoms))
+        p = pocket_of(atoms)
         assert pocket_overlap_check(p, threshold=1.1).valid
         assert not pocket_overlap_check(p, threshold=1.5).valid
 
     def test_bad_threshold(self):
-        p = Pocket(tuple(ideal_gly(1, 0.0)))
+        p = pocket_of(ideal_gly(1, 0.0))
         with pytest.raises(ValueError):
             pocket_overlap_check(p, threshold=0.0)
 
     def test_overlap_matches_pair_loop(self, rng):
         def loop_check(pocket, threshold):
             # the pair-by-pair scan the array check replaced
-            d = pairwise_distances(pocket.coords())
-            atoms = pocket.atoms
-            for i in range(len(atoms)):
-                for j in range(i + 1, len(atoms)):
-                    if atoms[i].residue_index != atoms[j].residue_index and d[i, j] < threshold:
+            d = pairwise_distances(pocket.coords)
+            labels = pocket.labels
+            index = pocket.residue_index.tolist()
+            for i in range(len(pocket)):
+                for j in range(i + 1, len(pocket)):
+                    if index[i] != index[j] and d[i, j] < threshold:
                         return Verdict.fail(
-                            f"atoms {i} ({atoms[i].indicator}@{atoms[i].residue_index}) and "
-                            f"{j} ({atoms[j].indicator}@{atoms[j].residue_index}) "
+                            f"atoms {i} ({labels[i]}@{index[i]}) and "
+                            f"{j} ({labels[j]}@{index[j]}) "
                             f"at {d[i, j]:.3f} A, below {threshold} A"
                         )
             return Verdict.ok()
@@ -496,7 +469,7 @@ class TestPocketChecks:
             for _ in range(30):
                 # residue centers within about 6 A of the origin
                 p = random_pocket(rng, n_residues=int(rng.integers(2, 8)))
-                p = p.with_coords(np.array(p.coords()) * 0.3)
+                p = p.with_coords(p.coords * 0.3)
                 got = pocket_overlap_check(p, threshold)
                 assert got == loop_check(p, threshold)
                 flagged[threshold] = flagged.get(threshold, 0) + (not got.valid)
@@ -508,12 +481,12 @@ class TestKeys:
         m = methane()
         for _ in range(10):
             perm = rng.permutation(len(m)).tolist()
-            shuffled = Molecule(tuple(m.atoms[i] for i in perm))
+            shuffled = Molecule([m.symbols[i] for i in perm], m.coords[perm])
             assert molecule_key(shuffled) == molecule_key(m)
 
     def test_molecule_key_ignores_rigid_motion(self):
         m = water()
-        shifted = Molecule(tuple(Atom(a.symbol, a.x + 3, a.y, a.z) for a in m.atoms))
+        shifted = m.with_coords(m.coords + (3.0, 0.0, 0.0))
         assert molecule_key(shifted) == molecule_key(m)
 
     def test_molecule_key_sees_the_graph(self):
@@ -521,11 +494,8 @@ class TestKeys:
 
     def test_distinguishes_chain_lengths(self):
         def chain(n):
-            atoms = [Atom("H", 0.0, 0, 0)]
-            for i in range(n):
-                atoms.append(Atom("C", 1.0 + 1.5 * i, 0, 0))
-            atoms.append(Atom("H", 1.0 + 1.5 * n, 0, 0))
-            return Molecule(tuple(atoms))
+            xs = [0.0] + [1.0 + 1.5 * i for i in range(n)] + [1.0 + 1.5 * n]
+            return Molecule(["H"] + ["C"] * n + ["H"], [(x, 0, 0) for x in xs])
 
         # not chemically valid, but the keys must still differ
         assert molecule_key(chain(2)) != molecule_key(chain(3))
@@ -544,28 +514,29 @@ class TestKeys:
         assert molecule_key(straight_chain("CC")) != molecule_key(straight_chain("CC", 5.0))
 
     def test_crystal_key_rounds_to_two_decimals(self):
-        a = Crystal(Lattice(4.001, 4, 4, 90, 90, 90), [Site("Po", 0.25, 0, 0)])
-        b = Crystal(Lattice(4.004, 4, 4, 90, 90, 90), [Site("Po", 0.252, 0, 0)])
-        c = Crystal(Lattice(4.02, 4, 4, 90, 90, 90), [Site("Po", 0.25, 0, 0)])
+        a = Crystal(Lattice(4.001, 4, 4, 90, 90, 90), ["Po"], [(0.25, 0, 0)])
+        b = Crystal(Lattice(4.004, 4, 4, 90, 90, 90), ["Po"], [(0.252, 0, 0)])
+        c = Crystal(Lattice(4.02, 4, 4, 90, 90, 90), ["Po"], [(0.25, 0, 0)])
         assert crystal_key(a) == crystal_key(b)
         assert crystal_key(a) != crystal_key(c)
 
     def test_crystal_key_reads_a_fraction_as_the_cif_writer_prints_it(self):
         # 0.999 rounds to 1.00, which a CIF file holds as 0.00
         lat = Lattice(4, 4, 4, 90, 90, 90)
-        near_one = Crystal(lat, [Site("Po", 0.999, 0.5, 0.5)])
-        zero = Crystal(lat, [Site("Po", 0.0, 0.5, 0.5)])
+        near_one = Crystal(lat, ["Po"], [(0.999, 0.5, 0.5)])
+        zero = Crystal(lat, ["Po"], [(0.0, 0.5, 0.5)])
         assert write_cif(near_one, 2) == write_cif(zero, 2)
         assert crystal_key(near_one) == crystal_key(zero)
         assert crystal_key(near_one).endswith(";Po@0.00,0.50,0.50")
 
     def test_crystal_key_ignores_site_order(self):
-        s1, s2 = Site("Na", 0, 0, 0), Site("Cl", 0.5, 0.5, 0.5)
         lat = Lattice(5.6, 5.6, 5.6, 90, 90, 90)
-        assert crystal_key(Crystal(lat, [s1, s2])) == crystal_key(Crystal(lat, [s2, s1]))
+        a = Crystal(lat, ["Na", "Cl"], [(0, 0, 0), (0.5, 0.5, 0.5)])
+        b = Crystal(lat, ["Cl", "Na"], [(0.5, 0.5, 0.5), (0, 0, 0)])
+        assert crystal_key(a) == crystal_key(b)
 
     def test_pocket_key_is_residue_ordering(self):
-        p = Pocket(tuple(ideal_gly(1, 0.0) + ideal_gly(2, 8.0)))
+        p = pocket_of(ideal_gly(1, 0.0) + ideal_gly(2, 8.0))
         assert residue_ordering(p) == "GLY-GLY"
         assert canonical_key(p) == "pkt:GLY-GLY"
 
@@ -585,18 +556,27 @@ class TestEvaluate:
     def make_train(self):
         lat = Lattice(5.6, 5.6, 5.6, 90, 90, 90)
         return [
-            Crystal(lat, [Site("Na", 0, 0, 0), Site("Cl", 0.5, 0.5, 0.5)]),
-            Crystal(Lattice(4.2, 4.2, 4.2, 90, 90, 90), [Site("Ca", 0, 0, 0), Site("O", 0.5, 0.5, 0.5)]),
-            Crystal(Lattice(6.0, 6.0, 6.0, 90, 90, 90), [Site("K", 0, 0, 0), Site("Br", 0.5, 0.5, 0.5)]),
-            Crystal(Lattice(5.1, 5.1, 5.1, 90, 90, 90), [Site("Li", 0, 0, 0), Site("F", 0.5, 0.5, 0.5)]),
+            Crystal(lat, ["Na", "Cl"], [(0, 0, 0), (0.5, 0.5, 0.5)]),
+            Crystal(
+                Lattice(4.2, 4.2, 4.2, 90, 90, 90),
+                ["Ca", "O"],
+                [(0, 0, 0), (0.5, 0.5, 0.5)],
+            ),
+            Crystal(
+                Lattice(6.0, 6.0, 6.0, 90, 90, 90),
+                ["K", "Br"],
+                [(0, 0, 0), (0.5, 0.5, 0.5)],
+            ),
+            Crystal(
+                Lattice(5.1, 5.1, 5.1, 90, 90, 90),
+                ["Li", "F"],
+                [(0, 0, 0), (0.5, 0.5, 0.5)],
+            ),
         ]
 
     def test_bucketing(self):
         train = self.make_train()
-        bad_structural = Crystal(
-            Lattice(10, 10, 10, 90, 90, 90),
-            [Site("Na", 0, 0, 0), Site("Cl", 0.04, 0, 0)],
-        )
+        bad_structural = Crystal(Lattice(10, 10, 10, 90, 90, 90), ["Na", "Cl"], [(0, 0, 0), (0.04, 0, 0)])
         samples = [train[0], None, bad_structural]
         result = evaluate_structures(samples, train, decode_failures={1: "truncated_group: oops"})
         r = result.report
@@ -612,10 +592,7 @@ class TestEvaluate:
 
     def test_unique_novel_over_valid_subset(self):
         train = self.make_train()
-        novel = Crystal(
-            Lattice(4.8, 4.8, 4.8, 90, 90, 90),
-            [Site("Rb", 0, 0, 0), Site("I", 0.5, 0.5, 0.5)],
-        )
+        novel = Crystal(Lattice(4.8, 4.8, 4.8, 90, 90, 90), ["Rb", "I"], [(0, 0, 0), (0.5, 0.5, 0.5)])
         result = evaluate_structures([train[0], train[0], novel], train)
         assert result.report.unique_pct == pytest.approx(2 / 3 * 100)
         assert result.report.novel_pct == pytest.approx(50.0)
@@ -629,10 +606,7 @@ class TestEvaluate:
 
     def test_extra_validity_percentages(self):
         train = self.make_train()
-        bad_structural = Crystal(
-            Lattice(10, 10, 10, 90, 90, 90),
-            [Site("Na", 0, 0, 0), Site("Cl", 0.04, 0, 0)],
-        )
+        bad_structural = Crystal(Lattice(10, 10, 10, 90, 90, 90), ["Na", "Cl"], [(0, 0, 0), (0.04, 0, 0)])
         result = evaluate_structures([train[0], bad_structural], train)
         assert result.report.extra_validity_pct["structural"] == pytest.approx(50.0)
         assert result.report.extra_validity_pct["composition"] == pytest.approx(100.0)
@@ -691,14 +665,14 @@ class TestEvaluate:
 class TestReportSchema:
     def test_json_round_trip(self):
         train_lat = Lattice(5.6, 5.6, 5.6, 90, 90, 90)
-        train = [Crystal(train_lat, [Site("Na", 0, 0, 0), Site("Cl", 0.5, 0.5, 0.5)])] * 2
+        train = [Crystal(train_lat, ["Na", "Cl"], [(0, 0, 0), (0.5, 0.5, 0.5)])] * 2
         report = evaluate_structures([train[0]], train).report
         back = MetricsReport.from_json(report.to_json())
         assert back == report
 
     def test_schema_version_mismatch(self):
         train_lat = Lattice(5.6, 5.6, 5.6, 90, 90, 90)
-        train = [Crystal(train_lat, [Site("Na", 0, 0, 0), Site("Cl", 0.5, 0.5, 0.5)])] * 2
+        train = [Crystal(train_lat, ["Na", "Cl"], [(0, 0, 0), (0.5, 0.5, 0.5)])] * 2
         report = evaluate_structures([train[0]], train).report
         text = report.to_json().replace(
             f'"schema_version": {SCHEMA_VERSION}', '"schema_version": 999'

@@ -35,7 +35,7 @@ from chemlm.metrics.bonds import BOND_SLACK, CLASH_FLOOR
 from chemlm.metrics.keys import molecule_key
 from chemlm.rounding import coords_text, fmt_fixed, round_coords
 from chemlm.structures import (
-    CANONICAL_RESIDUES, Atom, Crystal, Lattice, Molecule, Pocket, PocketAtom, Site,
+    CANONICAL_RESIDUES, Crystal, Lattice, Molecule, Pocket,
 )
 from chemlm.synth import synth_molecule, synth_perovskite, synth_pocket
 from chemlm.tokenize import (
@@ -253,13 +253,11 @@ def structures(draw):
     kind = draw(st.sampled_from(("molecule", "crystal", "pocket")))
     points = draw(st.lists(st.tuples(FINITE, FINITE, FINITE), min_size=1, max_size=4))
     if kind == "molecule":
-        return Molecule(tuple(Atom(draw(st.sampled_from(["C", "H", "Cl"])), *p) for p in points))
+        return Molecule([draw(st.sampled_from(["C", "H", "Cl"])) for _ in points], points)
     if kind == "pocket":
-        return Pocket(tuple(
-            PocketAtom(draw(st.sampled_from(sorted(CANONICAL_RESIDUES))),
-                       draw(st.sampled_from(["C", "N", "O", "S"])), k, *p)
-            for k, p in enumerate(points, start=1)
-        ))
+        codes = [draw(st.sampled_from(sorted(CANONICAL_RESIDUES))) for _ in points]
+        elements = [draw(st.sampled_from(["C", "N", "O", "S"])) for _ in points]
+        return Pocket(elements, codes, range(1, len(points) + 1), points)
     lengths = [draw(st.floats(1e-4, 1e6)) for _ in range(3)]
     alpha = draw(st.floats(0.0, 180.0, exclude_min=True, exclude_max=True))
     beta, gamma = (draw(st.floats(80.0, 100.0)) for _ in range(2))
@@ -268,9 +266,8 @@ def structures(draw):
     except InvalidLatticeError:
         assume(False)
     fractions = st.floats(-2.0, 2.0)
-    sites = [Site(draw(st.sampled_from(["Na", "Cl", "Po"])), *draw(st.tuples(*[fractions] * 3)))
-             for _ in points]
-    return Crystal(lattice, tuple(sites))
+    symbols = [draw(st.sampled_from(["Na", "Cl", "Po"])) for _ in points]
+    return Crystal(lattice, symbols, [draw(st.tuples(*[fractions] * 3)) for _ in points])
 
 
 CUBE = Lattice(4.0, 4.0, 4.0, 90.0, 90.0, 90.0)
@@ -278,13 +275,13 @@ CUBE = Lattice(4.0, 4.0, 4.0, 90.0, 90.0, 90.0)
 
 @SETTINGS
 @given(s=structures(), precision=st.integers(1, 3))
-@example(s=Crystal(CUBE, (Site("Po", 0.996, 0.9995, -0.0), Site("Po", 1.005, 0.5, 0.0))),
+@example(s=Crystal(CUBE, ["Po", "Po"], [(0.996, 0.9995, -0.0), (1.005, 0.5, 0.0)]),
          precision=2)
-@example(s=Crystal(CUBE, (Site("Po", 0.996, 0.9995, -0.0),)), precision=3)
-@example(s=Crystal(Lattice(4.0, 4.0, 4.0, 179.996, 90.0, 90.0), (Site("Po", 0.0, 0.0, 0.0),)),
+@example(s=Crystal(CUBE, ["Po"], [(0.996, 0.9995, -0.0)]), precision=3)
+@example(s=Crystal(Lattice(4.0, 4.0, 4.0, 179.996, 90.0, 90.0), ["Po"], [(0.0, 0.0, 0.0)]),
          precision=2)
-@example(s=Molecule((Atom("C", 1.005, -0.0, 1e16),)), precision=2)
-@example(s=Pocket((PocketAtom("GLY", "C", 1, -0.0, 1.005, 1e16),)), precision=1)
+@example(s=Molecule(["C"], [(1.005, -0.0, 1e16)]), precision=2)
+@example(s=Pocket(["C"], ["GLY"], [1], [(-0.0, 1.005, 1e16)]), precision=1)
 def test_formatting_a_rounded_structure_gives_the_same_text(s, precision):
     # the writers and the tokenizer format what they are given, so the
     # structure prepare rounds once must read the same as the raw one
@@ -306,13 +303,13 @@ def test_formatting_a_rounded_structure_gives_the_same_text(s, precision):
 
 @SETTINGS
 @given(s=structures(), precision=st.integers(1, 3))
-@example(s=Crystal(CUBE, (Site("Po", 0.996, 0.9995, -0.0), Site("Po", 1.005, 0.5, 0.0))),
+@example(s=Crystal(CUBE, ["Po", "Po"], [(0.996, 0.9995, -0.0), (1.005, 0.5, 0.0)]),
          precision=2)
-@example(s=Crystal(CUBE, (Site("Po", 0.996, 0.9995, -0.0),)), precision=3)
-@example(s=Crystal(Lattice(4.0, 4.0, 4.0, 179.996, 90.0, 90.0), (Site("Po", 0.0, 0.0, 0.0),)),
+@example(s=Crystal(CUBE, ["Po"], [(0.996, 0.9995, -0.0)]), precision=3)
+@example(s=Crystal(Lattice(4.0, 4.0, 4.0, 179.996, 90.0, 90.0), ["Po"], [(0.0, 0.0, 0.0)]),
          precision=3)
-@example(s=Molecule((Atom("C", 1.005, -0.0, 1e16),)), precision=2)
-@example(s=Pocket((PocketAtom("GLY", "C", 1, -0.0, 1.005, 1e16),)), precision=1)
+@example(s=Molecule(["C"], [(1.005, -0.0, 1e16)]), precision=2)
+@example(s=Pocket(["C"], ["GLY"], [1], [(-0.0, 1.005, 1e16)]), precision=1)
 def test_a_rounded_structure_keeps_the_text_of_its_values(s, precision):
     # round_coords keeps the text it built on the structure it returns;
     # that text must be what formatting the rounded values gives, at its
@@ -321,7 +318,7 @@ def test_a_rounded_structure_keeps_the_text_of_its_values(s, precision):
         rounded = round_coords(s, precision)
     except InvalidLatticeError:
         return
-    copies = [rounded.with_coords(rounded.coords()), dataclasses.replace(rounded)]
+    copies = [rounded.with_coords(rounded.coords), dataclasses.replace(rounded)]
     assert rounding._TEXT in vars(rounded)
     for copy in copies:
         assert copy == rounded and rounding._TEXT not in vars(copy)
@@ -341,20 +338,22 @@ def pockets(draw):
     """A pocket whose residues carry arbitrary distinct original indices."""
     n = draw(st.integers(1, 6))
     indices = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
-    atoms = []
+    elements, codes, atom_indices, coords = [], [], [], []
     for k, index in enumerate(indices):
         code = draw(st.sampled_from(sorted(CANONICAL_RESIDUES)))
         for j in range(draw(st.integers(1, 3))):
-            element = draw(st.sampled_from(["C", "N", "O", "S"]))
-            atoms.append(PocketAtom(code, element, index, 4.0 * k, 1.0 * j, 0.0))
-    return Pocket(tuple(atoms))
+            elements.append(draw(st.sampled_from(["C", "N", "O", "S"])))
+            codes.append(code)
+            atom_indices.append(index)
+            coords.append((4.0 * k, 1.0 * j, 0.0))
+    return Pocket(elements, codes, atom_indices, coords)
 
 
 @SETTINGS
 @given(p=pockets())
 def test_pocket_renumbering_is_idempotent(p):
-    assert Pocket(p.atoms) == p
-    indices = [a.residue_index for a in p.atoms]
+    assert Pocket(p.symbols, p.residues, p.residue_index, p.coords) == p
+    indices = p.residue_index.tolist()
     assert indices[0] == 1
     assert all(b - a in (0, 1) for a, b in zip(indices, indices[1:]))
 
@@ -369,8 +368,8 @@ QUARTER_TURNS = {
 
 def near_a_cutoff(molecule, tol=1e-6) -> bool:
     """Whether some pair distance lies within tol of a clash or bond cutoff."""
-    d = pairwise_distances(molecule.coords())
-    radii = np.array([get_element(s).covalent_radius for s in molecule.symbols()])
+    d = pairwise_distances(molecule.coords)
+    radii = np.array([get_element(s).covalent_radius for s in molecule.symbols])
     i, j = np.triu_indices(len(molecule), k=1)
     cutoffs = radii[i] + radii[j] + BOND_SLACK
     return bool(
@@ -391,11 +390,11 @@ def test_molecule_key_survives_permutation_and_rigid_motion(seed, synthetic, axi
     m = synth_molecule(rng) if synthetic else random_molecule(rng)
     # float rounding must not be able to flip a bond or a clash
     assume(not near_a_cutoff(m))
-    moved = []
+    symbols, moved = [], []
     for k in rng.permutation(len(m)):
-        a = m.atoms[k]
-        p = (a.x, a.y, a.z)
+        p = tuple(m.coords[k].tolist())
         for _ in range(turns):
             p = QUARTER_TURNS[axis](*p)
-        moved.append(Atom(a.symbol, *(c + t for c, t in zip(p, shift))))
-    assert molecule_key(Molecule(moved)) == molecule_key(m)
+        symbols.append(m.symbols[k])
+        moved.append([c + t for c, t in zip(p, shift)])
+    assert molecule_key(Molecule(symbols, moved)) == molecule_key(m)

@@ -6,7 +6,7 @@ from chemlm.augment import random_rotation, rotate_about_center
 from chemlm.errors import InvalidLatticeError
 from chemlm.formats import write_cif
 from chemlm.rounding import coords_text, fmt_fixed, fmt_fraction, round_coords
-from chemlm.structures import Atom, Crystal, Lattice, Molecule, Site
+from chemlm.structures import Crystal, Lattice, Molecule
 from chemlm.synth import synth_molecule, synth_perovskite, synth_pocket
 from chemlm.tokenize import Scheme, atom_coord_tokens
 
@@ -84,21 +84,21 @@ class TestFmtFixed:
 
 
 def rebuild_round_coords(structure, precision):
-    """round_coords through round_half_away and the Site and Lattice
+    """round_coords through round_half_away and the Crystal and Lattice
     constructors instead of through the formatted text."""
-    rounded = [tuple(round_half_away(v, precision) for v in xyz) for xyz in structure.coords()]
+    rounded = [[round_half_away(v, precision) for v in xyz] for xyz in structure.coords.tolist()]
     if isinstance(structure, Crystal):
         lattice = Lattice(*(round_half_away(v, precision) for v in structure.lattice.params()))
-        structure = Crystal(lattice, structure.sites)
+        structure = Crystal(lattice, structure.symbols, structure.coords)
     return structure.with_coords(rounded)
 
 
 def described(structure):
     """Labels and every number by repr, so the sign of zero counts."""
-    numbers = [repr(v) for xyz in structure.coords() for v in xyz]
+    numbers = [repr(v) for xyz in structure.coords.tolist() for v in xyz]
     if isinstance(structure, Crystal):
         numbers += [repr(v) for v in structure.lattice.params()]
-    return type(structure), structure.labels(), numbers
+    return type(structure), structure.labels, numbers
 
 
 def synthetic(kind, seed):
@@ -136,35 +136,35 @@ class TestRoundCoords:
         assert described(round_coords(s, 3)) == described(s)
 
     def test_unrounded_lattice_alone_forces_a_rebuild(self):
-        c = Crystal(Lattice(4.123, 4.0, 4.0, 90.0, 90.0, 90.0), [Site("Po", 0.5, 0.0, 0.0)])
+        c = Crystal(Lattice(4.123, 4.0, 4.0, 90.0, 90.0, 90.0), ["Po"], [(0.5, 0.0, 0.0)])
         out = round_coords(c, 2)
         assert out is not c
         assert out.lattice.a == 4.12
 
     def test_fraction_rounding_to_one_wraps(self):
-        c = Crystal(Lattice(4.0, 4.0, 4.0, 90.0, 90.0, 90.0), [Site("Po", 0.996, 0.5, 0.0)])
-        assert round_coords(c, 2).coords() == [(0.0, 0.5, 0.0)]
+        c = Crystal(Lattice(4.0, 4.0, 4.0, 90.0, 90.0, 90.0), ["Po"], [(0.996, 0.5, 0.0)])
+        assert round_coords(c, 2).coords.tolist() == [[0.0, 0.5, 0.0]]
 
     def test_negative_zero_is_normalized(self):
-        m = Molecule([Atom("C", -0.0, 1.5, 0.0)])
+        m = Molecule(["C"], [(-0.0, 1.5, 0.0)])
         out = round_coords(m, 2)
         assert out is not m
-        assert [repr(v) for v in out.coords()[0]] == ["0.0", "1.5", "0.0"]
+        assert [repr(v) for v in out.coords[0].tolist()] == ["0.0", "1.5", "0.0"]
 
     def test_rotated_float64_coordinates_are_rounded(self, rng):
         m = rebuild_round_coords(synthetic("molecule", 2), 2)
         rotated = rotate_about_center(m, random_rotation(rng))
-        assert isinstance(rotated.atoms[0].x, np.float64)
+        assert rotated.coords.dtype == np.float64
         out = round_coords(rotated, 2)
         assert out is not rotated
         assert described(out) == described(rebuild_round_coords(rotated, 2))
-        assert all(type(v) is float for xyz in out.coords() for v in xyz)
+        assert out.coords.dtype == np.float64
 
     def test_float64_that_is_already_rounded_is_kept(self):
-        m = Molecule([Atom("C", np.float64(1.25), np.float64(-3.0), np.float64(0.5))])
+        m = Molecule(["C"], [(np.float64(1.25), np.float64(-3.0), np.float64(0.5))])
         out = round_coords(m, 2)
         assert out == m
-        assert [repr(v) for v in out.coords()[0]] == ["1.25", "-3.0", "0.5"]
+        assert [repr(v) for v in out.coords[0].tolist()] == ["1.25", "-3.0", "0.5"]
 
 
 class TestCrystalRules:
@@ -181,13 +181,13 @@ class TestCrystalRules:
     @pytest.mark.parametrize("fx, text", [(0.996, "0.00"), (0.9995, "0.00"), (-0.0, "0.00"),
                                           (1.005, "0.00"), (0.005, "0.01"), (0.5, "0.50")])
     def test_every_reader_of_a_fraction_agrees(self, fx, text):
-        c = Crystal(Lattice(4.0, 4.0, 4.0, 90.0, 90.0, 90.0), [Site("Po", fx, 0.5, 0.5)])
+        c = Crystal(Lattice(4.0, 4.0, 4.0, 90.0, 90.0, 90.0), ["Po"], [(fx, 0.5, 0.5)])
         assert write_cif(c, 2).splitlines()[-1] == f"Po {text} 0.50 0.50"
         assert atom_coord_tokens(c, Scheme("atom_coord", 2))[-3:] == [text, "0.50", "0.50"]
-        assert fmt_fixed(round_coords(c, 2).sites[0].fx, 2) == text
+        assert fmt_fixed(round_coords(c, 2).coords[0, 0], 2) == text
 
     def test_cell_that_rounds_to_a_straight_angle_raises(self):
-        c = Crystal(Lattice(4.0, 4.0, 4.0, 179.996, 90.0, 90.0), [Site("Po", 0.0, 0.0, 0.0)])
+        c = Crystal(Lattice(4.0, 4.0, 4.0, 179.996, 90.0, 90.0), ["Po"], [(0.0, 0.0, 0.0)])
         assert write_cif(c, 3).startswith("_cell_length_a 4.000")
         for write in (write_cif, lambda s, p: atom_coord_tokens(s, Scheme("atom_coord", p)),
                       round_coords):
@@ -195,5 +195,5 @@ class TestCrystalRules:
                 write(c, 2)
 
     def test_molecule_has_no_cell(self):
-        m = Molecule([Atom("C", 1.005, -0.0, 1e16)])
+        m = Molecule(["C"], [(1.005, -0.0, 1e16)])
         assert coords_text(m, 2) == ([], [("1.01", "0.00", "10000000000000000.00")])

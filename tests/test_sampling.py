@@ -9,7 +9,7 @@ from chemlm.sampling import (
     sample_from_checkpoint,
     truncation_rate,
 )
-from chemlm.structures import Atom, Molecule
+from chemlm.structures import Molecule
 from chemlm.synth import synth_corpus
 from chemlm.tokenize import Scheme, TokenSequence, build_vocab
 
@@ -17,8 +17,8 @@ from chemlm.tokenize import Scheme, TokenSequence, build_vocab
 @pytest.fixture(scope="module")
 def setup():
     corpus = [
-        Molecule([Atom("C", 0.0, 0.0, 0.0), Atom("O", 1.2, 0.0, 0.0)]),
-        Molecule([Atom("N", 0.0, 0.0, 0.0), Atom("N", 1.1, 0.0, 0.0)]),
+        Molecule(["C", "O"], [(0.0, 0.0, 0.0), (1.2, 0.0, 0.0)]),
+        Molecule(["N", "N"], [(0.0, 0.0, 0.0), (1.1, 0.0, 0.0)]),
     ]
     vocab = build_vocab(corpus, Scheme("atom_coord", 2))
     cfg = ModelConfig(

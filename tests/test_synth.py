@@ -26,13 +26,13 @@ class TestMolecules:
         from chemlm.geometry import centroid
 
         m = synth_molecule(rng)
-        np.testing.assert_allclose(centroid(m.coords()), 0.0, atol=0.5)
+        np.testing.assert_allclose(centroid(m.coords), 0.0, atol=0.5)
 
     def test_composition(self, rng):
         m = synth_molecule(rng)
-        heavy = [s for s in m.symbols() if s != "H"]
+        heavy = [s for s in m.symbols if s != "H"]
         assert heavy
-        assert set(m.symbols()) <= {"C", "N", "O", "H"}
+        assert set(m.symbols) <= {"C", "N", "O", "H"}
 
 
 class TestPerovskites:
@@ -87,9 +87,8 @@ class TestPockets:
 
     def test_only_canonical_heavy_atoms(self, rng):
         p = synth_pocket(rng)
-        for a in p.atoms:
-            assert a.element != "H"
-            assert a.residue in RESIDUE_ATOMS
+        assert "H" not in p.symbols
+        assert set(p.residues) <= set(RESIDUE_ATOMS)
 
 
 class TestCorpus:

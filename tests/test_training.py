@@ -9,7 +9,7 @@ from chemlm import training
 from chemlm.errors import TrainingDiverged
 from chemlm.model import ModelConfig, load_checkpoint
 from chemlm.rounding import round_coords
-from chemlm.structures import Atom, Molecule
+from chemlm.structures import Molecule
 from chemlm.synth import synth_corpus
 from chemlm.tokenize import Scheme, build_vocab, encode
 from chemlm.training import (
@@ -26,15 +26,9 @@ from chemlm.training import (
 
 def tiny_corpus():
     return [
-        Molecule([Atom("C", 0.0, 0.0, 0.0), Atom("O", 1.2, 0.0, 0.0)]),
-        Molecule([Atom("N", 0.0, 0.0, 0.0), Atom("N", 1.1, 0.0, 0.0)]),
-        Molecule(
-            [
-                Atom("O", 0.0, 0.0, 0.0),
-                Atom("C", 1.16, 0.0, 0.0),
-                Atom("O", 2.32, 0.0, 0.0),
-            ]
-        ),
+        Molecule(["C", "O"], [(0.0, 0.0, 0.0), (1.2, 0.0, 0.0)]),
+        Molecule(["N", "N"], [(0.0, 0.0, 0.0), (1.1, 0.0, 0.0)]),
+        Molecule(["O", "C", "O"], [(0.0, 0.0, 0.0), (1.16, 0.0, 0.0), (2.32, 0.0, 0.0)]),
     ]
 
 

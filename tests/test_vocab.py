@@ -147,9 +147,9 @@ class TestBuildVocab:
             build_vocab([], S_AC)
 
     def test_dense_range_fills_gaps(self):
-        from chemlm.structures import Atom, Molecule
+        from chemlm.structures import Molecule
 
-        corpus = [Molecule([Atom("C", 0.0, 0.0, 0.0), Atom("C", 0.5, 0.0, 0.0)])]
+        corpus = [Molecule(["C", "C"], [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)])]
         sparse = build_vocab(corpus, Scheme("atom_coord", 1))
         dense = build_vocab(corpus, Scheme("atom_coord", 1), dense_coordinate_range=True)
         assert "0.3" not in sparse
