@@ -27,9 +27,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ArtifactError, ChemlmError, DecodeError
+from .errors import ArtifactError, ChemlmError
 from .formats import EXTENSIONS, FileDocument, parse_document, prune_pocket, write_structure
-from .geometry import centroid, pairwise_distances
+from .geometry import centroid, pair_distances
 from .manifest import (
     file_sha256,
     hash_outputs,
@@ -43,12 +43,12 @@ from .manifest import (
     write_manifest,
     write_timing,
 )
-from .metrics import MetricsReport, evaluate_sequences, evaluate_structures, property_functions
+from .metrics import MetricsReport, decode_sequences, evaluate_structures, property_functions
 from .model import ModelConfig, load_checkpoint
 from .rounding import round_coords
 from .sampling import SampleConfig, sample_from_checkpoint, truncation_rate
 from .synth import synth_corpus
-from .tokenize import Scheme, TokenSequence, Vocabulary, build_vocab, decode, encode
+from .tokenize import Scheme, TokenSequence, Vocabulary, build_vocab, encode
 from .training import MAX_AUGMENT_ATTEMPTS, TrainConfig, train
 
 OUTPUT_ROOT_ENV = "CHEMLM_OUTPUT_ROOT"
@@ -512,20 +512,19 @@ def cmd_evaluate(args, out_dir, phases):
                        f"got {args.overlap_threshold}")
     with _phase(phases, "load"):
         vocab, sequences = _load_bundle(args.train)
-        train_structures = []
-        for line_no, seq in enumerate(sequences, start=1):
-            try:
-                train_structures.append(decode(seq, vocab))
-            except DecodeError as exc:
-                raise ArtifactError(f"{os.path.join(args.train, 'corpus.txt')}: line {line_no} "
-                                    f"does not decode: {exc}") from exc
+        train_structures, failures = decode_sequences(sequences, vocab)
+        if failures:
+            line = min(failures)
+            raise ArtifactError(f"{os.path.join(args.train, 'corpus.txt')}: line {line + 1} "
+                                f"does not decode: {failures[line]}")
 
+    ext = EXTENSIONS[vocab.structure_kind]
     with _phase(phases, "evaluate"):
         if os.path.isdir(args.samples):
             triples = _read_structure_files(args.samples)
-            ext = os.path.splitext(triples[0][0])[1].lower()
-            if ext != EXTENSIONS[vocab.structure_kind]:
-                raise ArtifactError(f"wrong structure kind: {args.samples} holds {ext} files, "
+            held = os.path.splitext(triples[0][0])[1].lower()
+            if held != ext:
+                raise ArtifactError(f"wrong structure kind: {args.samples} holds {held} files, "
                                     f"the --train bundle {vocab.structure_kind}s")
             structures = [s for _, s, _ in triples]
             failures = {
@@ -533,23 +532,17 @@ def cmd_evaluate(args, out_dir, phases):
                 for i, (name, s, e) in enumerate(triples)
                 if s is None
             }
-            result = evaluate_structures(
-                structures,
-                train_structures,
-                decode_failures=failures,
-                overlap_threshold=args.overlap_threshold,
-                eval_seed=args.eval_seed,
-            )
         else:
             sequences = read_samples_csv(args.samples)
             _check_samples_vocab(args.samples, vocab)
-            result = evaluate_sequences(
-                sequences,
-                vocab,
-                train_structures,
-                overlap_threshold=args.overlap_threshold,
-                eval_seed=args.eval_seed,
-            )
+            structures, failures = decode_sequences(sequences, vocab)
+        result = evaluate_structures(
+            structures,
+            train_structures,
+            decode_failures=failures,
+            overlap_threshold=args.overlap_threshold,
+            eval_seed=args.eval_seed,
+        )
 
     with _phase(phases, "write"):
         with output_file(os.path.join(out_dir, "report.json")) as fh:
@@ -564,14 +557,9 @@ def cmd_evaluate(args, out_dir, phases):
             rows += [["sample", repr(v)] for v in result.sample_values[name]]
             _write_csv(os.path.join(out_dir, f"values_{name}.csv"), ["source", "value"], rows)
 
-        # decoded structures, for the report command's distribution CSVs
-        kind = result.report.structure_kind
-        ext = EXTENSIONS[kind]
-        named = (
-            (f"{i:06d}{ext}", s)
-            for i, s in enumerate(result.structures)
-            if s is not None and s.kind == kind
-        )
+        # decoded structures, for the report command's distribution CSVs;
+        # decoding and the extension check fix every kind to the vocabulary's
+        named = ((f"{i:06d}{ext}", s) for i, s in enumerate(result.structures) if s is not None)
         _write_structures(os.path.join(out_dir, "structures"), named, vocab.scheme.precision)
 
     r = result.report
@@ -684,7 +672,7 @@ def cmd_report(args, out_dir, phases):
                 for name, s, _ in triples:
                     # a crystal's coordinates are fractional: no Cartesian distances
                     if s is not None and s.kind != "crystal" and len(s) >= 2:
-                        off = pairwise_distances(s.coords)[np.triu_indices(len(s), k=1)]
+                        off = pair_distances(s.coords)
                         rows.append([name, repr(float(off.min())), repr(float(off.max()))])
                 _write_csv(
                     os.path.join(out_dir, "neighbors.csv"), ["file", "nearest", "farthest"], rows

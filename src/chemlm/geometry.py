@@ -1,8 +1,8 @@
 """Geometric operations on structures.
 
 Covers the lattice algebra (cell volume, the cell matrix,
-minimum-image distances) and small helpers like centroids and
-molecular weight.
+minimum-image distances), the distances of a point set's pairs, and
+small helpers like centroids and molecular weight.
 """
 
 from __future__ import annotations
@@ -96,13 +96,6 @@ def crystal_density(crystal: Crystal) -> float:
     return mass / cell_volume(crystal.lattice) * _DENSITY_FACTOR
 
 
-def pairwise_distances(positions) -> np.ndarray:
-    """Dense Euclidean distance matrix, shape (n, n)."""
-    x = np.asarray(positions, dtype=float)
-    diff = x[:, None, :] - x[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
 @functools.lru_cache(maxsize=64)
 def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major (i, j) index arrays of the pairs i < j among n points.
@@ -113,3 +106,12 @@ def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     i.flags.writeable = False
     j.flags.writeable = False
     return i, j
+
+
+def pair_distances(x) -> np.ndarray:
+    """Distances [..., n (n - 1) / 2] of the pairs i < j of points `x` [..., n, 3]
+    in `upper_pairs(n)` order: difference, sum of squares, square root."""
+    x = np.asarray(x, dtype=float)
+    i, j = upper_pairs(x.shape[-2])
+    diff = x[..., i, :] - x[..., j, :]
+    return np.sqrt((diff * diff).sum(axis=-1))

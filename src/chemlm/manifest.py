@@ -123,8 +123,13 @@ def write_manifest(out_dir, data: dict) -> str:
 
 
 def read_manifest(out_dir) -> dict:
-    with open(os.path.join(out_dir, MANIFEST_NAME), encoding="utf-8") as fh:
-        return json.load(fh)
+    """The manifest in out_dir; one that is not a JSON object is a ValueError."""
+    path = os.path.join(out_dir, MANIFEST_NAME)
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path} holds a {type(manifest).__name__}, not a JSON object")
+    return manifest
 
 
 def write_timing(out_dir, phases: dict) -> str:
@@ -175,7 +180,7 @@ def owned_outputs(out_dir, command, names) -> set:
         previous = read_manifest(out_dir)
     except (OSError, ValueError):
         return set()
-    if not isinstance(previous, dict) or previous.get("command") != command:
+    if previous.get("command") != command:
         return set()
     outputs = previous.get("outputs")
     if not isinstance(outputs, dict):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..elements import ELEMENTS, data_rows
-from ..geometry import upper_pairs
+from ..geometry import pair_distances, upper_pairs
 from ..structures import Molecule
 from .verdict import Verdict
 
@@ -37,9 +37,7 @@ def perceive_bonds_batch(molecules) -> list:
 
     Both lists hold (i, j) pairs with i < j in row-major order.
     Molecules with the same atom count are stacked and measured in one
-    array op over their i < j pairs only, in blocks of about
-    `_PAIRS_PER_BLOCK` pairs; every distance has the bits the per-pair
-    difference, sum of squares and square root give.
+    `pair_distances` op, in blocks of about `_PAIRS_PER_BLOCK` pairs.
     """
     molecules = list(molecules)
     by_size: dict[int, list[int]] = {}
@@ -53,8 +51,7 @@ def perceive_bonds_batch(molecules) -> list:
             block = indices[start : start + per_block]
             x = np.stack([molecules[k].coords for k in block])
             radii = np.array([[_RADII[s] for s in molecules[k].symbols] for k in block])
-            diff = x[:, i] - x[:, j]
-            d = np.sqrt((diff * diff).sum(axis=-1))
+            d = pair_distances(x)
             clash = d < CLASH_FLOOR
             bond = ~clash & (d < radii[:, i] + radii[:, j] + BOND_SLACK)
             pairs = zip(_pairs_by_row(bond, i, j), _pairs_by_row(clash, i, j))

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 
 from ..errors import ConfigError
-from ..geometry import pairwise_distances, upper_pairs
+from ..geometry import pair_distances, upper_pairs
 from ..structures import RESIDUE_ATOMS, Pocket
 from .verdict import Verdict
 
@@ -17,11 +17,11 @@ from .verdict import Verdict
 DEFAULT_OVERLAP_THRESHOLD = 1.1
 
 
-def pocket_residue_check(pocket: Pocket) -> tuple[bool, list[str]]:
+def pocket_residue_check(pocket: Pocket) -> Verdict:
     """Each residue's heavy-atom multiset must equal its table entry exactly.
 
-    Returns the overall verdict plus one reason per failing residue, like
-    "GLY@3: missing O".
+    A failing verdict's reason lists each failing residue, like
+    "GLY@3: missing O", joined by "; ".
     """
     reasons = []
     for start, stop in pocket.residue_spans():
@@ -31,15 +31,13 @@ def pocket_residue_check(pocket: Pocket) -> tuple[bool, list[str]]:
         have = Counter(pocket.symbols[start:stop])
         problems = []
         for element in sorted(set(expected) | set(have)):
-            want = expected.get(element, 0)
-            got = have.get(element, 0)
-            if got < want:
-                problems.append(f"missing {element}" if want - got == 1 else f"missing {want - got} {element}")
-            elif got > want:
-                problems.append(f"extra {element}" if got - want == 1 else f"extra {got - want} {element}")
+            gap = have[element] - expected.get(element, 0)
+            if gap:
+                word = "missing" if gap < 0 else "extra"
+                problems.append(f"{word} {element}" if abs(gap) == 1 else f"{word} {abs(gap)} {element}")
         if problems:
             reasons.append(f"{code}@{index}: " + ", ".join(problems))
-    return (not reasons), reasons
+    return Verdict.fail("; ".join(reasons)) if reasons else Verdict.ok()
 
 
 def pocket_overlap_check(
@@ -49,7 +47,7 @@ def pocket_overlap_check(
     if not 0 < threshold < math.inf:
         raise ConfigError(f"overlap threshold must be positive and finite, got {threshold}")
     first, second = upper_pairs(len(pocket))
-    d = pairwise_distances(pocket.coords)[first, second]
+    d = pair_distances(pocket.coords)
     residue = pocket.residue_index
     flagged = np.flatnonzero((residue[first] != residue[second]) & (d < threshold))
     if flagged.size:

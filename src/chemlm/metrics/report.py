@@ -9,7 +9,8 @@ uniqueness and novelty are computed over the valid subset only.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -64,13 +65,35 @@ class MetricsReport:
 
     @classmethod
     def from_json(cls, text: str) -> "MetricsReport":
+        """Parse a report; anything but an object holding exactly this
+        schema's fields, each of its type, is a ValueError."""
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError(f"a report is a JSON object, not {type(payload).__name__}")
         version = payload.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(
                 f"report schema version {version!r} unsupported (want {SCHEMA_VERSION})"
             )
+        types = {f.name: f.type for f in fields(cls)}
+        if payload.keys() != types.keys():
+            raise ValueError(f"report fields missing {sorted(types.keys() - payload.keys())}, "
+                             f"unknown {sorted(payload.keys() - types.keys())}")
+        for name, value in payload.items():
+            if not _FIELD_TYPE_CHECKS[types[name]](value):
+                raise ValueError(f"report field {name} is a {type(value).__name__}, not a {types[name]}")
         return cls(**payload)
+
+
+#: A MetricsReport field's annotation -> the test its JSON value must pass;
+#: a JSON number loads as an int or a float, and true as a bool.
+_FIELD_TYPE_CHECKS = {
+    "str": lambda v: type(v) is str,
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "Optional[float]": lambda v: v is None or type(v) in (int, float),
+    "dict": lambda v: type(v) is dict and all(type(x) in (int, float) for x in v.values()),
+}
 
 
 @dataclass
@@ -102,29 +125,22 @@ def validity(structure, overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD, pe
         v = molecule_validity(structure, perceived)
         return v.valid, v.reason or "", {}
     if structure.kind == "crystal":
-        struct_v = crystal_structural_validity(structure)
-        comp_v = charge_neutrality(crystal_composition(structure))
-        flags = {"structural": struct_v.valid, "composition": comp_v.valid}
-        ok = struct_v.valid and comp_v.valid
-        reason = "" if ok else (struct_v.reason or comp_v.reason or "")
-        return ok, reason, flags
-    residue_ok, reasons = pocket_residue_check(structure)
-    overlap_v = pocket_overlap_check(structure, overlap_threshold)
-    flags = {"residue": residue_ok, "overlap": overlap_v.valid}
-    ok = residue_ok and overlap_v.valid
-    reason = "" if ok else ("; ".join(reasons) or overlap_v.reason or "")
-    return ok, reason, flags
+        checks = {
+            "structural": crystal_structural_validity(structure),
+            "composition": charge_neutrality(crystal_composition(structure)),
+        }
+    else:
+        checks = {
+            "residue": pocket_residue_check(structure),
+            "overlap": pocket_overlap_check(structure, overlap_threshold),
+        }
+    failed = [v.reason for v in checks.values() if not v]
+    return not failed, (failed[0] if failed else ""), {name: v.valid for name, v in checks.items()}
 
 
-def evaluate_sequences(
-    sequences,
-    vocab: Vocabulary,
-    train_structures,
-    *,
-    overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD,
-    eval_seed: int = 0,
-) -> EvalResult:
-    """Decode every sequence, then aggregate (see evaluate_structures)."""
+def decode_sequences(sequences, vocab: Vocabulary):
+    """(structures, failures): each sequence's decoded structure, None
+    where it fails to decode, and those positions' reasons by index."""
     structures = []
     failures = {}
     for index, seq in enumerate(sequences):
@@ -133,13 +149,13 @@ def evaluate_sequences(
         except DecodeError as exc:
             structures.append(None)
             failures[index] = f"{exc.kind}: {exc}"
-    return evaluate_structures(
-        structures,
-        train_structures,
-        decode_failures=failures,
-        overlap_threshold=overlap_threshold,
-        eval_seed=eval_seed,
-    )
+    return structures, failures
+
+
+def evaluate_sequences(sequences, vocab: Vocabulary, train_structures, **options) -> EvalResult:
+    """Decode every sequence, then aggregate (see evaluate_structures for `options`)."""
+    structures, failures = decode_sequences(sequences, vocab)
+    return evaluate_structures(structures, train_structures, decode_failures=failures, **options)
 
 
 def evaluate_structures(
@@ -169,17 +185,14 @@ def evaluate_structures(
     # a molecule's bonds serve both its validity and its key, so every
     # sample and training molecule is perceived once, in one batch
     decoded = [s for s in structures if s is not None and s.kind == kind]
-    if kind == "molecule":
-        perceived = perceive_bonds_batch(decoded + train_structures)
-    else:
-        perceived = [None] * (len(decoded) + len(train_structures))
+    both = decoded + train_structures
+    perceived = perceive_bonds_batch(both) if kind == "molecule" else [None] * len(both)
     sample_perceived = iter(perceived[: len(decoded)])
     train_perceived = perceived[len(decoded) :]
 
     rows = []
-    valid_structures = []
-    valid_perceived = []
-    flag_totals: dict[str, int] = {}
+    valid = []  # (structure, perceived) of each valid sample
+    flag_totals = Counter()
     for index, structure in enumerate(structures):
         if structure is None:
             reason = decode_failures.get(index, "decode failed")
@@ -190,56 +203,43 @@ def evaluate_structures(
             continue
         bonds = next(sample_perceived)
         ok, reason, flags = validity(structure, overlap_threshold, bonds)
-        for name, passed in flags.items():
-            flag_totals[name] = flag_totals.get(name, 0) + (1 if passed else 0)
+        flag_totals.update({name: int(passed) for name, passed in flags.items()})
+        rows.append(StructureRow(index, VALID if ok else INVALID, reason))
         if ok:
-            rows.append(StructureRow(index, VALID))
-            valid_structures.append(structure)
-            valid_perceived.append(bonds)
-        else:
-            rows.append(StructureRow(index, INVALID, reason))
+            valid.append((structure, bonds))
 
     n = len(structures)
-    n_failed = sum(1 for r in rows if r.bucket == DECODE_FAILED)
-    n_valid = len(valid_structures)
-    n_invalid = n - n_failed - n_valid
+    buckets = Counter(row.bucket for row in rows)
+    n_valid = buckets[VALID]
 
     unique_pct = novel_pct = None
     if n_valid:
         train_keys = [canonical_key(s, b) for s, b in zip(train_structures, train_perceived)]
-        sample_keys = [canonical_key(s, b) for s, b in zip(valid_structures, valid_perceived)]
+        sample_keys = [canonical_key(s, b) for s, b in valid]
         unique_pct, novel_pct = unique_novel(sample_keys, train_keys)
 
     sample_values = {
-        name: [fn(s) for s in valid_structures] for name, fn in props.items()
+        name: [fn(s) for s, _ in valid] for name, fn in props.items()
     }
     train_values = {
         name: [fn(s) for s in train_structures] for name, fn in props.items()
     }
-    emd = {}
-    for name in props:
-        if sample_values[name] and train_values[name]:
-            emd[name] = emd_1d(sample_values[name], train_values[name])
+    # the training set is never empty; the valid samples may be
+    emd = {name: emd_1d(sample_values[name], train_values[name])
+           for name in props if sample_values[name]}
+    order = np.random.default_rng(eval_seed).permutation(len(train_structures))
+    half = len(order) // 2
+    emd_oracle = {name: emd_1d([values[i] for i in order[:half]], [values[i] for i in order[half:]])
+                  for name, values in train_values.items() if half}
 
-    emd_oracle = {}
-    if len(train_structures) >= 2:
-        order = np.random.default_rng(eval_seed).permutation(len(train_structures))
-        half = len(order) // 2
-        for name in props:
-            values = train_values[name]
-            first = [values[i] for i in order[:half]]
-            second = [values[i] for i in order[half:]]
-            emd_oracle[name] = emd_1d(first, second)
-
-    extra = {
-        name: count / len(decoded) * 100.0 for name, count in sorted(flag_totals.items())
-    } if decoded else {}
+    # a flag counts only decoded samples of the corpus kind, so none means no flags
+    extra = {name: count / len(decoded) * 100.0 for name, count in sorted(flag_totals.items())}
 
     report = MetricsReport(
         structure_kind=kind,
         n_samples=n,
-        n_decode_failed=n_failed,
-        n_invalid=n_invalid,
+        n_decode_failed=buckets[DECODE_FAILED],
+        n_invalid=buckets[INVALID],
         n_valid=n_valid,
         valid_pct=n_valid / n * 100.0,
         unique_pct=unique_pct,

@@ -20,6 +20,8 @@ end-to-end determinism test relies on.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,19 +74,23 @@ def load_checkpoint(path) -> Checkpoint:
             header = json.loads(fh.read(int(hlen)).decode("utf-8"))
             if header["format_version"] != FORMAT_VERSION:
                 raise ValueError(f"unsupported format version {header['format_version']}")
+            shapes = [entry["shape"] for entry in header["tensors"]]
+            if not all(isinstance(s, list) and all(type(n) is int and n >= 0 for n in s) for s in shapes):
+                raise ValueError(f"tensor shapes must be lists of non-negative ints, got {shapes}")
+            # the shapes must account for exactly the bytes left, so no
+            # tensor asks for more than the file holds
+            declared = 8 * sum(map(math.prod, shapes))
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if left > declared:
+                raise ValueError(f"{left - declared} trailing bytes after the last tensor")
+            if left < declared:
+                raise ValueError(f"truncated: the tensors need {declared} bytes, {left} follow")
             params = {}
-            for entry in header["tensors"]:
-                shape = tuple(entry["shape"])
-                n_items = int(np.prod(shape)) if shape else 1
-                raw = fh.read(n_items * 8)
-                if len(raw) != n_items * 8:
-                    raise ValueError(f"truncated in tensor {entry['name']}")
-                tensor = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            for entry, shape in zip(header["tensors"], shapes):
+                tensor = np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
                 if not np.isfinite(tensor).all():
                     raise ValueError(f"non-finite values in tensor {entry['name']}")
                 params[entry["name"]] = tensor
-            if fh.read(1):
-                raise ValueError("trailing bytes after the last tensor")
             return Checkpoint(
                 params=params,
                 config=ModelConfig.from_dict(header["model_config"]),

@@ -18,16 +18,31 @@ longer route; the property tests hold the replacements to them:
   (`structures.wrap_frac` wraps a whole array);
 * `reference_prune_pocket`: recomputes every remaining residue's
   centroid distance on each removal (`formats.prune_pocket` computes
-  each once).
+  each once);
+* `reference_pairwise_distances`: the dense [n, n] distance matrix
+  (`geometry.pair_distances` measures the i < j pairs only);
+* `reference_validity`: hand-written crystal and pocket branches over a
+  residue check that returns (ok, reasons) and a dense-matrix overlap
+  check (`metrics.report.validity` reads one dict of check name ->
+  `Verdict` per kind).
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 from chemlm.elements import MULTI_LETTER_SYMBOLS
 from chemlm.formats import PruneResult
-from chemlm.structures import Pocket
-from chemlm.metrics.crystals import OXIDATION_STATES
+from chemlm.structures import RESIDUE_ATOMS, Pocket
+from chemlm.metrics.bonds import molecule_validity
+from chemlm.metrics.crystals import (
+    OXIDATION_STATES,
+    charge_neutrality,
+    crystal_composition,
+    crystal_structural_validity,
+)
 from chemlm.metrics.verdict import Verdict
 
 
@@ -154,3 +169,69 @@ def reference_prune_pocket(pocket, center, target_atoms) -> PruneResult:
     kept_pocket = Pocket([pocket.symbols[k] for k in kept], [pocket.residues[k] for k in kept],
                          pocket.residue_index[kept], pocket.coords[kept])
     return PruneResult(kept_pocket, removed, False)
+
+
+def reference_pairwise_distances(positions) -> np.ndarray:
+    """Dense Euclidean distance matrix, shape (n, n)."""
+    x = np.asarray(positions, dtype=float)
+    diff = x[:, None, :] - x[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def reference_pocket_residue_check(pocket: Pocket) -> tuple[bool, list[str]]:
+    """The overall verdict plus one reason per failing residue, like
+    "GLY@3: missing O"."""
+    reasons = []
+    for start, stop in pocket.residue_spans():
+        code = pocket.residues[start]
+        index = pocket.residue_index[start]
+        expected = RESIDUE_ATOMS[code]
+        have = Counter(pocket.symbols[start:stop])
+        problems = []
+        for element in sorted(set(expected) | set(have)):
+            want = expected.get(element, 0)
+            got = have.get(element, 0)
+            if got < want:
+                problems.append(f"missing {element}" if want - got == 1 else f"missing {want - got} {element}")
+            elif got > want:
+                problems.append(f"extra {element}" if got - want == 1 else f"extra {got - want} {element}")
+        if problems:
+            reasons.append(f"{code}@{index}: " + ", ".join(problems))
+    return (not reasons), reasons
+
+
+def reference_pocket_overlap_check(pocket: Pocket, threshold: float) -> Verdict:
+    first, second = np.triu_indices(len(pocket), k=1)
+    d = reference_pairwise_distances(pocket.coords)[first, second]
+    residue = pocket.residue_index
+    flagged = np.flatnonzero((residue[first] != residue[second]) & (d < threshold))
+    if flagged.size:
+        k = flagged[0]
+        i, j = first[k], second[k]
+        labels = pocket.labels
+        return Verdict.fail(
+            f"atoms {i} ({labels[i]}@{residue[i]}) and "
+            f"{j} ({labels[j]}@{residue[j]}) "
+            f"at {d[k]:.3f} A, below {threshold} A"
+        )
+    return Verdict.ok()
+
+
+def reference_validity(structure, overlap_threshold: float = 1.1, perceived=None):
+    """(valid, reason, per-check flags) for one structure of any kind."""
+    if structure.kind == "molecule":
+        v = molecule_validity(structure, perceived)
+        return v.valid, v.reason or "", {}
+    if structure.kind == "crystal":
+        struct_v = crystal_structural_validity(structure)
+        comp_v = charge_neutrality(crystal_composition(structure))
+        flags = {"structural": struct_v.valid, "composition": comp_v.valid}
+        ok = struct_v.valid and comp_v.valid
+        reason = "" if ok else (struct_v.reason or comp_v.reason or "")
+        return ok, reason, flags
+    residue_ok, reasons = reference_pocket_residue_check(structure)
+    overlap_v = reference_pocket_overlap_check(structure, overlap_threshold)
+    flags = {"residue": residue_ok, "overlap": overlap_v.valid}
+    ok = residue_ok and overlap_v.valid
+    reason = "" if ok else ("; ".join(reasons) or overlap_v.reason or "")
+    return ok, reason, flags

@@ -22,12 +22,7 @@ from chemlm.augment import random_rotation, rotate_about_center
 from chemlm.cli import main as cli_main
 from chemlm.errors import InvalidLatticeError
 from chemlm.formats import FileDocument, parse_document, write_structure
-from chemlm.geometry import (
-    cell_volume,
-    centroid,
-    min_image_distance,
-    pairwise_distances,
-)
+from chemlm.geometry import cell_volume, centroid, min_image_distance, pair_distances
 from chemlm.metrics import evaluate_sequences
 from chemlm.metrics.crystals import crystal_structural_validity
 from chemlm.metrics.emd import emd_1d
@@ -355,8 +350,8 @@ def test_criterion_08_rotation():
         pos = s.coords
         rotated = rotate_about_center(s, random_rotation(rng))
         pos_r = rotated.coords
-        before = np.sort(pairwise_distances(pos)[np.triu_indices(len(pos), k=1)])
-        after = np.sort(pairwise_distances(pos_r)[np.triu_indices(len(pos), k=1)])
+        before = np.sort(pair_distances(pos))
+        after = np.sort(pair_distances(pos_r))
         worst_dist = max(worst_dist, float(np.max(np.abs(before - after))) if len(before) else 0.0)
         worst_cent = max(worst_cent, float(np.max(np.abs(centroid(pos) - centroid(pos_r)))))
     if worst_dist > 1e-9:
@@ -402,9 +397,9 @@ def test_criterion_09_pocket_checks():
     pocket = synth_corpus("pocket", 1, seed=909)[0]
     problems = []
 
-    ok, reasons = pocket_residue_check(pocket)
-    if not ok:
-        problems.append(f"intact pocket failed the residue check: {reasons}")
+    verdict = pocket_residue_check(pocket)
+    if not verdict.valid:
+        problems.append(f"intact pocket failed the residue check: {verdict.reason}")
     if not pocket_overlap_check(pocket).valid:
         problems.append("intact pocket failed the overlap check")
 
@@ -412,13 +407,13 @@ def test_criterion_09_pocket_checks():
     rest = [k for k in range(len(pocket)) if k != victim]
     removed = Pocket([pocket.symbols[k] for k in rest], [pocket.residues[k] for k in rest],
                      pocket.residue_index[rest], pocket.coords[rest])
-    ok, reasons = pocket_residue_check(removed)
+    verdict = pocket_residue_check(removed)
     wanted = f"{pocket.residues[victim]}@{pocket.residue_index[victim]}"
     element = pocket.symbols[victim]
-    if ok:
+    if verdict.valid:
         problems.append("pocket with a deleted atom passed the residue check")
-    elif not any(wanted in r and f"missing {element}" in r for r in reasons):
-        problems.append(f"no reason named {wanted} missing {element}: {reasons}")
+    elif not any(wanted in r and f"missing {element}" in r for r in verdict.reason.split("; ")):
+        problems.append(f"no reason named {wanted} missing {element}: {verdict.reason}")
 
     coords = pocket.coords.copy()
     i = int(np.flatnonzero(pocket.residue_index != pocket.residue_index[0])[0])
@@ -427,8 +422,7 @@ def test_criterion_09_pocket_checks():
     verdict = pocket_overlap_check(moved)
     if verdict.valid:
         problems.append("pocket with an atom 0.8 A from another residue passed overlap")
-    ok, _ = pocket_residue_check(moved)
-    if not ok:
+    if not pocket_residue_check(moved).valid:
         problems.append("moving an atom should not change residue composition")
     return problems
 

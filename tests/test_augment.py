@@ -15,7 +15,7 @@ from chemlm.augment import (
     shift_origin,
 )
 from chemlm.formats import FileDocument, parse_document, write_structure
-from chemlm.geometry import centroid, pairwise_distances
+from chemlm.geometry import centroid, pair_distances
 from chemlm.rounding import round_coords
 from chemlm.structures import Crystal, Lattice, Molecule, Pocket
 from chemlm.synth import synth_corpus
@@ -32,8 +32,7 @@ def rotation_angle(R):
 
 
 def sorted_distance_multiset(points):
-    d = pairwise_distances(points)
-    return np.sort(d[np.triu_indices(len(points), k=1)])
+    return np.sort(pair_distances(points))
 
 
 class TestRandomRotation:

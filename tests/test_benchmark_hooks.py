@@ -53,7 +53,7 @@ def test_sampler_forward_counts_one_position_per_token(monkeypatch):
     assert tracer.counts["model.logits_bytes"] == 0
 
 
-@pytest.mark.parametrize("kind", ["molecule", "perovskite"])
+@pytest.mark.parametrize("kind", ["molecule", "perovskite", "pocket"])
 def test_evaluate_enters_the_decode_validity_and_key_spans(monkeypatch, kind):
     # the tracer sees decoding, validity and keys only while evaluate
     # still calls them through chemlm.metrics.report's attributes

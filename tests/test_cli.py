@@ -2,6 +2,7 @@
 and manifest bookkeeping at smoke-test scale."""
 
 import csv
+import dataclasses
 import errno
 import json
 import math
@@ -701,6 +702,35 @@ class TestExitCodes:
         assert run_cli(argv + [os.path.join(alone, "samples.csv")]) == EXIT_USER
         assert "unreadable manifest" in manifest_of(out)["error"]
 
+    @pytest.mark.parametrize("text", ["[1]", '"x"'])
+    def test_sample_manifest_not_an_object_is_user_error(self, pipeline, tmp_path, capsys, text):
+        alone = os.path.join(tmp_path, "alone")
+        os.makedirs(alone)
+        shutil.copy(os.path.join(pipeline["sample"], "samples.csv"), alone)
+        with open(os.path.join(alone, "manifest.json"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = os.path.join(tmp_path, "out")
+        assert run_cli(["evaluate", "--samples", os.path.join(alone, "samples.csv"),
+                        "--train", pipeline["prepare"], "--out", out]) == EXIT_USER
+        assert "internal error" not in capsys.readouterr().err
+        error = manifest_of(out)["error"]
+        assert "unreadable manifest" in error
+        assert os.path.join(alone, "manifest.json") in error
+
+    @pytest.mark.parametrize("shape", [[10**20], [2**40], [-1], [2.5], 3, [True]],
+                             ids=["1e20", "2^40", "negative", "fractional", "not-a-list", "bool"])
+    def test_checkpoint_shape_beyond_the_file_is_user_error(self, pipeline, tmp_path, capsys,
+                                                            shape):
+        # a hand-made header declaring one tensor over a file of one value
+        header = json.dumps({"format_version": 1, "tensors": [{"name": "w", "shape": shape}]})
+        path = os.path.join(tmp_path, "hand.bin")
+        with open(path, "wb") as fh:
+            fh.write(b"CHEMLM01" + struct.pack("<I", len(header)) + header.encode())
+            fh.write(struct.pack("<d", 1.0))
+        error = self.sample_error(path, pipeline["vocab"], tmp_path, capsys)
+        assert error.startswith(f"malformed checkpoint {path}: ")
+        assert "does not fit in memory" not in error
+
     @pytest.mark.parametrize("wrong", ["losses.csv", "checkpoint"])
     def test_non_vocabulary_file_is_user_error(self, pipeline, tmp_path, capsys, wrong):
         # a text file, and a binary one that is not even UTF-8
@@ -715,6 +745,24 @@ class TestExitCodes:
         code = run_cli(["report", "--reports", bad,
                         "--out", os.path.join(tmp_path, "out")])
         assert code == EXIT_USER
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda report: [1, 2], "a report is a JSON object, not list"),
+        (lambda report: {k: v for k, v in report.items() if k != "emd"},
+         "report fields missing ['emd'], unknown []"),
+        (lambda report: {**report, "rmsd": 1.0}, "report fields missing [], unknown ['rmsd']"),
+        (lambda report: {**report, "emd": 5}, "report field emd is a int, not a dict"),
+    ], ids=["list", "missing-field", "extra-field", "emd-number"])
+    def test_report_json_of_the_wrong_shape(self, pipeline, tmp_path, capsys, edit, message):
+        with open(os.path.join(pipeline["eval_self"], "report.json"), encoding="utf-8") as fh:
+            report = json.load(fh)
+        path = os.path.join(tmp_path, "report.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(edit(report), fh)
+        out = os.path.join(tmp_path, "out")
+        assert run_cli(["report", "--reports", path, "--out", out]) == EXIT_USER
+        assert "internal error" not in capsys.readouterr().err
+        assert manifest_of(out)["error"] == f"{path}: {message}"
 
     def test_missing_report_file(self, tmp_path, capsys):
         code = run_cli(["report", "--reports", os.path.join(tmp_path, "nope.json"),
@@ -1184,6 +1232,34 @@ class TestNumericFlagsProperty:
         flags = data.draw(st.dictionaries(st.sampled_from(OTHER_NUMERIC_FLAGS[command]),
                                           st.sampled_from(EXTREMES), min_size=2, max_size=3))
         self.check(pipeline, str(tmp_path_factory.mktemp(command)), command, flags)
+
+
+#: Any JSON value: scalars (NaN and the infinities included) and small
+#: nested lists and objects.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+class TestReportJsonProperty:
+    """Any JSON value in any field of a report.json is a success or a
+    user error for `report`, never an internal one."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(field=st.sampled_from([f.name for f in dataclasses.fields(MetricsReport)]),
+           value=JSON_VALUES)
+    def test_any_value_in_any_field(self, pipeline, tmp_path_factory, field, value):
+        with open(os.path.join(pipeline["eval_self"], "report.json"), encoding="utf-8") as fh:
+            report = json.load(fh)
+        report[field] = value
+        root = str(tmp_path_factory.mktemp("report"))
+        path = os.path.join(root, "report.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh)
+        assert run_cli(["report", "--reports", path, "--out", root]) in (EXIT_OK, EXIT_USER)
 
 
 class TestOutputNames:

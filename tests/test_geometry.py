@@ -11,11 +11,13 @@ from chemlm.geometry import (
     lattice_matrix,
     min_image_distance,
     molecular_weight,
-    pairwise_distances,
+    pair_distances,
+    upper_pairs,
 )
 from chemlm.structures import Lattice, Molecule
 
 from conftest import random_lattice
+from reference_algorithms import reference_pairwise_distances
 
 
 def kabsch_rmsd(coords_p, coords_q) -> float:
@@ -201,9 +203,34 @@ class TestScalarProperties:
         expected = (22.99 + 35.45) * 1.66053907 / 125.0
         assert crystal_density(xtl) == pytest.approx(expected, rel=1e-4)
 
-    def test_pairwise_distances_shape(self, rng):
+    def test_pair_distances_shape(self, rng):
         pts = rng.uniform(-3, 3, size=(5, 3))
-        d = pairwise_distances(pts)
-        assert d.shape == (5, 5)
-        assert np.allclose(np.diag(d), 0.0)
-        assert np.allclose(d, d.T)
+        d = pair_distances(pts)
+        assert d.shape == (10,)
+        assert (d > 0).all()
+        i, j = upper_pairs(5)
+        assert np.allclose(d, np.linalg.norm(pts[i] - pts[j], axis=1))
+        assert pair_distances(np.stack([pts, pts[::-1]])).shape == (2, 10)
+        assert pair_distances(pts[:1]).shape == (0,)
+
+
+class TestPairDistances:
+    """pair_distances gives the bits of the dense matrix's i < j entries."""
+
+    def test_matches_the_dense_matrix_unbatched(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 258))
+            x = rng.normal(0.0, float(rng.uniform(0.1, 50.0)), size=(n, 3))
+            want = reference_pairwise_distances(x)[np.triu_indices(n, k=1)]
+            assert pair_distances(x).tobytes() == want.tobytes()
+
+    def test_matches_the_dense_matrix_batched(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 80))
+            x = rng.uniform(-20.0, 20.0, size=(int(rng.integers(1, 6)), n, 3))
+            got = pair_distances(x)
+            assert got.shape == (len(x), n * (n - 1) // 2)
+            for row, points in zip(got, x):
+                want = reference_pairwise_distances(points)[np.triu_indices(n, k=1)]
+                assert row.tobytes() == want.tobytes()
+                assert row.tobytes() == pair_distances(points).tobytes()

@@ -7,14 +7,18 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import MOLECULE_ELEMENTS, pocket_of, random_crystal, random_molecule, random_pocket
-from reference_algorithms import reference_charge_neutrality
+from reference_algorithms import (
+    reference_charge_neutrality,
+    reference_pairwise_distances,
+    reference_validity,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemlm.cli import main
 from chemlm.elements import get_element, is_element
 from chemlm.formats import parse_xyz, write_cif
-from chemlm.geometry import min_image_distance, pairwise_distances
+from chemlm.geometry import min_image_distance
 from chemlm.metrics import evaluate_sequences, evaluate_structures
 from chemlm.metrics.bonds import (
     BOND_SLACK,
@@ -40,7 +44,7 @@ from chemlm.metrics.keys import (
 )
 from chemlm.metrics.pockets import pocket_overlap_check, pocket_residue_check
 from chemlm.metrics.report import SCHEMA_VERSION, MetricsReport, validity
-from chemlm.synth import synth_perovskite
+from chemlm.synth import synth_perovskite, synth_pocket
 from chemlm.structures import (
     CANONICAL_RESIDUES,
     RESIDUE_ATOMS,
@@ -67,7 +71,7 @@ def water():
 
 def reference_perceive_bonds(molecule):
     """Pair-by-pair bond perception, the order perceive_bonds must keep."""
-    d = pairwise_distances(molecule.coords)
+    d = reference_pairwise_distances(molecule.coords)
     radii = [get_element(s).covalent_radius for s in molecule.symbols]
     bonds, clashes = [], []
     for i in range(len(molecule)):
@@ -388,33 +392,32 @@ def ideal_gly(index, x0):
 class TestPocketChecks:
     def test_table_correct_pocket_passes(self):
         p = pocket_of(ideal_gly(1, 0.0) + ideal_gly(2, 8.0))
-        ok, reasons = pocket_residue_check(p)
-        assert ok and reasons == []
+        assert pocket_residue_check(p) == Verdict.ok()
         assert validity(p) == (True, "", {"residue": True, "overlap": True})
 
     def test_missing_atom_reason(self):
         atoms = ideal_gly(1, 0.0)
         p = pocket_of(atoms[:-1])  # drop the O
-        ok, reasons = pocket_residue_check(p)
-        assert not ok
-        assert reasons == ["GLY@1: missing O"]
+        v = pocket_residue_check(p)
+        assert not v.valid
+        assert v.reason == "GLY@1: missing O"
 
     def test_extra_atom_reason(self):
         atoms = ideal_gly(1, 0.0) + [("GLY", "C", 1, (5.0, 5.0, 0.0))]
-        ok, reasons = pocket_residue_check(pocket_of(atoms))
-        assert not ok
-        assert reasons == ["GLY@1: extra C"]
+        v = pocket_residue_check(pocket_of(atoms))
+        assert not v.valid
+        assert v.reason == "GLY@1: extra C"
 
     def test_multiple_failures_listed_per_residue(self):
         atoms = ideal_gly(1, 0.0)[:-1] + [("GLY", "S", 1, (3.4, 1.35, 0.4))]
-        ok, reasons = pocket_residue_check(pocket_of(atoms))
-        assert not ok
-        assert reasons == ["GLY@1: missing O, extra S"]
+        v = pocket_residue_check(pocket_of(atoms))
+        assert not v.valid
+        assert v.reason == "GLY@1: missing O, extra S"
 
     def test_only_failing_residues_reported(self):
         atoms = ideal_gly(1, 0.0) + ideal_gly(2, 8.0)[:-1]
-        ok, reasons = pocket_residue_check(pocket_of(atoms))
-        assert reasons == ["GLY@2: missing O"]
+        v = pocket_residue_check(pocket_of(atoms))
+        assert v.reason == "GLY@2: missing O"
 
     def test_overlap_detected(self):
         atoms = ideal_gly(1, 0.0) + ideal_gly(2, 8.0)
@@ -451,7 +454,7 @@ class TestPocketChecks:
     def test_overlap_matches_pair_loop(self, rng):
         def loop_check(pocket, threshold):
             # the pair-by-pair scan the array check replaced
-            d = pairwise_distances(pocket.coords)
+            d = reference_pairwise_distances(pocket.coords)
             labels = pocket.labels
             index = pocket.residue_index.tolist()
             for i in range(len(pocket)):
@@ -474,6 +477,92 @@ class TestPocketChecks:
                 assert got == loop_check(p, threshold)
                 flagged[threshold] = flagged.get(threshold, 0) + (not got.valid)
         assert flagged[3.0] and flagged[6.0]
+
+
+    def test_failing_residues_joined_in_order(self):
+        atoms = ideal_gly(1, 0.0)[:-1] + ideal_gly(2, 8.0) + [("GLY", "C", 2, (9.0, 1.0, 1.0))]
+        v = pocket_residue_check(pocket_of(atoms))
+        assert v == Verdict.fail("GLY@1: missing O; GLY@2: extra C")
+
+
+CRYSTAL_DEFECTS = ("close_sites", "unbalanced", "inert_element")
+POCKET_DEFECTS = ("overlap", "missing_atom", "extra_atom", "wrong_element", "second_residue")
+
+
+def defective_crystal(seed, defects):
+    """A random or perovskite crystal with the named defects seeded in."""
+    rng = np.random.default_rng(seed)
+    c = synth_perovskite(rng) if rng.random() < 0.7 else random_crystal(rng)
+    symbols, coords = list(c.symbols), c.coords.copy()
+    if "close_sites" in defects and len(coords) > 1:
+        k = int(rng.integers(1, len(coords)))
+        coords[k] = coords[0] + rng.uniform(-0.15, 0.15, size=3)
+    if "unbalanced" in defects:
+        symbols[int(rng.integers(len(symbols)))] = str(rng.choice(["Na", "Cl", "Mg", "F", "Ti"]))
+    if "inert_element" in defects:
+        symbols[int(rng.integers(len(symbols)))] = "He"
+    return Crystal(c.lattice, symbols, coords)
+
+
+def defective_pocket(seed, defects):
+    """A synthesized pocket with the named defects seeded in."""
+    rng = np.random.default_rng(seed)
+    p = synth_pocket(rng, n_residues=int(rng.integers(2, 7)))
+    rows = list(zip(p.symbols, p.residues, p.residue_index.tolist(), p.coords.copy()))
+    if "overlap" in defects:
+        # one atom of a later residue placed 0.3-1.6 A from an atom of residue 1
+        k = int(rng.integers(int(np.argmax(p.residue_index > 1)), len(rows)))
+        direction = rng.normal(size=3)
+        near = rows[int(rng.integers(np.count_nonzero(p.residue_index == 1)))][3]
+        target = near + direction / np.linalg.norm(direction) * rng.uniform(0.3, 1.6)
+        rows[k] = rows[k][:3] + (target,)
+    for defect in ("missing_atom", "second_residue"):
+        if defect in defects and len(rows) > 1:
+            del rows[int(rng.integers(len(rows)))]
+    if "extra_atom" in defects:
+        k = int(rng.integers(len(rows)))
+        rows.insert(k + 1, rows[k][:3] + (rows[k][3] + rng.uniform(0.5, 1.0, size=3),))
+    if "wrong_element" in defects:
+        k = int(rng.integers(len(rows)))
+        rows[k] = (str(rng.choice(["C", "N", "O", "S"])),) + rows[k][1:]
+    return Pocket(*zip(*rows))
+
+
+class TestValidityMatchesReference:
+    """validity's one dict of check name -> Verdict per kind gives the
+    (ok, reason, flags) of the two hand-written branches it replaced."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), defects=st.sets(st.sampled_from(CRYSTAL_DEFECTS)))
+    def test_crystals(self, seed, defects):
+        c = defective_crystal(seed, defects)
+        assert validity(c) == reference_validity(c)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), defects=st.sets(st.sampled_from(POCKET_DEFECTS)),
+           threshold=st.sampled_from([0.5, 1.1, 2.0]))
+    def test_pockets(self, seed, defects, threshold):
+        p = defective_pocket(seed, defects)
+        assert validity(p, threshold) == reference_validity(p, threshold)
+
+    def test_defects_reach_every_outcome(self):
+        # the property tests above see each check pass and fail, alone and
+        # together, and residue reasons of several residues
+        outcomes = set()
+        joined = 0
+        for seed in range(400):
+            defects = {d for k, d in enumerate(CRYSTAL_DEFECTS) if seed >> k & 1}
+            c = defective_crystal(seed, defects)
+            outcomes.add(tuple(sorted(validity(c)[2].items())))
+            defects = {d for k, d in enumerate(POCKET_DEFECTS) if seed >> k & 1}
+            ok, reason, flags = validity(defective_pocket(seed, defects))
+            outcomes.add(tuple(sorted(flags.items())))
+            joined += "; " in reason
+        for a in (True, False):
+            for b in (True, False):
+                assert (("composition", a), ("structural", b)) in outcomes
+                assert (("overlap", a), ("residue", b)) in outcomes
+        assert joined
 
 
 class TestKeys:

@@ -30,7 +30,7 @@ from chemlm import rounding
 from chemlm.elements import get_element
 from chemlm.errors import DecodeError, InvalidLatticeError
 from chemlm.formats import write_structure
-from chemlm.geometry import pairwise_distances
+from chemlm.geometry import pair_distances, upper_pairs
 from chemlm.metrics.bonds import BOND_SLACK, CLASH_FLOOR
 from chemlm.metrics.keys import molecule_key
 from chemlm.rounding import coords_text, fmt_fixed, round_coords
@@ -368,13 +368,11 @@ QUARTER_TURNS = {
 
 def near_a_cutoff(molecule, tol=1e-6) -> bool:
     """Whether some pair distance lies within tol of a clash or bond cutoff."""
-    d = pairwise_distances(molecule.coords)
+    d = pair_distances(molecule.coords)
     radii = np.array([get_element(s).covalent_radius for s in molecule.symbols])
-    i, j = np.triu_indices(len(molecule), k=1)
+    i, j = upper_pairs(len(molecule))
     cutoffs = radii[i] + radii[j] + BOND_SLACK
-    return bool(
-        np.any(np.abs(d[i, j] - CLASH_FLOOR) <= tol) or np.any(np.abs(d[i, j] - cutoffs) <= tol)
-    )
+    return bool(np.any(np.abs(d - CLASH_FLOOR) <= tol) or np.any(np.abs(d - cutoffs) <= tol))
 
 
 @SETTINGS

@@ -68,8 +68,8 @@ class TestPockets:
     def test_table_correct(self, rng):
         for _ in range(20):
             p = synth_pocket(rng)
-            ok, reasons = pocket_residue_check(p)
-            assert ok, reasons
+            v = pocket_residue_check(p)
+            assert v.valid, v.reason
 
     def test_no_overlaps(self, rng):
         for _ in range(20):
